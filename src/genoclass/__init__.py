@@ -51,7 +51,6 @@ from .ensemble import (
     goss_sample,
     loss_gradients,
     loss_value,
-    predict_ensemble,
     predict_tree,
 )
 from .errors import (

@@ -99,12 +99,15 @@ class ModelArtifact:
 def revive_model(artifact: ModelArtifact):
     """Rebuild the fitted model object stored in an artifact."""
     name = artifact.algorithm
-    if name == "logistic":
-        return LogisticModel.from_json(artifact.model_doc)
-    if name == "svm":
-        return SvmModel.from_json(artifact.model_doc)
-    if name == "random_forest":
-        return ForestModel.from_json(artifact.model_doc)
-    if name in ("gbdt_plain", "gbdt_goss", "gbdt_oblivious"):
-        return GbdtModel.from_json(artifact.model_doc)
+    try:
+        if name == "logistic":
+            return LogisticModel.from_json(artifact.model_doc)
+        if name == "svm":
+            return SvmModel.from_json(artifact.model_doc)
+        if name == "random_forest":
+            return ForestModel.from_json(artifact.model_doc)
+        if name in ("gbdt_plain", "gbdt_goss", "gbdt_oblivious"):
+            return GbdtModel.from_json(artifact.model_doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(f"{name} model document is malformed: {exc!r}") from exc
     raise ArgumentError(f"unknown algorithm {name!r} in artifact")

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..errors import ArgumentError
 from .boosting import (
     LOSSES,
     VARIANTS,
@@ -54,24 +51,9 @@ __all__ = [
     "goss_sample",
     "loss_gradients",
     "loss_value",
-    "predict_ensemble",
     "predict_tree",
     "softmax",
     "tree_depth",
     "tree_from_json",
     "tree_to_json",
 ]
-
-
-def predict_ensemble(model: ForestModel | GbdtModel, rows: np.ndarray) -> np.ndarray:
-    """Per-class probabilities from a fitted ensemble.
-
-    Forests yield vote fractions; multiclass boosting models yield the
-    softmax of their accumulated scores. Regression boosting models have no
-    class probabilities and are rejected.
-    """
-    if isinstance(model, ForestModel):
-        return model.predict_proba(rows)
-    if isinstance(model, GbdtModel):
-        return model.predict_proba(rows)
-    raise ArgumentError(f"not an ensemble model: {type(model).__name__}")

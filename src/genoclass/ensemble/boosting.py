@@ -7,12 +7,13 @@ then replaces every leaf value with a one-step Newton update
     leaf = learning_rate * sum(residuals) / sum(hessians)
 
 computed over the full training data routed to that leaf (the step size is
-absorbed into the stored leaf values). The GOSS variant draws one gradient-
-magnitude-based row sample per round and searches tree structure on it,
-weighting the random remainder's gradients (and any hessian aggregates) by
-(1 - a) / b; the oblivious variant constrains every tree level to a single
-shared (feature, threshold) test chosen to maximize the gain summed across
-that level's nodes.
+absorbed into the stored leaf values). Plain and GOSS tree structure both
+come from fit_tree's variance criterion: plain on every row's residuals,
+GOSS on one gradient-magnitude-based row sample per round, with the random
+remainder's residuals weighted by (1 - a) / b, so each node's split
+maximizes goss_gain over that node's rows. The oblivious variant constrains
+every tree level to a single shared (feature, threshold) test chosen to
+maximize the gain summed across that level's nodes.
 """
 
 from __future__ import annotations
@@ -309,50 +310,6 @@ def _refit_leaves(root: TreeNode, X: np.ndarray, g: np.ndarray, h: np.ndarray, l
     route(root, np.arange(X.shape[0]))
 
 
-def _fit_goss_structure(X: np.ndarray, g: np.ndarray, w: np.ndarray, config: GbdtConfig) -> TreeNode:
-    """Grow a tree on the sampled rows scoring splits by the estimated variance gain.
-
-    The gain form matches goss_gain: amplified gradient sums squared over
-    raw sampled row counts. Leaf values are placeholders; the caller refits
-    them on the full data.
-    """
-    wg = w * g
-    d = X.shape[1]
-    msl = config.min_samples_leaf
-
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        if depth >= config.max_depth or rows.size < 2 * msl or rows.size < 2:
-            return TreeNode(value=0.0)
-        n = rows.size
-        tot = float(wg[rows].sum())
-        parent = tot * tot / n
-        best: tuple[float, int, float] | None = None
-        for f in range(d):
-            v = X[rows, f]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            cuts = np.flatnonzero(vs[:-1] < vs[1:])
-            if cuts.size == 0:
-                continue
-            n_l = (cuts + 1).astype(np.float64)
-            n_r = n - n_l
-            valid = (n_l >= msl) & (n_r >= msl)
-            if not valid.any():
-                continue
-            c1 = np.cumsum(wg[rows][order])[cuts]
-            gains = np.where(valid, c1 * c1 / n_l + (tot - c1) ** 2 / n_r - parent, -np.inf)
-            i = int(np.argmax(gains))
-            if best is None or gains[i] > best[0]:
-                best = (float(gains[i]), f, float((vs[cuts[i]] + vs[cuts[i] + 1]) / 2.0))
-        if best is None or best[0] <= GAIN_EPS:
-            return TreeNode(value=0.0)
-        _, f, t = best
-        go_left = X[rows, f] <= t
-        return TreeNode(feature=f, threshold=t, left=grow(rows[go_left], depth + 1), right=grow(rows[~go_left], depth + 1))
-
-    return grow(np.arange(X.shape[0]), 0)
-
-
 def _fit_oblivious_structure(X: np.ndarray, g: np.ndarray, config: GbdtConfig) -> TreeNode:
     """Choose one shared (feature, threshold) per level maximizing the summed gain.
 
@@ -375,24 +332,25 @@ def _fit_oblivious_structure(X: np.ndarray, g: np.ndarray, config: GbdtConfig) -
         best: tuple[float, int, float] | None = None
         for f in range(d):
             mids: list[np.ndarray] = []
-            for cell in live:
-                uniq = np.unique(X[cell, f])
-                if uniq.size >= 2:
-                    mids.append((uniq[:-1] + uniq[1:]) / 2.0)
-            if not mids:
-                continue
-            candidates = np.unique(np.concatenate(mids))
-            score = np.zeros(candidates.size)
+            scans: list[tuple[np.ndarray, np.ndarray]] = []
             for cell in live:
                 v = X[cell, f]
                 order = np.argsort(v, kind="stable")
                 vs = v[order]
-                prefix = np.concatenate([[0.0], np.cumsum(g[cell][order])])
+                cuts = np.flatnonzero(vs[:-1] < vs[1:])
+                if cuts.size:
+                    mids.append((vs[cuts] + vs[cuts + 1]) / 2.0)
+                scans.append((vs, np.concatenate([[0.0], np.cumsum(g[cell][order])])))
+            if not mids:
+                continue
+            candidates = np.unique(np.concatenate(mids))
+            score = np.zeros(candidates.size)
+            for vs, prefix in scans:
                 tot = prefix[-1]
                 pos = np.searchsorted(vs, candidates, side="right")
                 sum_l = prefix[pos]
                 n_l = pos.astype(np.float64)
-                n_r = cell.size - n_l
+                n_r = vs.size - n_l
                 with np.errstate(divide="ignore", invalid="ignore"):
                     term_l = np.where(n_l > 0, sum_l**2 / n_l, 0.0)
                     term_r = np.where(n_r > 0, (tot - sum_l) ** 2 / n_r, 0.0)
@@ -483,6 +441,7 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
         k = 1
         f0 = np.array([float(y.mean())])
 
+    params = TreeParams(criterion="variance", max_depth=config.max_depth, min_samples_leaf=config.min_samples_leaf)
     F = np.tile(f0, (n, 1))
     history = [loss_value(config.loss, y, F)]
     trees: list[list[TreeNode]] = []
@@ -504,14 +463,9 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
         for c in range(k):
             g = residuals[:, c]
             if config.variant == "plain":
-                params = TreeParams(
-                    criterion="variance",
-                    max_depth=config.max_depth,
-                    min_samples_leaf=config.min_samples_leaf,
-                )
                 root = fit_tree(X, g, params)
             elif config.variant == "goss":
-                root = _fit_goss_structure(X_sub, g[idx], weights, config)
+                root = fit_tree(X_sub, weights * g[idx], params)
             else:
                 root = _fit_oblivious_structure(X, g, config)
             _refit_leaves(root, X, g, hessians[:, c], config.learning_rate)

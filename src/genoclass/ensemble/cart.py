@@ -1,8 +1,10 @@
 """CART base learner: greedy binary trees for regression and classification.
 
 Split search enumerates midpoints between adjacent distinct sorted values
-per feature, scoring regression candidates by squared-error reduction and
-classification candidates by Gini impurity reduction, both via prefix sums.
+per feature and scores them all with one prefix-sum scan over a per-row
+statistic matrix: a single target column gives the squared-error reduction
+(regression), one-hot class columns give the Gini impurity reduction
+(classification).
 Ties are broken toward the lowest feature index, then the lowest threshold,
 so fits are deterministic. Rows route left when value <= threshold.
 """
@@ -75,41 +77,17 @@ class TreeParams:
             raise ArgumentError("mtry must be >= 1 or None")
 
 
-def _best_split_variance(X: np.ndarray, y: np.ndarray, features: Sequence[int], msl: int) -> tuple[float, int, float] | None:
-    """Highest squared-error reduction over candidate (feature, midpoint) splits."""
-    n = y.size
-    tot = y.sum()
-    tot2 = (y * y).sum()
-    parent = tot2 - tot * tot / n
-    best: tuple[float, int, float] | None = None
-    for f in features:
-        v = X[:, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = y[order]
-        cuts = np.flatnonzero(vs[:-1] < vs[1:])
-        if cuts.size == 0:
-            continue
-        n_l = (cuts + 1).astype(np.float64)
-        n_r = n - n_l
-        valid = (n_l >= msl) & (n_r >= msl)
-        if not valid.any():
-            continue
-        c1 = np.cumsum(ys)[cuts]
-        c2 = np.cumsum(ys * ys)[cuts]
-        sse_l = c2 - c1 * c1 / n_l
-        sse_r = (tot2 - c2) - (tot - c1) ** 2 / n_r
-        gains = np.where(valid, parent - sse_l - sse_r, -np.inf)
-        i = int(np.argmax(gains))
-        if best is None or gains[i] > best[0]:
-            best = (float(gains[i]), f, float((vs[cuts[i]] + vs[cuts[i] + 1]) / 2.0))
-    return best
+def _best_split(X: np.ndarray, S: np.ndarray, features: Sequence[int], msl: int) -> tuple[float, int, float] | None:
+    """Highest gain over candidate (feature, midpoint) splits of one node.
 
-
-def _best_split_gini(X: np.ndarray, onehot: np.ndarray, features: Sequence[int], msl: int) -> tuple[float, int, float] | None:
-    """Highest Gini impurity reduction; gain measured as weighted-impurity drop."""
-    n = onehot.shape[0]
-    tot = onehot.sum(axis=0)
+    S holds per-row statistics, one column each (the target for variance,
+    one-hot class indicators for gini). With L, R and T the left, right and
+    node column sums, the gain is sum_j (L_j^2/n_l + R_j^2/n_r) - sum_j T_j^2/n:
+    the squared-error reduction for one target column and the drop in
+    size-weighted Gini impurity for one-hot columns.
+    """
+    n = S.shape[0]
+    tot = S.sum(axis=0)
     parent = float((tot * tot).sum() / n)
     best: tuple[float, int, float] | None = None
     for f in features:
@@ -124,7 +102,7 @@ def _best_split_gini(X: np.ndarray, onehot: np.ndarray, features: Sequence[int],
         valid = (n_l >= msl) & (n_r >= msl)
         if not valid.any():
             continue
-        cum = np.cumsum(onehot[order], axis=0)[cuts]
+        cum = np.cumsum(S[order], axis=0)[cuts]
         score_l = (cum * cum).sum(axis=1) / n_l
         score_r = ((tot - cum) ** 2).sum(axis=1) / n_r
         gains = np.where(valid, score_l + score_r - parent, -np.inf)
@@ -163,12 +141,11 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) ->
         k = params.n_classes if params.n_classes is not None else int(codes.max()) + 1
         if codes.max() >= k:
             raise ArgumentError(f"class code {int(codes.max())} outside [0, {k})")
-        onehot = np.zeros((codes.size, k))
-        onehot[np.arange(codes.size), codes] = 1.0
-        y_arr: np.ndarray = onehot
+        S = np.zeros((codes.size, k))
+        S[np.arange(codes.size), codes] = 1.0
     else:
-        y_arr = np.asarray(y, dtype=np.float64).reshape(-1)
-        if not np.isfinite(y_arr).all():
+        S = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+        if not np.isfinite(S).all():
             raise ArgumentError("targets contain non-finite values")
 
     rng = np.random.default_rng(params.seed)
@@ -176,8 +153,8 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) ->
 
     def leaf(rows: np.ndarray) -> TreeNode:
         if params.criterion == "gini":
-            return TreeNode(value=y_arr[rows].sum(axis=0))
-        return TreeNode(value=float(y_arr[rows].mean()))
+            return TreeNode(value=S[rows].sum(axis=0))
+        return TreeNode(value=float(S[rows].mean()))
 
     def grow(rows: np.ndarray, depth: int) -> TreeNode:
         if params.max_depth is not None and depth >= params.max_depth:
@@ -189,10 +166,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) ->
         else:
             features = np.arange(d)
         sub_x = X[rows]
-        if params.criterion == "gini":
-            found = _best_split_gini(sub_x, y_arr[rows], features, params.min_samples_leaf)
-        else:
-            found = _best_split_variance(sub_x, y_arr[rows], features, params.min_samples_leaf)
+        found = _best_split(sub_x, S[rows], features, params.min_samples_leaf)
         if found is None or found[0] <= GAIN_EPS:
             return leaf(rows)
         gain, f, t = found

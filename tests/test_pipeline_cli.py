@@ -593,3 +593,21 @@ class TestCli:
         result = self.invoke("report", flow.ev_gbdt.report_path)
         assert result.exit_code == 1
         assert "no output directory" in result.output
+
+    @pytest.mark.parametrize("damage", ["gbdt_without_f0", "forest_node_without_threshold"])
+    def test_malformed_model_document_exits_2(self, flow, tmp_path, damage):
+        source = flow.gbdt if damage == "gbdt_without_f0" else flow.forest
+        doc = json.loads(source.artifact_path.read_text(encoding="utf-8"))
+        if damage == "gbdt_without_f0":
+            del doc["model"]["f0"]
+        else:
+            root = doc["model"]["trees"][0]
+            assert "threshold" in root
+            del root["threshold"]
+        broken = tmp_path / source.artifact_path.name
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert "model document is malformed" in result.output
+        with pytest.raises(PersistenceError, match="malformed"):
+            revive_model(ModelArtifact.load(broken))
