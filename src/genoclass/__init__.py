@@ -110,8 +110,6 @@ from .metrics import (
     roc_curve,
 )
 from .pipeline import (
-    ALGORITHMS,
-    Algorithm,
     EvalResult,
     FeaturePipeline,
     PrepareResult,
@@ -122,5 +120,6 @@ from .pipeline import (
     run_report,
     run_train,
 )
+from .registry import ALGORITHMS, Algorithm
 
 __version__ = "0.1.0"

@@ -9,13 +9,12 @@ than migrated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ensemble import ForestModel, GbdtModel
+from .codec import read_json, write_json
 from .errors import ArgumentError, PersistenceError
-from .linear import LogisticModel, SvmModel
+from .registry import ALGORITHMS
 
 FORMAT_VERSION = 1
 
@@ -81,33 +80,19 @@ class ModelArtifact:
             raise PersistenceError(f"artifact document is malformed: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=1)
+        write_json(path, self.to_json())
 
     @staticmethod
     def load(path: str | Path) -> "ModelArtifact":
-        path = Path(path)
-        if not path.is_file():
-            raise PersistenceError(f"artifact file {str(path)!r} does not exist")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(f"artifact file {str(path)!r} is not valid JSON: {exc}") from exc
-        return ModelArtifact.from_json(doc)
+        return ModelArtifact.from_json(read_json(path, "artifact file"))
 
 
 def revive_model(artifact: ModelArtifact):
     """Rebuild the fitted model object stored in an artifact."""
     name = artifact.algorithm
+    if name not in ALGORITHMS:
+        raise ArgumentError(f"unknown algorithm {name!r} in artifact")
     try:
-        if name == "logistic":
-            return LogisticModel.from_json(artifact.model_doc)
-        if name == "svm":
-            return SvmModel.from_json(artifact.model_doc)
-        if name == "random_forest":
-            return ForestModel.from_json(artifact.model_doc)
-        if name in ("gbdt_plain", "gbdt_goss", "gbdt_oblivious"):
-            return GbdtModel.from_json(artifact.model_doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(f"{name} model document is malformed: {exc!r}") from exc
-    raise ArgumentError(f"unknown algorithm {name!r} in artifact")
+        return ALGORITHMS[name].model.from_json(artifact.model_doc)
+    except ArgumentError as exc:
+        raise PersistenceError(f"{name} model document is malformed: {exc}") from exc

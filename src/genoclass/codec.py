@@ -1,0 +1,144 @@
+"""One JSON codec for the package's value dataclasses, plus JSON file I/O.
+
+``encode`` turns a dataclass into a dict of its ``init`` fields, recursing
+through nested dataclasses, sequences, arrays and numpy scalars; a value
+with its own ``to_json`` (a tree node) encodes itself. ``decode`` converts
+each value back by the field's type hint. It is strict: an unknown key is
+an error, and so is a missing one unless a ``base`` instance supplies it.
+Stored documents decode without a base; partial user input (model params,
+engineered-feature sources) decodes over the default instance. Every
+decoding failure is an ``ArgumentError``.
+
+Classes opt in by inheriting :class:`JsonCodec`.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import os
+import types
+import typing
+from pathlib import Path
+from typing import Any
+
+import numpy as np
+
+from .errors import ArgumentError, PersistenceError
+
+
+class JsonCodec:
+    """Mixin giving a dataclass ``to_json``/``from_json`` through the codec."""
+
+    def to_json(self) -> dict:
+        return encode(self)
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        return decode(cls, doc)
+
+
+@functools.cache
+def _init_fields(cls: type) -> tuple[tuple[str, Any], ...]:
+    """(name, resolved type hint) of each ``init`` field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.init)
+
+
+def encode(obj: Any) -> Any:
+    """JSON-ready form of obj: dicts, lists and Python scalars only."""
+    if hasattr(obj, "to_json") and not isinstance(obj, JsonCodec):
+        return obj.to_json()
+    if dataclasses.is_dataclass(obj):
+        return {name: encode(getattr(obj, name)) for name, _ in _init_fields(type(obj))}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [encode(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
+
+
+def decode(cls: type, doc: Any, base: Any = None) -> Any:
+    """Rebuild a ``cls`` instance from a document ``encode`` produced.
+
+    Keys missing from doc are taken from ``base`` when one is given and are
+    an error otherwise. Raises ArgumentError naming the offending keys.
+    """
+    return _decode(cls, doc, base, cls.__name__)
+
+
+def _decode(cls: type, doc: Any, base: Any, where: str) -> Any:
+    if not isinstance(doc, dict):
+        raise ArgumentError(f"{where} must be a JSON object")
+    fields = _init_fields(cls)
+    unknown = sorted(set(doc) - {name for name, _ in fields})
+    if unknown:
+        raise ArgumentError(f"unknown {where} keys {unknown}")
+    missing = [name for name, _ in fields if name not in doc]
+    if missing and base is None:
+        raise ArgumentError(f"{where} is missing keys {missing}")
+    try:
+        kwargs = {name: getattr(base, name) for name in missing}
+        for name, hint in fields:
+            if name in doc:
+                kwargs[name] = _decode_value(hint, doc[name], getattr(base, name, None), name)
+        return cls(**kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArgumentError(f"{where} is malformed: {exc!r}") from exc
+
+
+def _decode_value(hint: Any, value: Any, base: Any, where: str) -> Any:
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (inner,) = [a for a in typing.get_args(hint) if a is not type(None)]
+        return _decode_value(inner, value, base, where)
+    if origin in (tuple, list):
+        if not isinstance(value, list):
+            raise ArgumentError(f"{where} must be a JSON array")
+        items = [_decode_value(typing.get_args(hint)[0], v, None, where) for v in value]
+        return tuple(items) if origin is tuple else items
+    if issubclass(hint, JsonCodec):
+        return _decode(hint, value, base, where)
+    if hasattr(hint, "from_json"):
+        return hint.from_json(value)
+    if hint is np.ndarray:
+        return np.asarray(value, dtype=np.float64)
+    return hint(value)
+
+
+# -- JSON files ---------------------------------------------------------------------
+
+
+def write_json(path: str | Path, doc: Any, end: str = "") -> None:
+    """Write doc as sorted, one-space-indented JSON followed by ``end``.
+
+    The text goes to a temporary file in the same directory that then
+    replaces path in one rename, so a crash mid-write leaves either the old
+    file or the new one, never a truncated mix.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=1)
+            fh.write(end)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_json(path: str | Path, what: str) -> Any:
+    """Parse a JSON file; a missing file or invalid JSON is a PersistenceError."""
+    path = Path(path)
+    if not path.is_file():
+        raise PersistenceError(f"{what} {str(path)!r} does not exist")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise PersistenceError(f"{what} {str(path)!r} is not valid JSON: {exc}") from exc

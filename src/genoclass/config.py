@@ -25,18 +25,13 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .codec import decode
 from .dataset import TASK_ROLES
-from .errors import ConfigError
+from .errors import ArgumentError, ConfigError
 from .features import EngineeredSpec
+from .registry import ALGORITHMS
 
-ALGORITHM_NAMES = (
-    "logistic",
-    "svm",
-    "random_forest",
-    "gbdt_plain",
-    "gbdt_goss",
-    "gbdt_oblivious",
-)
+ALGORITHM_NAMES = tuple(ALGORITHMS)
 
 IMPUTATION_POLICIES = ("mode_median", "drop_rows")
 
@@ -141,8 +136,8 @@ class RunConfig:
         if not isinstance(params, dict):
             raise ConfigError("model params must be a JSON object")
         try:
-            sources = EngineeredSpec.from_json(features.get("sources", {}))
-        except Exception as exc:
+            sources = decode(EngineeredSpec, features.get("sources", {}), base=EngineeredSpec())
+        except ArgumentError as exc:
             raise ConfigError(f"bad features.sources: {exc}") from exc
 
         return RunConfig(

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     ArgumentError,
     DataTypeError,
+    DegenerateDataError,
     EmptyInputError,
     ImputationError,
     SchemaError,
@@ -328,6 +329,32 @@ class SplitPair:
     test: Dataset
     seed: int
     ratio: float
+
+
+def supervised_arrays(ds: Dataset, target: str, discrete: bool) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], list[str]]:
+    """Extract (X, y, class labels, feature names) for a supervised fit.
+
+    X is the raw code/value matrix of every feature column other than the
+    target. ``discrete`` selects classification (integer codes, labels from
+    the schema) versus regression (float targets, empty labels).
+    """
+    col = ds.schema_of(target)
+    if ds.missing_mask(target).any():
+        raise DataTypeError(f"target column {target!r} has missing values")
+    if discrete:
+        if not col.discrete:
+            raise DataTypeError(f"target column {target!r} must be categorical or binary")
+        y = ds.values(target).astype(np.int64)
+        labels = col.categories
+    else:
+        if col.kind != "numeric":
+            raise DataTypeError(f"regression target {target!r} must be numeric")
+        y = ds.values(target).astype(np.float64)
+        labels = ()
+    feature_names = [n for n in ds.feature_names if n != target]
+    if not feature_names:
+        raise DegenerateDataError("no feature columns available to fit on")
+    return ds.matrix(feature_names), y, labels, feature_names
 
 
 # -- ingestion ----------------------------------------------------------------

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset import Dataset
+from ..codec import JsonCodec
+from ..dataset import Dataset, supervised_arrays
 from ..errors import ArgumentError, ConvergenceError
-from ._data import supervised_arrays
-from .cart import GAIN_EPS, TreeNode, TreeParams, fit_tree, predict_tree, tree_from_json, tree_to_json
+from .cart import GAIN_EPS, TreeNode, TreeParams, fit_tree, predict_tree
 
 LOSSES = ("squared", "multiclass_logloss")
 VARIANTS = ("plain", "goss", "oblivious")
@@ -41,7 +41,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GbdtConfig:
+class GbdtConfig(JsonCodec):
     """Boosting hyperparameters.
 
     Args:
@@ -84,33 +84,6 @@ class GbdtConfig:
             raise ArgumentError("GOSS fraction a must be in (0, 1]")
         if not (0.0 <= self.b <= 1.0):
             raise ArgumentError("GOSS fraction b must be in [0, 1]")
-
-    def to_json(self) -> dict:
-        return {
-            "loss": self.loss,
-            "rounds": self.rounds,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "variant": self.variant,
-            "a": self.a,
-            "b": self.b,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "GbdtConfig":
-        return GbdtConfig(
-            loss=str(doc["loss"]),
-            rounds=int(doc["rounds"]),
-            learning_rate=float(doc["learning_rate"]),
-            max_depth=int(doc["max_depth"]),
-            min_samples_leaf=int(doc.get("min_samples_leaf", 1)),
-            variant=str(doc["variant"]),
-            a=float(doc.get("a", 0.2)),
-            b=float(doc.get("b", 0.1)),
-            seed=int(doc.get("seed", 0)),
-        )
 
 
 # -- GOSS sampling -------------------------------------------------------------------
@@ -217,7 +190,7 @@ def goss_gain(feature_values: np.ndarray, gradients: np.ndarray, d: float, sampl
 
 
 @dataclass
-class GbdtModel:
+class GbdtModel(JsonCodec):
     """Fitted boosting ensemble: constant initial scores plus per-round class trees.
 
     Stored leaf values already include the learning-rate scaling, so raw
@@ -262,27 +235,6 @@ class GbdtModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
-
-    def to_json(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "class_labels": list(self.class_labels),
-            "f0": list(self.f0),
-            "trees": [[tree_to_json(t) for t in level] for level in self.trees],
-            "loss_history": list(self.loss_history),
-            "config": self.config.to_json(),
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "GbdtModel":
-        return GbdtModel(
-            feature_names=tuple(doc["feature_names"]),
-            class_labels=tuple(doc["class_labels"]),
-            f0=np.asarray(doc["f0"], dtype=np.float64),
-            trees=[[tree_from_json(t) for t in level] for level in doc["trees"]],
-            loss_history=tuple(float(v) for v in doc["loss_history"]),
-            config=GbdtConfig.from_json(doc["config"]),
-        )
 
 
 # -- structure search ----------------------------------------------------------------

@@ -42,6 +42,13 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
+    def to_json(self) -> dict:
+        return tree_to_json(self)
+
+    @staticmethod
+    def from_json(doc: dict) -> "TreeNode":
+        return tree_from_json(doc)
+
 
 @dataclass(frozen=True)
 class TreeParams:

@@ -19,14 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataset import Dataset
+from ..codec import JsonCodec
+from ..dataset import Dataset, supervised_arrays
 from ..errors import ArgumentError, DataTypeError, DegenerateDataError
-from ._data import supervised_arrays
-from .cart import TreeNode, TreeParams, fit_tree, predict_tree, tree_from_json, tree_to_json
+from .cart import TreeNode, TreeParams, fit_tree, predict_tree
 
 
 @dataclass(frozen=True)
-class ForestConfig:
+class ForestConfig(JsonCodec):
     """Ensemble shape and sampling settings.
 
     Args:
@@ -54,30 +54,9 @@ class ForestConfig:
         if self.min_samples_leaf < 1:
             raise ArgumentError("min_samples_leaf must be >= 1")
 
-    def to_json(self) -> dict:
-        return {
-            "trees": self.trees,
-            "mtry": self.mtry,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "ForestConfig":
-        return ForestConfig(
-            trees=int(doc["trees"]),
-            mtry=None if doc.get("mtry") is None else int(doc["mtry"]),
-            max_depth=None if doc.get("max_depth") is None else int(doc["max_depth"]),
-            min_samples_leaf=int(doc.get("min_samples_leaf", 1)),
-            bootstrap=bool(doc.get("bootstrap", True)),
-            seed=int(doc.get("seed", 0)),
-        )
-
 
 @dataclass
-class ForestModel:
+class ForestModel(JsonCodec):
     """Fitted ensemble: classification trees plus the labels they vote over."""
 
     feature_names: tuple[str, ...]
@@ -114,25 +93,6 @@ class ForestModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
-
-    def to_json(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "class_labels": list(self.class_labels),
-            "trees": [tree_to_json(t) for t in self.trees],
-            "tree_seeds": list(self.tree_seeds),
-            "config": self.config.to_json(),
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "ForestModel":
-        return ForestModel(
-            feature_names=tuple(doc["feature_names"]),
-            class_labels=tuple(doc["class_labels"]),
-            trees=[tree_from_json(t) for t in doc["trees"]],
-            tree_seeds=tuple(int(s) for s in doc["tree_seeds"]),
-            config=ForestConfig.from_json(doc["config"]),
-        )
 
 
 def fit_random_forest(ds: Dataset, target: str, config: ForestConfig = ForestConfig()) -> ForestModel:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .codec import JsonCodec
 from .dataset import ColumnSchema, Dataset
 from .errors import (
     ArgumentError,
@@ -39,7 +40,7 @@ BINARY_TOKENS = ("0", "1")
 
 
 @dataclass(frozen=True)
-class EngineeredSpec:
+class EngineeredSpec(JsonCodec):
     """Source columns and thresholds for the five engineered features.
 
     Defaults name the columns of the bundled screening schema; override any
@@ -62,24 +63,6 @@ class EngineeredSpec:
     respiratory_rate: str = "Respiratory Rate (breaths/min)"
     age_threshold: float = 40.0
     wbc_threshold: float = 11.0
-
-    def to_json(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @staticmethod
-    def from_json(doc: dict) -> "EngineeredSpec":
-        known = {f.name for f in fields(EngineeredSpec)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ArgumentError(f"unknown engineered-feature keys {sorted(unknown)}")
-        doc = dict(doc)
-        if "symptoms" in doc:
-            doc["symptoms"] = tuple(doc["symptoms"])
-        return EngineeredSpec(**doc)
 
 
 def _source_values(ds: Dataset, name: str) -> tuple[np.ndarray, ColumnSchema]:

@@ -28,20 +28,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import (
-    ArgumentError,
-    ConvergenceError,
-    DataTypeError,
-    DegenerateDataError,
-    StateError,
-)
+from .codec import JsonCodec
+from .dataset import Dataset, supervised_arrays
+from .errors import ArgumentError, ConvergenceError, StateError
 
 KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
 
 @dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(JsonCodec):
     """Kernel family and hyperparameters for SVM decision functions.
 
     gamma is the RBF width in exp(-gamma ||u - v||^2) and the inner-product
@@ -64,18 +59,6 @@ class KernelSpec:
 
     def resolve_gamma(self, n_features: int) -> float:
         return 1.0 / n_features if self.gamma is None else float(self.gamma)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma, "degree": self.degree, "coef0": self.coef0}
-
-    @staticmethod
-    def from_json(doc: dict) -> "KernelSpec":
-        return KernelSpec(
-            kind=str(doc.get("kind", "rbf")),
-            gamma=None if doc.get("gamma") is None else float(doc["gamma"]),
-            degree=int(doc.get("degree", 3)),
-            coef0=float(doc.get("coef0", 0.0)),
-        )
 
 
 def kernel_eval(spec: KernelSpec, u: np.ndarray, v: np.ndarray, gamma: float | None = None) -> float | np.ndarray:
@@ -104,7 +87,7 @@ def kernel_eval(spec: KernelSpec, u: np.ndarray, v: np.ndarray, gamma: float | N
 
 
 @dataclass(frozen=True)
-class ColumnEncoder:
+class ColumnEncoder(JsonCodec):
     """One-hot expansion map for the model's input columns.
 
     cardinalities[i] is 0 for a pass-through column (numeric, or binary
@@ -156,16 +139,9 @@ class ColumnEncoder:
             blocks.append(onehot)
         return np.hstack(blocks)
 
-    def to_json(self) -> dict:
-        return {"names": list(self.names), "cardinalities": list(self.cardinalities)}
-
-    @staticmethod
-    def from_json(doc: dict) -> "ColumnEncoder":
-        return ColumnEncoder(tuple(doc["names"]), tuple(int(c) for c in doc["cardinalities"]))
-
 
 @dataclass(frozen=True)
-class Standardizer:
+class Standardizer(JsonCodec):
     """Column-wise affine map to zero mean / unit variance; constant columns untouched."""
 
     mean: np.ndarray
@@ -187,13 +163,6 @@ class Standardizer:
             raise ArgumentError(f"expected {self.mean.size} design columns, got {X.shape[1]}")
         return (X - self.mean) / self.scale
 
-    def to_json(self) -> dict:
-        return {"mean": list(self.mean), "scale": list(self.scale)}
-
-    @staticmethod
-    def from_json(doc: dict) -> "Standardizer":
-        return Standardizer(np.asarray(doc["mean"], dtype=np.float64), np.asarray(doc["scale"], dtype=np.float64))
-
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
@@ -206,26 +175,11 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _target_setup(ds: Dataset, target: str) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], list[str]]:
-    """Extract (raw X, y codes, class labels, feature names) for a supervised fit."""
-    col = ds.schema_of(target)
-    if not col.discrete:
-        raise DataTypeError(f"target column {target!r} must be categorical or binary")
-    if ds.missing_mask(target).any():
-        raise DataTypeError(f"target column {target!r} has missing values")
-    feature_names = [n for n in ds.feature_names if n != target]
-    if not feature_names:
-        raise DegenerateDataError("no feature columns available to fit on")
-    X = ds.matrix(feature_names)
-    y = ds.values(target).astype(np.int64)
-    return X, y, col.categories, feature_names
-
-
 # -- logistic regression ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LogisticConfig:
+class LogisticConfig(JsonCodec):
     """Gradient-descent hyperparameters shared by the per-class binary fits."""
 
     learning_rate: float = 0.1
@@ -240,18 +194,6 @@ class LogisticConfig:
             raise ArgumentError("epochs must be >= 1")
         if self.l2 < 0:
             raise ArgumentError("l2 penalty must be non-negative")
-
-    def to_json(self) -> dict:
-        return {"learning_rate": self.learning_rate, "epochs": self.epochs, "l2": self.l2, "seed": self.seed}
-
-    @staticmethod
-    def from_json(doc: dict) -> "LogisticConfig":
-        return LogisticConfig(
-            learning_rate=float(doc["learning_rate"]),
-            epochs=int(doc["epochs"]),
-            l2=float(doc.get("l2", 0.0)),
-            seed=int(doc.get("seed", 0)),
-        )
 
 
 def logistic_loss_gradient(w: np.ndarray, alpha: float, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> tuple[float, np.ndarray, float]:
@@ -279,7 +221,7 @@ def logistic_loss_gradient(w: np.ndarray, alpha: float, X: np.ndarray, y: np.nda
 
 
 @dataclass
-class LogisticModel:
+class LogisticModel(JsonCodec):
     """One-vs-rest logistic classifier: one (beta, alpha) pair per class.
 
     W columns are the per-class weight vectors over the expanded and
@@ -295,7 +237,7 @@ class LogisticModel:
     alpha: np.ndarray
     loss_history: tuple[float, ...]
     config: LogisticConfig = field(default_factory=LogisticConfig)
-    trained: bool = True
+    trained: bool = field(default=True, init=False)
 
     def _design(self, X: np.ndarray) -> np.ndarray:
         if not self.trained:
@@ -312,31 +254,6 @@ class LogisticModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.decision_matrix(X), axis=1)
 
-    def to_json(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "class_labels": list(self.class_labels),
-            "encoder": self.encoder.to_json(),
-            "scaler": self.scaler.to_json(),
-            "W": [[float(v) for v in row] for row in self.W],
-            "alpha": [float(v) for v in self.alpha],
-            "loss_history": list(self.loss_history),
-            "config": self.config.to_json(),
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "LogisticModel":
-        return LogisticModel(
-            feature_names=tuple(doc["feature_names"]),
-            class_labels=tuple(doc["class_labels"]),
-            encoder=ColumnEncoder.from_json(doc["encoder"]),
-            scaler=Standardizer.from_json(doc["scaler"]),
-            W=np.asarray(doc["W"], dtype=np.float64),
-            alpha=np.asarray(doc["alpha"], dtype=np.float64),
-            loss_history=tuple(float(v) for v in doc["loss_history"]),
-            config=LogisticConfig.from_json(doc["config"]),
-        )
-
 
 def fit_logistic(ds: Dataset, target: str, config: LogisticConfig = LogisticConfig()) -> LogisticModel:
     """Fit the per-class binary models by full-batch gradient descent.
@@ -345,7 +262,7 @@ def fit_logistic(ds: Dataset, target: str, config: LogisticConfig = LogisticConf
     recursion; loss_history records the mean per-class loss per epoch.
     Raises ConvergenceError naming the epoch if any loss becomes non-finite.
     """
-    X_raw, y, labels, feature_names = _target_setup(ds, target)
+    X_raw, y, labels, feature_names = supervised_arrays(ds, target, discrete=True)
     k = len(labels)
     encoder = ColumnEncoder.from_dataset(ds, feature_names)
     design = encoder.transform(X_raw)
@@ -392,7 +309,7 @@ def predict_proba_logistic(model: LogisticModel, rows: np.ndarray) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class SvmConfig:
+class SvmConfig(JsonCodec):
     """SMO solver settings shared by every one-vs-rest subproblem."""
 
     C: float = 1.0
@@ -409,28 +326,9 @@ class SvmConfig:
         if self.max_passes < 1:
             raise ArgumentError("max_passes must be >= 1")
 
-    def to_json(self) -> dict:
-        return {
-            "C": self.C,
-            "kernel": self.kernel.to_json(),
-            "tol": self.tol,
-            "max_passes": self.max_passes,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "SvmConfig":
-        return SvmConfig(
-            C=float(doc["C"]),
-            kernel=KernelSpec.from_json(doc["kernel"]),
-            tol=float(doc.get("tol", 1e-3)),
-            max_passes=int(doc.get("max_passes", 200)),
-            seed=int(doc.get("seed", 0)),
-        )
-
 
 @dataclass
-class SvmSubmodel:
+class SvmSubmodel(JsonCodec):
     """One binary decision function: f(x) = sum_i coef_i K(sv_i, x) + b.
 
     coef holds beta_i * y_i for the retained support vectors, so the stored
@@ -444,7 +342,7 @@ class SvmSubmodel:
 
 
 @dataclass
-class SvmModel:
+class SvmModel(JsonCodec):
     """One-vs-rest kernel SVM; predicts the class with the largest decision value."""
 
     feature_names: tuple[str, ...]
@@ -454,7 +352,12 @@ class SvmModel:
     submodels: list[SvmSubmodel]
     config: SvmConfig = field(default_factory=SvmConfig)
     gamma: float = 1.0
-    trained: bool = True
+    trained: bool = field(default=True, init=False)
+
+    def __post_init__(self) -> None:
+        # JSON stores an empty support set as [], which drops its width
+        for sub in self.submodels:
+            sub.support_x = sub.support_x.reshape(-1, self.scaler.mean.size)
 
     def _design(self, X: np.ndarray) -> np.ndarray:
         if not self.trained:
@@ -484,47 +387,6 @@ class SvmModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.decision_matrix(X), axis=1)
-
-    def to_json(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "class_labels": list(self.class_labels),
-            "encoder": self.encoder.to_json(),
-            "scaler": self.scaler.to_json(),
-            "submodels": [
-                {
-                    "support_x": [[float(v) for v in row] for row in sub.support_x],
-                    "coef": [float(v) for v in sub.coef],
-                    "b": sub.b,
-                    "converged": sub.converged,
-                }
-                for sub in self.submodels
-            ],
-            "config": self.config.to_json(),
-            "gamma": self.gamma,
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "SvmModel":
-        width = len(doc["scaler"]["mean"])
-        submodels = [
-            SvmSubmodel(
-                support_x=np.asarray(sub["support_x"], dtype=np.float64).reshape(-1, width),
-                coef=np.asarray(sub["coef"], dtype=np.float64),
-                b=float(sub["b"]),
-                converged=bool(sub["converged"]),
-            )
-            for sub in doc["submodels"]
-        ]
-        return SvmModel(
-            feature_names=tuple(doc["feature_names"]),
-            class_labels=tuple(doc["class_labels"]),
-            encoder=ColumnEncoder.from_json(doc["encoder"]),
-            scaler=Standardizer.from_json(doc["scaler"]),
-            submodels=submodels,
-            config=SvmConfig.from_json(doc["config"]),
-            gamma=float(doc["gamma"]),
-        )
 
 
 def _smo_solve(K: np.ndarray, y: np.ndarray, config: SvmConfig) -> tuple[np.ndarray, float, bool]:
@@ -604,7 +466,7 @@ def fit_svm(ds: Dataset, target: str, config: SvmConfig = SvmConfig()) -> SvmMod
     an empty support set and a constant decision of +1 or -1 matching that
     label, so prediction still behaves sensibly.
     """
-    X_raw, y, labels, feature_names = _target_setup(ds, target)
+    X_raw, y, labels, feature_names = supervised_arrays(ds, target, discrete=True)
     encoder = ColumnEncoder.from_dataset(ds, feature_names)
     design = encoder.transform(X_raw)
     scaler = Standardizer.fit(design)

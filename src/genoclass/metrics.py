@@ -11,7 +11,6 @@ counted half).
 from __future__ import annotations
 
 import csv
-import json
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -20,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateDataError, EvaluationError
+from .codec import read_json, write_json
+from .errors import ArgumentError, DegenerateDataError, EvaluationError, PersistenceError
 
 
 @dataclass(frozen=True)
@@ -266,14 +266,15 @@ class EvaluationReport:
         )
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_json(), end="\n")
 
     @staticmethod
     def load(path: str | Path) -> "EvaluationReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return EvaluationReport.from_json(json.load(fh))
+        doc = read_json(path, "evaluation report")
+        try:
+            return EvaluationReport.from_json(doc)
+        except (ArgumentError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise PersistenceError(f"evaluation report {str(path)!r} is malformed: {exc!r}") from exc
 
 
 def build_report(algorithm: str, task: str, labels: Sequence[str], y_true: Sequence[int], y_pred: Sequence[int], scores: np.ndarray, config_hash: str = "") -> EvaluationReport:

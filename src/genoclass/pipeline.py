@@ -16,13 +16,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .artifact import ModelArtifact, revive_model
+from .codec import read_json, write_json
 from .config import RunConfig, config_fingerprint
 from .dataset import (
     TASK_ROLES,
@@ -37,7 +38,6 @@ from .dataset import (
     stratified_split,
     write_csv,
 )
-from .ensemble import ForestConfig, GbdtConfig, fit_gbdt, fit_random_forest
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -54,8 +54,8 @@ from .features import (
     rank_features,
     select_top_k,
 )
-from .linear import KernelSpec, LogisticConfig, SvmConfig, fit_logistic, fit_svm
 from .metrics import EvaluationReport, build_report, render_report
+from .registry import ALGORITHMS
 
 TRAIN_CSV = "train.csv"
 TEST_CSV = "test.csv"
@@ -179,110 +179,11 @@ class FeaturePipeline:
             raise PersistenceError(f"pipeline record is malformed: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=1)
+        write_json(path, self.to_json())
 
     @staticmethod
     def load(path: str | Path) -> "FeaturePipeline":
-        path = Path(path)
-        if not path.is_file():
-            raise PersistenceError(f"pipeline record {str(path)!r} does not exist")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(f"pipeline record {str(path)!r} is not valid JSON: {exc}") from exc
-        return FeaturePipeline.from_json(doc)
-
-
-# -- algorithm registry ---------------------------------------------------------
-
-
-def _reject_params(params: dict, allowed: tuple, name: str) -> None:
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {name} params {unknown}; allowed: {sorted(allowed)}")
-
-
-def _build_logistic(params: dict, seed: int) -> LogisticConfig:
-    _reject_params(params, ("learning_rate", "epochs", "l2"), "logistic")
-    return LogisticConfig(
-        learning_rate=float(params.get("learning_rate", 0.1)),
-        epochs=int(params.get("epochs", 300)),
-        l2=float(params.get("l2", 0.0)),
-        seed=seed,
-    )
-
-
-def _build_svm(params: dict, seed: int) -> SvmConfig:
-    _reject_params(params, ("C", "kernel", "tol", "max_passes"), "svm")
-    kdoc = params.get("kernel", {})
-    if not isinstance(kdoc, dict):
-        raise ConfigError("svm kernel must be a JSON object")
-    unknown = sorted(set(kdoc) - {"kind", "gamma", "degree", "coef0"})
-    if unknown:
-        raise ConfigError(f"unknown kernel keys {unknown}")
-    return SvmConfig(
-        C=float(params.get("C", 1.0)),
-        kernel=KernelSpec.from_json(kdoc),
-        tol=float(params.get("tol", 1e-3)),
-        max_passes=int(params.get("max_passes", 200)),
-        seed=seed,
-    )
-
-
-def _build_forest(params: dict, seed: int) -> ForestConfig:
-    _reject_params(params, ("trees", "mtry", "max_depth", "min_samples_leaf", "bootstrap"), "random_forest")
-    return ForestConfig(
-        trees=int(params.get("trees", 100)),
-        mtry=None if params.get("mtry") is None else int(params["mtry"]),
-        max_depth=None if params.get("max_depth") is None else int(params["max_depth"]),
-        min_samples_leaf=int(params.get("min_samples_leaf", 1)),
-        bootstrap=bool(params.get("bootstrap", True)),
-        seed=seed,
-    )
-
-
-def _gbdt_builder(variant: str) -> Callable[[dict, int], GbdtConfig]:
-    def build(params: dict, seed: int) -> GbdtConfig:
-        # loss and variant are fixed by the algorithm name, so they are not
-        # legal params here.
-        _reject_params(
-            params,
-            ("rounds", "learning_rate", "max_depth", "min_samples_leaf", "a", "b"),
-            f"gbdt_{variant}",
-        )
-        return GbdtConfig(
-            loss="multiclass_logloss",
-            rounds=int(params.get("rounds", 100)),
-            learning_rate=float(params.get("learning_rate", 0.1)),
-            max_depth=int(params.get("max_depth", 3)),
-            min_samples_leaf=int(params.get("min_samples_leaf", 1)),
-            variant=variant,
-            a=float(params.get("a", 0.2)),
-            b=float(params.get("b", 0.1)),
-            seed=seed,
-        )
-
-    return build
-
-
-@dataclass(frozen=True)
-class Algorithm:
-    """One trainable model family: config building plus fit dispatch."""
-
-    name: str
-    build_config: Callable
-    fit: Callable
-
-
-ALGORITHMS: dict[str, Algorithm] = {
-    "logistic": Algorithm("logistic", _build_logistic, fit_logistic),
-    "svm": Algorithm("svm", _build_svm, fit_svm),
-    "random_forest": Algorithm("random_forest", _build_forest, fit_random_forest),
-    "gbdt_plain": Algorithm("gbdt_plain", _gbdt_builder("plain"), fit_gbdt),
-    "gbdt_goss": Algorithm("gbdt_goss", _gbdt_builder("goss"), fit_gbdt),
-    "gbdt_oblivious": Algorithm("gbdt_oblivious", _gbdt_builder("oblivious"), fit_gbdt),
-}
+        return FeaturePipeline.from_json(read_json(path, "pipeline record"))
 
 
 # -- stages ---------------------------------------------------------------------

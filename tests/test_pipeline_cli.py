@@ -30,6 +30,7 @@ from genoclass.errors import (
 )
 from genoclass.features import ENGINEERED_COLUMNS
 from genoclass.linear import KernelSpec, LogisticConfig, SvmConfig
+from genoclass.metrics import EvaluationReport
 from genoclass.pipeline import (
     ALGORITHMS,
     PIPELINE_JSON,
@@ -594,12 +595,19 @@ class TestCli:
         assert result.exit_code == 1
         assert "no output directory" in result.output
 
-    @pytest.mark.parametrize("damage", ["gbdt_without_f0", "forest_node_without_threshold"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["gbdt_without_f0", "forest_node_without_threshold", "gbdt_unknown_key", "gbdt_without_config"],
+    )
     def test_malformed_model_document_exits_2(self, flow, tmp_path, damage):
-        source = flow.gbdt if damage == "gbdt_without_f0" else flow.forest
+        source = flow.forest if damage == "forest_node_without_threshold" else flow.gbdt
         doc = json.loads(source.artifact_path.read_text(encoding="utf-8"))
         if damage == "gbdt_without_f0":
             del doc["model"]["f0"]
+        elif damage == "gbdt_unknown_key":
+            doc["model"]["bogus"] = 1
+        elif damage == "gbdt_without_config":
+            del doc["model"]["config"]
         else:
             root = doc["model"]["trees"][0]
             assert "threshold" in root
@@ -611,3 +619,14 @@ class TestCli:
         assert "model document is malformed" in result.output
         with pytest.raises(PersistenceError, match="malformed"):
             revive_model(ModelArtifact.load(broken))
+
+    @pytest.mark.parametrize("content", [None, "not json", '{"x": 1}'], ids=["missing", "not_json", "keyless"])
+    def test_bad_evaluation_file_exits_2(self, tmp_path, content):
+        path = tmp_path / "evaluation.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        result = self.invoke("report", path, "--out", tmp_path / "tables")
+        assert result.exit_code == 2, result.output
+        assert "error: evaluation report" in result.output
+        with pytest.raises(PersistenceError, match="evaluation report"):
+            EvaluationReport.load(path)
