@@ -4,7 +4,9 @@
 through nested dataclasses, sequences, arrays and numpy scalars; a value
 with its own ``to_json`` (a tree node) encodes itself. ``decode`` converts
 each value back by the field's type hint. It is strict: an unknown key is
-an error, and so is a missing one unless a ``base`` instance supplies it.
+an error, and so is a missing one unless a ``base`` instance supplies it;
+a scalar must already have its field's JSON type (``scalar``), so ``"false"``
+is no boolean and ``2.7`` no integer.
 Stored documents decode without a base; partial user input (model params,
 engineered-feature sources) decodes over the default instance. Every
 decoding failure is an ``ArgumentError``.
@@ -108,6 +110,22 @@ def _decode_value(hint: Any, value: Any, base: Any, where: str) -> Any:
         return hint.from_json(value)
     if hint is np.ndarray:
         return np.asarray(value, dtype=np.float64)
+    return scalar(hint, value, where)
+
+
+#: JSON name and accepted Python types of each scalar field type
+_SCALARS = {bool: ("boolean", bool), int: ("integer", int), float: ("number", (int, float)), str: ("string", str)}
+
+
+def scalar(hint: type, value: Any, where: str) -> Any:
+    """value for a bool, int, float or str field, type-checked instead of coerced.
+
+    A float field also takes a JSON integer, as a float; true and false,
+    which Python counts as integers, are booleans only. Raises ArgumentError.
+    """
+    name, accepted = _SCALARS[hint]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ArgumentError(f"{where} must be a JSON {name}, got {value!r}")
     return hint(value)
 
 

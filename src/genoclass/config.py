@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .codec import decode
+from .codec import decode, scalar
 from .dataset import TASK_ROLES
 from .errors import ArgumentError, ConfigError
 from .features import EngineeredSpec
@@ -37,6 +37,8 @@ IMPUTATION_POLICIES = ("mode_median", "drop_rows")
 
 
 def _reject_unknown(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {where} keys {unknown}")
@@ -140,20 +142,31 @@ class RunConfig:
         except ArgumentError as exc:
             raise ConfigError(f"bad features.sources: {exc}") from exc
 
+        sections = {"split": split, "features": features, "model": model}
+
+        def typed(hint: type, where: str, default=None):
+            """The value at where ("key" or "section.key"), type-checked, or default if absent."""
+            *head, key = where.split(".")
+            section = sections[head[0]] if head else doc
+            try:
+                return scalar(hint, section[key], where) if key in section else default
+            except ArgumentError as exc:
+                raise ConfigError(str(exc)) from exc
+
         return RunConfig(
-            input=str(doc["input"]),
-            schema=str(doc["schema"]),
-            target=str(doc["target"]),
-            output_dir=str(doc["output_dir"]),
-            split_ratio=float(split.get("ratio", 0.8)),
-            split_seed=int(split.get("seed", 42)),
-            imputation=str(doc.get("imputation", "mode_median")),
-            engineer=bool(features.get("engineer", True)),
-            bins=int(features.get("bins", 10)),
-            top_k=int(features.get("top_k", 25)),
+            input=typed(str, "input"),
+            schema=typed(str, "schema"),
+            target=typed(str, "target"),
+            output_dir=typed(str, "output_dir"),
+            split_ratio=typed(float, "split.ratio", 0.8),
+            split_seed=typed(int, "split.seed", 42),
+            imputation=typed(str, "imputation", "mode_median"),
+            engineer=typed(bool, "features.engineer", True),
+            bins=typed(int, "features.bins", 10),
+            top_k=typed(int, "features.top_k", 25),
             sources=sources,
-            algorithm=str(model.get("algorithm", "gbdt_plain")),
-            model_seed=int(model.get("seed", 0)),
+            algorithm=typed(str, "model.algorithm", "gbdt_plain"),
+            model_seed=typed(int, "model.seed", 0),
             model_params=dict(params),
         )
 

@@ -7,17 +7,19 @@ then replaces every leaf value with a one-step Newton update
     leaf = learning_rate * sum(residuals) / sum(hessians)
 
 computed over the full training data routed to that leaf (the step size is
-absorbed into the stored leaf values). Plain and GOSS tree structure both
-come from fit_tree's variance criterion: plain on every row's residuals,
-GOSS on one gradient-magnitude-based row sample per round, with the random
-remainder's residuals weighted by (1 - a) / b, so each node's split
-maximizes goss_gain over that node's rows. The oblivious variant constrains
-every tree level to a single shared (feature, threshold) test chosen to
-maximize the gain summed across that level's nodes.
+absorbed into the stored leaf values). Features are rank-coded once per
+fit, and every structure search runs the histogram kernel of ``cart``.
+Plain and GOSS trees grow level by level with the variance criterion:
+plain on every row's residuals, GOSS on one gradient-magnitude-based row
+sample per round, with the random remainder's residuals weighted by
+(1 - a) / b, so each node's split maximizes goss_gain over its rows. The
+oblivious variant gives each level one shared (feature, threshold) test
+maximizing the score summed over the level's nodes.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +28,7 @@ import numpy as np
 from ..codec import JsonCodec
 from ..dataset import Dataset, supervised_arrays
 from ..errors import ArgumentError, ConvergenceError
-from .cart import GAIN_EPS, TreeNode, TreeParams, fit_tree, predict_tree
+from .cart import GAIN_EPS, NODES_PER_CALL, TIE_RTOL, TreeNode, TreeParams, compact_bins, grow_tree, predict_tree, rank_codes, split_scores
 
 LOSSES = ("squared", "multiclass_logloss")
 VARIANTS = ("plain", "goss", "oblivious")
@@ -249,9 +251,6 @@ def _refit_leaves(root: TreeNode, X: np.ndarray, g: np.ndarray, h: np.ndarray, l
 
     def route(node: TreeNode, rows: np.ndarray) -> None:
         if node.is_leaf:
-            if rows.size == 0:
-                node.value = 0.0
-                return
             h_sum = float(h[rows].sum())
             node.value = 0.0 if h_sum <= 1e-12 else lr * float(g[rows].sum()) / h_sum
             return
@@ -262,72 +261,49 @@ def _refit_leaves(root: TreeNode, X: np.ndarray, g: np.ndarray, h: np.ndarray, l
     route(root, np.arange(X.shape[0]))
 
 
-def _fit_oblivious_structure(X: np.ndarray, g: np.ndarray, config: GbdtConfig) -> TreeNode:
-    """Choose one shared (feature, threshold) per level maximizing the summed gain.
+def _fit_oblivious_structure(codes: np.ndarray, values: tuple[np.ndarray, ...], g: np.ndarray, max_depth: int) -> TreeNode:
+    """Choose one shared (feature, threshold) per level maximizing the summed score.
 
     Candidates are the union over the level's nodes of midpoints between
-    adjacent distinct feature values; a node the threshold does not split
-    contributes its unsplit score, so it neither helps nor hurts. Levels
-    stop early when no candidate improves the total.
+    adjacent distinct values in the node; each scores as the cut of the codes
+    it falls at (a node it leaves whole adds its unsplit score), and a cut
+    several midpoints reach keeps the lowest. Stops when nothing improves.
     """
-    n = X.shape[0]
-    d = X.shape[1]
-    cells: list[np.ndarray] = [np.arange(n)]
+    features = np.arange(codes.shape[1])
+    cells: list[np.ndarray] = [np.arange(codes.shape[0])]
     levels: list[tuple[int, float]] = []
-
-    for _ in range(config.max_depth):
-        live = [c for c in cells if c.size > 0]
-        parent = 0.0
-        for cell in live:
-            s = float(g[cell].sum())
-            parent += s * s / cell.size
-        best: tuple[float, int, float] | None = None
-        for f in range(d):
-            mids: list[np.ndarray] = []
-            scans: list[tuple[np.ndarray, np.ndarray]] = []
-            for cell in live:
-                v = X[cell, f]
-                order = np.argsort(v, kind="stable")
-                vs = v[order]
-                cuts = np.flatnonzero(vs[:-1] < vs[1:])
-                if cuts.size:
-                    mids.append((vs[cuts] + vs[cuts + 1]) / 2.0)
-                scans.append((vs, np.concatenate([[0.0], np.cumsum(g[cell][order])])))
-            if not mids:
-                continue
-            candidates = np.unique(np.concatenate(mids))
-            score = np.zeros(candidates.size)
-            for vs, prefix in scans:
-                tot = prefix[-1]
-                pos = np.searchsorted(vs, candidates, side="right")
-                sum_l = prefix[pos]
-                n_l = pos.astype(np.float64)
-                n_r = vs.size - n_l
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    term_l = np.where(n_l > 0, sum_l**2 / n_l, 0.0)
-                    term_r = np.where(n_r > 0, (tot - sum_l) ** 2 / n_r, 0.0)
-                score += term_l + term_r
-            i = int(np.argmax(score))
-            if best is None or score[i] > best[0]:
-                best = (float(score[i]), f, float(candidates[i]))
-        if best is None or best[0] - parent <= GAIN_EPS:
+    for _ in range(max_depth):
+        live = [c for c in cells if c.size]
+        rows = np.concatenate(live)
+        bins, start, slot, value = compact_bins(codes, values, rows, features, min(len(live), NODES_PER_CALL))
+        key = slot + 1j * value  # complex order is (feature, value): one search finds a value's bin in its feature
+        node = np.repeat(np.arange(len(live)), [c.size for c in live])
+        score, threshold, parent = np.zeros(value.size), np.full(value.size, np.inf), 0.0
+        for lo in range(0, len(live), NODES_PER_CALL):
+            part = (node >= lo) & (node < lo + NODES_PER_CALL)
+            n_cells = min(NODES_PER_CALL, len(live) - lo)
+            count, _, cell_score, cell_parent = split_scores(bins[part], g[rows[part], None], node[part] - lo, n_cells, start)
+            score += cell_score.sum(axis=0)
+            parent += cell_parent.sum()
+            cell, at = np.nonzero(count)
+            pair = (cell[:-1] == cell[1:]) & (slot[at[:-1]] == slot[at[1:]])
+            a, b = at[:-1][pair], at[1:][pair]
+            mids = (value[a] + value[b]) / 2.0
+            np.minimum.at(threshold, np.searchsorted(key, slot[a] + 1j * mids, side="right") - 1, mids)
+        score[np.isinf(threshold)] = -np.inf
+        best = score.max(initial=-np.inf)
+        if not best - parent > GAIN_EPS:
             break
-        _, f, t = best
+        at = int(np.argmax(score >= best - TIE_RTOL * best))
+        f, t = int(slot[at]), float(threshold[at])
         levels.append((f, t))
-        next_cells: list[np.ndarray] = []
-        for cell in cells:
-            go_left = X[cell, f] <= t
-            next_cells.append(cell[go_left])
-            next_cells.append(cell[~go_left])
-        cells = next_cells
+        cut = int(np.searchsorted(values[f], t, side="right")) - 1
+        cells = [side for cell in cells for side in (cell[codes[cell, f] <= cut], cell[codes[cell, f] > cut])]
 
-    def build(level: int) -> TreeNode:
-        if level == len(levels):
-            return TreeNode(value=0.0)
-        f, t = levels[level]
-        return TreeNode(feature=f, threshold=t, left=build(level + 1), right=build(level + 1))
-
-    return build(0)
+    root = TreeNode(value=0.0)
+    for f, t in reversed(levels):
+        root = TreeNode(feature=f, threshold=t, left=root, right=copy.deepcopy(root))
+    return root
 
 
 # -- fitting -------------------------------------------------------------------------
@@ -363,10 +339,8 @@ def loss_gradients(loss: str, y: np.ndarray, F: np.ndarray) -> tuple[np.ndarray,
         residuals = (y - F[:, 0])[:, None]
         hessians = np.ones((F.shape[0], 1))
     else:
-        onehot = np.zeros_like(F)
-        onehot[np.arange(F.shape[0]), y] = 1.0
         P = softmax(F)
-        residuals = onehot - P
+        residuals = np.eye(F.shape[1])[y] - P
         hessians = P * (1.0 - P)
     return residuals, hessians
 
@@ -384,9 +358,7 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
     n = X.shape[0]
     if discrete:
         k = len(labels)
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y] = 1.0
-        priors = onehot.mean(axis=0)
+        priors = np.eye(k)[y].mean(axis=0)
         with np.errstate(divide="ignore"):
             f0 = np.log(priors)
     else:
@@ -394,6 +366,7 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
         f0 = np.array([float(y.mean())])
 
     params = TreeParams(criterion="variance", max_depth=config.max_depth, min_samples_leaf=config.min_samples_leaf)
+    codes, values = rank_codes(X)
     F = np.tile(f0, (n, 1))
     history = [loss_value(config.loss, y, F)]
     trees: list[list[TreeNode]] = []
@@ -407,19 +380,17 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
         if config.variant == "goss":
             magnitude = np.sqrt((residuals * residuals).sum(axis=1))
             sample = goss_sample(magnitude, config.a, config.b, seed=int(master.integers(2**32)))
-            idx = sample.indices
-            weights = sample.row_weights
-            X_sub = X[idx]
+            idx, weights = sample.indices, sample.row_weights
 
         round_trees: list[TreeNode] = []
         for c in range(k):
             g = residuals[:, c]
             if config.variant == "plain":
-                root = fit_tree(X, g, params)
+                root = grow_tree(codes, values, g, params)
             elif config.variant == "goss":
-                root = fit_tree(X_sub, weights * g[idx], params)
+                root = grow_tree(codes[idx], values, weights * g[idx], params)
             else:
-                root = _fit_oblivious_structure(X, g, config)
+                root = _fit_oblivious_structure(codes, values, g, config.max_depth)
             _refit_leaves(root, X, g, hessians[:, c], config.learning_rate)
             round_trees.append(root)
             F[:, c] += predict_tree(root, X)

@@ -1,8 +1,9 @@
 """Random forest of CART trees plus margin/strength/correlation diagnostics.
 
-Each tree trains on a bootstrap resample with a per-split feature subsample
-and casts one vote (its leaf's plurality class) per row; the forest predicts
-the vote-fraction argmax. Diagnostics summarize the ensemble by the margin
+Each tree trains on a bootstrap resample (of rank codes computed once per
+fit) with a per-split feature subsample and casts one vote (its leaf's
+plurality class) per row; the forest predicts the vote-fraction argmax.
+Diagnostics summarize the ensemble by the margin
 
     mg(x, y) = votes_for(y)/B - max_{j != y} votes_for(j)/B
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from ..codec import JsonCodec
 from ..dataset import Dataset, supervised_arrays
 from ..errors import ArgumentError, DataTypeError, DegenerateDataError
-from .cart import TreeNode, TreeParams, fit_tree, predict_tree
+from .cart import TreeNode, TreeParams, grow_tree, predict_tree, rank_codes
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,10 @@ class ForestModel(JsonCodec):
 def fit_random_forest(ds: Dataset, target: str, config: ForestConfig = ForestConfig()) -> ForestModel:
     """Train B bootstrap trees; deterministic for fixed (data, config)."""
     X, y, labels, feature_names = supervised_arrays(ds, target, discrete=True)
-    k = len(labels)
-    d = X.shape[1]
-    mtry = config.mtry if config.mtry is not None else max(1, int(math.sqrt(d)))
+    n = X.shape[0]
+    mtry = config.mtry if config.mtry is not None else max(1, int(math.sqrt(X.shape[1])))
+    params = TreeParams("gini", config.max_depth, config.min_samples_leaf, mtry, n_classes=len(labels))
+    codes, values = rank_codes(X)
     master = np.random.default_rng(config.seed)
     trees: list[TreeNode] = []
     seeds: list[int] = []
@@ -108,19 +110,8 @@ def fit_random_forest(ds: Dataset, target: str, config: ForestConfig = ForestCon
         tree_seed = int(master.integers(2**32))
         seeds.append(tree_seed)
         tree_rng = np.random.default_rng(tree_seed)
-        if config.bootstrap:
-            rows = tree_rng.integers(0, X.shape[0], size=X.shape[0])
-        else:
-            rows = np.arange(X.shape[0])
-        params = TreeParams(
-            criterion="gini",
-            max_depth=config.max_depth,
-            min_samples_leaf=config.min_samples_leaf,
-            mtry=mtry,
-            seed=int(tree_rng.integers(2**32)),
-            n_classes=k,
-        )
-        trees.append(fit_tree(X[rows], y[rows], params))
+        rows = tree_rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        trees.append(grow_tree(codes[rows], values, y[rows], replace(params, seed=int(tree_rng.integers(2**32)))))
     return ForestModel(
         feature_names=tuple(feature_names),
         class_labels=labels,

@@ -250,10 +250,10 @@ class EvaluationReport:
             macro_precision=float(doc["macro"]["precision"]),
             macro_recall=float(doc["macro"]["recall"]),
             macro_f1=float(doc["macro"]["f1"]),
-            flags=tuple((str(a), str(b)) for a, b in doc.get("flags", [])),
+            flags=tuple((str(a), str(b)) for a, b in doc["flags"]),
         )
         roc: dict[str, RocCurve | None] = {}
-        for label, curve in doc.get("roc", {}).items():
+        for label, curve in doc["roc"].items():
             roc[label] = None if curve is None else RocCurve(tuple(curve["fpr"]), tuple(curve["tpr"]), float(curve["auc"]))
         return EvaluationReport(
             algorithm=str(doc["algorithm"]),
@@ -262,7 +262,7 @@ class EvaluationReport:
             confusion=cm,
             metrics=metrics,
             roc=roc,
-            config_hash=str(doc.get("config_hash", "")),
+            config_hash=str(doc["config_hash"]),
         )
 
     def save(self, path: str | Path) -> None:

@@ -322,3 +322,39 @@ def test_saved_bytes_match_the_canonical_dump(tmp_path):
     artifact.save(tmp_path / "model.json")
     expected = json.dumps(artifact.to_json(), sort_keys=True, indent=1)
     assert (tmp_path / "model.json").read_text(encoding="utf-8") == expected
+
+
+# -- strict scalar decoding -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("random_forest", {"bootstrap": "false"}),
+        ("random_forest", {"bootstrap": 0}),
+        ("random_forest", {"trees": 2.7}),
+        ("random_forest", {"trees": 3.0}),
+        ("random_forest", {"trees": True}),
+        ("random_forest", {"mtry": "2"}),
+        ("gbdt_plain", {"learning_rate": "0.1"}),
+        ("gbdt_plain", {"learning_rate": False}),
+        ("svm", {"kernel": {"kind": "rbf", "degree": 2.5}}),
+        ("svm", {"kernel": {"kind": 3}}),
+    ],
+)
+def test_params_of_the_wrong_json_type_are_rejected(name, params):
+    with pytest.raises(ConfigError, match="must be a JSON"):
+        ALGORITHMS[name].build_config(params, 0)
+
+
+def test_float_params_take_json_integers():
+    built = ALGORITHMS["gbdt_plain"].build_config({"learning_rate": 1, "a": 1}, 0)
+    assert built.learning_rate == 1.0 and isinstance(built.learning_rate, float)
+    assert built == ALGORITHMS["gbdt_plain"].build_config({"learning_rate": 1.0, "a": 1.0}, 0)
+
+
+@pytest.mark.parametrize("doc", [{"bootstrap": "false"}, {"trees": 2.5}, {"seed": True}])
+def test_stored_configs_of_the_wrong_json_type_are_rejected(doc):
+    stored = {**ForestConfig().to_json(), **doc}
+    with pytest.raises(ArgumentError, match="must be a JSON"):
+        ForestConfig.from_json(stored)

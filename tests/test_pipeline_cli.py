@@ -630,3 +630,77 @@ class TestCli:
         assert "error: evaluation report" in result.output
         with pytest.raises(PersistenceError, match="evaluation report"):
             EvaluationReport.load(path)
+
+
+class TestStrictDocuments:
+    """Values of the wrong JSON type fail with their documented exit code instead of being coerced."""
+
+    invoke = TestCli.invoke
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("features", "engineer", "false"),
+            ("features", "bins", 2.5),
+            ("features", "top_k", True),
+            ("split", "seed", "7"),
+            ("split", "ratio", True),
+            ("model", "seed", 1.5),
+            (None, "output_dir", 5),
+        ],
+    )
+    def test_run_config_value_of_the_wrong_type_exits_1(self, corpus, tmp_path, section, key, value):
+        doc = run_cfg(corpus, tmp_path / "out").to_json()
+        (doc[section] if section else doc)[key] = value
+        with pytest.raises(ConfigError, match="must be a JSON"):
+            RunConfig.from_json(doc)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("prepare", "--config", path)
+        assert result.exit_code == 1, result.output
+        assert "must be a JSON" in result.output
+
+    def test_config_section_that_is_not_an_object_exits_1(self, corpus, tmp_path):
+        doc = {**run_cfg(corpus, tmp_path / "out").to_json(), "split": [0.8]}
+        with pytest.raises(ConfigError, match="split must be a JSON object"):
+            RunConfig.from_json(doc)
+
+    def test_fractional_model_param_exits_1(self, corpus, flow, tmp_path):
+        doc = replace(flow.cfg, algorithm="random_forest", model_params={"trees": 2.7}).to_json()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("train", "--config", path)
+        assert result.exit_code == 1, result.output
+        assert "trees must be a JSON integer" in result.output
+
+    def test_integer_source_threshold_keeps_its_fingerprint(self, corpus, tmp_path):
+        doc = run_cfg(corpus, tmp_path / "out").to_json()
+        doc["features"]["sources"] = {"age_threshold": 40}
+        as_int = RunConfig.from_json(doc)
+        doc["features"]["sources"] = {"age_threshold": 40.0}
+        assert config_fingerprint(as_int) == config_fingerprint(RunConfig.from_json(doc))
+        assert as_int.sources.age_threshold == 40.0
+
+    def test_stored_config_value_of_the_wrong_type_exits_2(self, flow, tmp_path):
+        doc = json.loads(flow.forest.artifact_path.read_text(encoding="utf-8"))
+        doc["model"]["config"]["bootstrap"] = "false"
+        broken = tmp_path / flow.forest.artifact_path.name
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert "must be a JSON boolean" in result.output
+        with pytest.raises(PersistenceError, match="must be a JSON boolean"):
+            revive_model(ModelArtifact.load(broken))
+
+    @pytest.mark.parametrize("key", ["roc", "flags", "config_hash"])
+    def test_evaluation_file_without_a_written_key_exits_2(self, flow, tmp_path, key):
+        doc = json.loads(flow.ev_gbdt.report_path.read_text(encoding="utf-8"))
+        del doc[key]
+        path = tmp_path / flow.ev_gbdt.report_path.name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("report", path, "--out", tmp_path / "tables")
+        assert result.exit_code == 2, result.output
+        assert "malformed" in result.output
+        assert not (tmp_path / "tables").exists() or not any((tmp_path / "tables").iterdir())
+        with pytest.raises(PersistenceError, match=key):
+            EvaluationReport.load(path)
