@@ -41,7 +41,7 @@ from .ensemble import (
     GbdtConfig,
     GbdtModel,
     GossSample,
-    TreeNode,
+    Tree,
     TreeParams,
     fit_gbdt,
     fit_random_forest,

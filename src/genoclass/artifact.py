@@ -16,7 +16,7 @@ from .codec import read_json, write_json
 from .errors import ArgumentError, PersistenceError
 from .registry import ALGORITHMS
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,24 @@
-"""One JSON codec for the package's value dataclasses, plus JSON file I/O.
+"""One JSON codec for the package's value dataclasses, plus atomic file I/O.
 
 ``encode`` turns a dataclass into a dict of its ``init`` fields, recursing
-through nested dataclasses, sequences, arrays and numpy scalars; a value
-with its own ``to_json`` (a tree node) encodes itself. ``decode`` converts
-each value back by the field's type hint. It is strict: an unknown key is
-an error, and so is a missing one unless a ``base`` instance supplies it;
-a scalar must already have its field's JSON type (``scalar``), so ``"false"``
-is no boolean and ``2.7`` no integer.
+through nested dataclasses, sequences, arrays and numpy scalars. ``decode``
+converts each value back by the field's type hint. It is strict: an unknown
+key is an error, and so is a missing one unless a ``base`` instance supplies
+it; a scalar must already have its field's JSON type (``scalar``), so
+``"false"`` is no boolean and ``2.7`` no integer, and an array field takes
+only a rectangular JSON array of numbers.
 Stored documents decode without a base; partial user input (model params,
 engineered-feature sources) decodes over the default instance. Every
 decoding failure is an ``ArgumentError``.
 
-Classes opt in by inheriting :class:`JsonCodec`.
+Classes opt in by inheriting :class:`JsonCodec`. Every file the package
+writes, JSON or not, goes through ``atomic_write``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import dataclasses
 import functools
 import json
@@ -23,7 +26,7 @@ import os
 import types
 import typing
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -50,8 +53,6 @@ def _init_fields(cls: type) -> tuple[tuple[str, Any], ...]:
 
 def encode(obj: Any) -> Any:
     """JSON-ready form of obj: dicts, lists and Python scalars only."""
-    if hasattr(obj, "to_json") and not isinstance(obj, JsonCodec):
-        return obj.to_json()
     if dataclasses.is_dataclass(obj):
         return {name: encode(getattr(obj, name)) for name, _ in _init_fields(type(obj))}
     if isinstance(obj, np.ndarray):
@@ -106,10 +107,15 @@ def _decode_value(hint: Any, value: Any, base: Any, where: str) -> Any:
         return tuple(items) if origin is tuple else items
     if issubclass(hint, JsonCodec):
         return _decode(hint, value, base, where)
-    if hasattr(hint, "from_json"):
-        return hint.from_json(value)
     if hint is np.ndarray:
-        return np.asarray(value, dtype=np.float64)
+        try:
+            array = np.asarray(value) if isinstance(value, list) else None
+        except ValueError:  # ragged rows
+            array = None
+        # the dtype kind shows strings, booleans and nulls before the cast could convert them
+        if array is None or array.dtype.kind not in "iuf":
+            raise ArgumentError(f"{where} must be a rectangular JSON array of numbers")
+        return array.astype(np.float64)
     return scalar(hint, value, where)
 
 
@@ -129,26 +135,41 @@ def scalar(hint: type, value: Any, where: str) -> Any:
     return hint(value)
 
 
-# -- JSON files ---------------------------------------------------------------------
+# -- files --------------------------------------------------------------------------
 
 
-def write_json(path: str | Path, doc: Any, end: str = "") -> None:
-    """Write doc as sorted, one-space-indented JSON followed by ``end``.
+@contextlib.contextmanager
+def atomic_write(path: str | Path, newline: str | None = None):
+    """Open path for writing UTF-8 text (``newline=""`` for csv), all or nothing.
 
-    The text goes to a temporary file in the same directory that then
-    replaces path in one rename, so a crash mid-write leaves either the old
-    file or the new one, never a truncated mix.
+    The text goes to a temporary file in the same directory that replaces
+    path in one rename, so a crash mid-write leaves the old file or the new
+    one, never a truncated mix; a failed write removes the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write(end)
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv_rows(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header row, then rows, with the default csv dialect, atomically."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, doc: Any, end: str = "") -> None:
+    """Write doc as sorted, one-space-indented JSON followed by ``end``, atomically."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write(end)
 
 
 def read_json(path: str | Path, what: str) -> Any:

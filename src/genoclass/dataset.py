@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .codec import write_csv_rows
 from .errors import (
     ArgumentError,
     DataTypeError,
@@ -447,22 +448,18 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
 
     Missing cells become empty strings; numeric cells use shortest
     round-trip formatting, so load_csv on the result reproduces the dataset
-    cell-identically.
+    cell-identically. The file is replaced atomically.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.column_names)
-        cols = []
-        for col in ds.columns:
-            vals = ds.values(col.name)
-            mask = ds.missing_mask(col.name)
-            if col.kind == "numeric":
-                rendered = [("" if mask[i] else repr(float(vals[i]))) for i in range(ds.n_rows)]
-            else:
-                rendered = [("" if mask[i] else col.token_of(vals[i])) for i in range(ds.n_rows)]
-            cols.append(rendered)
-        for i in range(ds.n_rows):
-            writer.writerow([c[i] for c in cols])
+    cols = []
+    for col in ds.columns:
+        vals = ds.values(col.name)
+        mask = ds.missing_mask(col.name)
+        if col.kind == "numeric":
+            rendered = [("" if mask[i] else repr(float(vals[i]))) for i in range(ds.n_rows)]
+        else:
+            rendered = [("" if mask[i] else col.token_of(vals[i])) for i in range(ds.n_rows)]
+        cols.append(rendered)
+    write_csv_rows(path, ds.column_names, zip(*cols))
 
 
 # -- imputation ----------------------------------------------------------------

@@ -16,13 +16,11 @@ from .boosting import (
     softmax,
 )
 from .cart import (
-    TreeNode,
+    Tree,
     TreeParams,
+    apply,
     fit_tree,
     predict_tree,
-    tree_depth,
-    tree_from_json,
-    tree_to_json,
 )
 from .forest import (
     ForestConfig,
@@ -41,8 +39,9 @@ __all__ = [
     "GbdtConfig",
     "GbdtModel",
     "GossSample",
-    "TreeNode",
+    "Tree",
     "TreeParams",
+    "apply",
     "fit_gbdt",
     "fit_random_forest",
     "fit_tree",
@@ -53,7 +52,4 @@ __all__ = [
     "loss_value",
     "predict_tree",
     "softmax",
-    "tree_depth",
-    "tree_from_json",
-    "tree_to_json",
 ]

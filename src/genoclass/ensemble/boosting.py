@@ -7,19 +7,21 @@ then replaces every leaf value with a one-step Newton update
     leaf = learning_rate * sum(residuals) / sum(hessians)
 
 computed over the full training data routed to that leaf (the step size is
-absorbed into the stored leaf values). Features are rank-coded once per
-fit, and every structure search runs the histogram kernel of ``cart``.
+absorbed into the stored leaf values). One ``cart.apply`` descent per tree
+gives each row's leaf for both this refit and the score update. Features
+are rank-coded once per fit, and every structure search runs the histogram
+kernel of ``cart``.
 Plain and GOSS trees grow level by level with the variance criterion:
 plain on every row's residuals, GOSS on one gradient-magnitude-based row
 sample per round, with the random remainder's residuals weighted by
 (1 - a) / b, so each node's split maximizes goss_gain over its rows. The
 oblivious variant gives each level one shared (feature, threshold) test
-maximizing the score summed over the level's nodes.
+maximizing the score summed over the level's nodes, stored as a complete
+``cart.Tree`` in heap order, so every variant predicts through one path.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +30,7 @@ import numpy as np
 from ..codec import JsonCodec
 from ..dataset import Dataset, supervised_arrays
 from ..errors import ArgumentError, ConvergenceError
-from .cart import GAIN_EPS, NODES_PER_CALL, TIE_RTOL, TreeNode, TreeParams, compact_bins, grow_tree, predict_tree, rank_codes, split_scores
+from .cart import GAIN_EPS, NODES_PER_CALL, TIE_RTOL, Tree, TreeParams, apply, compact_bins, feature_rows, grow_tree, predict_tree, rank_codes, split_scores, tree_from_splits
 
 LOSSES = ("squared", "multiclass_logloss")
 VARIANTS = ("plain", "goss", "oblivious")
@@ -203,25 +205,17 @@ class GbdtModel(JsonCodec):
     feature_names: tuple[str, ...]
     class_labels: tuple[str, ...]
     f0: np.ndarray
-    trees: list[list[TreeNode]]
+    trees: list[list[Tree]]
     loss_history: tuple[float, ...]
     config: GbdtConfig = field(default_factory=GbdtConfig)
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != len(self.feature_names):
-            raise ArgumentError(f"expected {len(self.feature_names)} feature columns, got {X.shape[1]}")
-        return X
-
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         """Accumulated additive scores, shape (n, classes) (classes = 1 for regression)."""
-        X = self._check(X)
+        X = feature_rows(X, len(self.feature_names))
         out = np.tile(self.f0, (X.shape[0], 1))
         for round_trees in self.trees:
-            for c, root in enumerate(round_trees):
-                out[:, c] += predict_tree(root, X)
+            for c, tree in enumerate(round_trees):
+                out[:, c] += predict_tree(tree, X)
         return out
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
@@ -242,26 +236,21 @@ class GbdtModel(JsonCodec):
 # -- structure search ----------------------------------------------------------------
 
 
-def _refit_leaves(root: TreeNode, X: np.ndarray, g: np.ndarray, h: np.ndarray, lr: float) -> None:
-    """Replace leaf values with learning-rate-scaled Newton steps over the full data.
+def _refit_leaves(tree: Tree, leaf: np.ndarray, g: np.ndarray, h: np.ndarray, lr: float) -> None:
+    """Set leaf values to learning-rate-scaled Newton steps over the full data.
 
-    Leaves no full-data row reaches (possible for oblivious cells) score 0,
-    as does a leaf whose hessian mass vanishes.
+    leaf holds each training row's leaf id (``cart.apply``); each leaf sums
+    its rows in ascending row order. Leaves no full-data row reaches
+    (possible for oblivious cells) score 0, as does a leaf whose hessian
+    mass vanishes; internal rows, which no row ends at, stay 0.
     """
-
-    def route(node: TreeNode, rows: np.ndarray) -> None:
-        if node.is_leaf:
-            h_sum = float(h[rows].sum())
-            node.value = 0.0 if h_sum <= 1e-12 else lr * float(g[rows].sum()) / h_sum
-            return
-        go_left = X[rows, node.feature] <= node.threshold
-        route(node.left, rows[go_left])
-        route(node.right, rows[~go_left])
-
-    route(root, np.arange(X.shape[0]))
+    counts = np.bincount(leaf, minlength=tree.value.shape[0])
+    for node, rows in enumerate(np.split(np.argsort(leaf, kind="stable"), np.cumsum(counts)[:-1])):
+        h_sum = float(h[rows].sum())
+        tree.value[node] = 0.0 if h_sum <= 1e-12 else lr * float(g[rows].sum()) / h_sum
 
 
-def _fit_oblivious_structure(codes: np.ndarray, values: tuple[np.ndarray, ...], g: np.ndarray, max_depth: int) -> TreeNode:
+def _fit_oblivious_structure(codes: np.ndarray, values: tuple[np.ndarray, ...], g: np.ndarray, max_depth: int) -> Tree:
     """Choose one shared (feature, threshold) per level maximizing the summed score.
 
     Candidates are the union over the level's nodes of midpoints between
@@ -300,10 +289,10 @@ def _fit_oblivious_structure(codes: np.ndarray, values: tuple[np.ndarray, ...], 
         cut = int(np.searchsorted(values[f], t, side="right")) - 1
         cells = [side for cell in cells for side in (cell[codes[cell, f] <= cut], cell[codes[cell, f] > cut])]
 
-    root = TreeNode(value=0.0)
-    for f, t in reversed(levels):
-        root = TreeNode(feature=f, threshold=t, left=root, right=copy.deepcopy(root))
-    return root
+    # the complete tree in heap order: node i, on level floor(log2(i + 1)), has children 2i + 1 and 2i + 2
+    n_nodes = 2 ** (len(levels) + 1) - 1
+    splits = [(i, *levels[(i + 1).bit_length() - 1], 2 * i + 1) for i in range(n_nodes // 2)]
+    return tree_from_splits(n_nodes, splits, np.zeros(n_nodes))
 
 
 # -- fitting -------------------------------------------------------------------------
@@ -369,7 +358,7 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
     codes, values = rank_codes(X)
     F = np.tile(f0, (n, 1))
     history = [loss_value(config.loss, y, F)]
-    trees: list[list[TreeNode]] = []
+    trees: list[list[Tree]] = []
     master = np.random.default_rng(config.seed)
 
     for round_no in range(config.rounds):
@@ -382,18 +371,19 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
             sample = goss_sample(magnitude, config.a, config.b, seed=int(master.integers(2**32)))
             idx, weights = sample.indices, sample.row_weights
 
-        round_trees: list[TreeNode] = []
+        round_trees: list[Tree] = []
         for c in range(k):
             g = residuals[:, c]
             if config.variant == "plain":
-                root = grow_tree(codes, values, g, params)
+                tree = grow_tree(codes, values, g, params)
             elif config.variant == "goss":
-                root = grow_tree(codes[idx], values, weights * g[idx], params)
+                tree = grow_tree(codes[idx], values, weights * g[idx], params)
             else:
-                root = _fit_oblivious_structure(codes, values, g, config.max_depth)
-            _refit_leaves(root, X, g, hessians[:, c], config.learning_rate)
-            round_trees.append(root)
-            F[:, c] += predict_tree(root, X)
+                tree = _fit_oblivious_structure(codes, values, g, config.max_depth)
+            leaf = apply(tree, X)
+            _refit_leaves(tree, leaf, g, hessians[:, c], config.learning_rate)
+            round_trees.append(tree)
+            F[:, c] += tree.value[leaf]
         trees.append(round_trees)
         history.append(loss_value(config.loss, y, F))
 

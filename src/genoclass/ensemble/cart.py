@@ -10,6 +10,10 @@ node. An unsampled tree grows level by level, one kernel call per level; an
 the order of a recursive fit. Gains within ``TIE_RTOL`` of the best tie,
 broken toward the lowest feature, then the lowest threshold. Rows route
 left when value <= threshold.
+
+Every tree, greedy or oblivious, is one ``Tree`` of parallel per-node
+arrays, and ``apply`` is the one descent: it maps rows to leaf ids level by
+level, and prediction reads the leaf rows of ``Tree.value``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..codec import JsonCodec
 from ..errors import ArgumentError
 
 CRITERIA = ("variance", "gini")
@@ -34,40 +39,42 @@ TIE_RTOL = 1e-9
 NODES_PER_CALL = 16
 
 
-@dataclass
-class TreeNode:
-    """One node: internal (feature/threshold/children) or leaf (value).
+@dataclass(frozen=True)
+class Tree(JsonCodec):
+    """One tree as parallel per-node arrays; node 0 is the root.
 
-    Leaf payloads are a float (regression mean or boosting leaf score) or a
-    class-count vector (classification). ``left is None`` marks a leaf.
+    ``feature``, ``left`` and ``right`` are int64, -1 at leaves; a row goes
+    to ``left`` when its value of ``feature`` is <= ``threshold``. ``value``
+    has shape (n_nodes,) (regression mean or boosting leaf score) or
+    (n_nodes, k) (class counts); internal rows are zero. Every child id is
+    greater than its parent's, so a descent ends within n_nodes steps.
+    Raises ArgumentError for arrays that break these rules.
     """
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float | np.ndarray | None = None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def to_json(self) -> dict:
-        if self.is_leaf:
-            return {"leaf": float(self.value) if np.ndim(self.value) == 0 else [float(v) for v in self.value]}
-        return {"feature": self.feature, "threshold": self.threshold, "left": self.left.to_json(), "right": self.right.to_json()}
-
-    @staticmethod
-    def from_json(doc: dict) -> "TreeNode":
-        if "leaf" in doc:
-            value = doc["leaf"]
-            return TreeNode(value=np.asarray(value, dtype=np.float64) if isinstance(value, list) else float(value))
-        left, right = TreeNode.from_json(doc["left"]), TreeNode.from_json(doc["right"])
-        return TreeNode(feature=int(doc["feature"]), threshold=float(doc["threshold"]), left=left, right=right)
-
-
-tree_to_json = TreeNode.to_json
-tree_from_json = TreeNode.from_json
+    def __post_init__(self) -> None:
+        for name in ("feature", "left", "right"):
+            ids = np.asarray(getattr(self, name))
+            exact = ids.dtype.kind == "f" and (np.abs(ids) < 2**53).all() and (ids == np.trunc(ids)).all()
+            if not (exact or ids.dtype.kind in "iu"):
+                raise ArgumentError(f"tree {name} must hold integers")
+            object.__setattr__(self, name, ids.astype(np.int64))
+        object.__setattr__(self, "threshold", np.asarray(self.threshold, dtype=np.float64))
+        object.__setattr__(self, "value", np.asarray(self.value, dtype=np.float64))
+        n = self.feature.size
+        if n < 1 or {a.shape for a in (self.feature, self.threshold, self.left, self.right)} != {(n,)} or self.value.shape[:1] != (n,):
+            raise ArgumentError("tree arrays must be non-empty and of equal lengths")
+        internal = self.left != -1
+        if ((self.right != -1) != internal).any() or ((self.feature >= 0) != internal).any():
+            raise ArgumentError("a tree node must be a leaf (both children -1) or split on a feature")
+        children = np.stack([self.left, self.right])[:, internal]
+        if ((children <= np.flatnonzero(internal)) | (children >= n)).any():
+            raise ArgumentError(f"tree child ids must lie between their parent's id and {n}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +202,7 @@ def _best_splits(codes, values, S, groups: list[np.ndarray], features: np.ndarra
     return found
 
 
-def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, params: TreeParams) -> TreeNode:
+def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, params: TreeParams) -> Tree:
     """fit_tree on rank codes and values from rank_codes (codes may be a row subset)."""
     n, d = codes.shape
     y_len = np.asarray(y).reshape(-1).shape[0]
@@ -217,27 +224,43 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, pa
     sampled = params.mtry is not None and params.mtry < d
     rng = np.random.default_rng(params.seed)
     limit, min_rows = params.max_depth, max(2, 2 * params.min_samples_leaf)
-    root = TreeNode()
-    stack = [(root, np.arange(n), 0)]
+    splits, leaves, n_nodes = [], [], 1
+    stack = [(0, np.arange(n), 0)]
     while stack:
         # sampled: one node, depth first, left child first; unsampled: the whole level
         batch, stack = ([stack.pop()], stack) if sampled else (stack, [])
         grows = [(limit is None or depth < limit) and rows.size >= min_rows for _, rows, depth in batch]
         features = np.sort(rng.choice(d, size=params.mtry, replace=False)) if sampled and grows[0] else np.arange(d)
         groups = [rows if go else rows[:0] for (_, rows, _), go in zip(batch, grows)]
-        splits = _best_splits(codes, values, S, groups, features, params.min_samples_leaf)
-        for (node, rows, depth), found in zip(batch, splits):
+        best = _best_splits(codes, values, S, groups, features, params.min_samples_leaf)
+        for (node, rows, depth), found in zip(batch, best):
             if found is None or found[0] <= GAIN_EPS:
-                node.value = S[rows].sum(axis=0) if params.criterion == "gini" else float(S[rows].mean())
+                leaves.append((node, S[rows].sum(axis=0) if params.criterion == "gini" else S[rows].mean()))
                 continue
-            _, node.feature, node.threshold, cut = found
-            go_left = codes[rows, node.feature] <= cut
-            node.left, node.right = TreeNode(), TreeNode()
-            stack += [(node.right, rows[~go_left], depth + 1), (node.left, rows[go_left], depth + 1)]
-    return root
+            _, f, t, cut = found
+            go_left = codes[rows, f] <= cut
+            # a node's children get the next two ids when it splits
+            splits.append((node, f, t, n_nodes))
+            stack += [(n_nodes + 1, rows[~go_left], depth + 1), (n_nodes, rows[go_left], depth + 1)]
+            n_nodes += 2
+    value = np.zeros((n_nodes, S.shape[1]))
+    for node, payload in leaves:
+        value[node] = payload
+    return tree_from_splits(n_nodes, splits, value if params.criterion == "gini" else value[:, 0])
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) -> TreeNode:
+def tree_from_splits(n_nodes: int, splits: list[tuple[int, int, float, int]], value: np.ndarray) -> Tree:
+    """The Tree of n_nodes whose split (node, feature, threshold, child) sends a
+    row to child when its value is <= threshold and to child + 1 otherwise;
+    nodes without a split are leaves."""
+    feature, threshold, left = np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -1)
+    if splits:
+        node, f, t, child = map(np.array, zip(*splits))
+        feature[node], threshold[node], left[node] = f, t, child
+    return Tree(feature, threshold, left, np.where(left >= 0, left + 1, -1), value)
+
+
+def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) -> Tree:
     """Grow one greedy CART tree.
 
     Args:
@@ -252,34 +275,35 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) ->
     return grow_tree(codes, values, y, params)
 
 
-def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Leaf payloads for each row: (n,) values or (n, k) class-count vectors."""
+def feature_rows(X: np.ndarray, width: int | None = None) -> np.ndarray:
+    """X as a float64 matrix of rows, width columns if given; one row may come as a vector."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
-    probe = root
-    while not probe.is_leaf:
-        probe = probe.left
-    if np.ndim(probe.value) == 0:
-        out = np.zeros(X.shape[0])
-    else:
-        out = np.zeros((X.shape[0], len(probe.value)))
-
-    def route(node: TreeNode, rows: np.ndarray) -> None:
-        if node.is_leaf:
-            out[rows] = node.value
-            return
-        if node.feature >= X.shape[1]:
-            raise ArgumentError(f"tree expects feature index {node.feature}, matrix has {X.shape[1]} columns")
-        go_left = X[rows, node.feature] <= node.threshold
-        route(node.left, rows[go_left])
-        route(node.right, rows[~go_left])
-
-    route(root, np.arange(X.shape[0]))
-    return out
+    if width is not None and X.shape[1] != width:
+        raise ArgumentError(f"expected {width} feature columns, got {X.shape[1]}")
+    return X
 
 
-def tree_depth(root: TreeNode) -> int:
-    if root.is_leaf:
-        return 0
-    return 1 + max(tree_depth(root.left), tree_depth(root.right))
+def apply(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf id of each row of X (one row may come as a vector).
+
+    Descends level by level: each step moves only the rows still at
+    internal nodes, one comparison per row.
+    """
+    X = feature_rows(X)
+    if tree.feature.max() >= X.shape[1]:
+        raise ArgumentError(f"tree expects feature index {tree.feature.max()}, matrix has {X.shape[1]} columns")
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while True:
+        rows = rows[tree.left[node[rows]] >= 0]
+        if not rows.size:
+            return node
+        at = node[rows]
+        node[rows] = np.where(X[rows, tree.feature[at]] <= tree.threshold[at], tree.left[at], tree.right[at])
+
+
+def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf payloads for each row: (n,) values or (n, k) class-count vectors."""
+    return tree.value[apply(tree, X)]

@@ -1,8 +1,9 @@
 """Random forest of CART trees plus margin/strength/correlation diagnostics.
 
-Each tree trains on a bootstrap resample (of rank codes computed once per
-fit) with a per-split feature subsample and casts one vote (its leaf's
-plurality class) per row; the forest predicts the vote-fraction argmax.
+Each tree (a flat ``cart.Tree`` of class counts) trains on a bootstrap
+resample (of rank codes computed once per fit) with a per-split feature
+subsample and casts one vote (its leaf's plurality class) per row; the
+forest predicts the vote-fraction argmax.
 Diagnostics summarize the ensemble by the margin
 
     mg(x, y) = votes_for(y)/B - max_{j != y} votes_for(j)/B
@@ -13,17 +14,16 @@ margins, and the generalization bound rho_bar * (1 - s^2) / s^2.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..codec import JsonCodec
+from ..codec import JsonCodec, write_csv_rows
 from ..dataset import Dataset, supervised_arrays
 from ..errors import ArgumentError, DataTypeError, DegenerateDataError
-from .cart import TreeNode, TreeParams, grow_tree, predict_tree, rank_codes
+from .cart import Tree, TreeParams, feature_rows, grow_tree, predict_tree, rank_codes
 
 
 @dataclass(frozen=True)
@@ -62,38 +62,32 @@ class ForestModel(JsonCodec):
 
     feature_names: tuple[str, ...]
     class_labels: tuple[str, ...]
-    trees: list[TreeNode]
+    trees: list[Tree]
     tree_seeds: tuple[int, ...]
     config: ForestConfig = field(default_factory=ForestConfig)
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != len(self.feature_names):
-            raise ArgumentError(f"expected {len(self.feature_names)} feature columns, got {X.shape[1]}")
-        return X
-
     def tree_votes(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predicted class codes, shape (B, n); vote ties go to the lowest code."""
-        X = self._check(X)
+        X = feature_rows(X, len(self.feature_names))
         votes = np.empty((len(self.trees), X.shape[0]), dtype=np.int64)
-        for t, root in enumerate(self.trees):
-            votes[t] = np.argmax(predict_tree(root, X), axis=1)
+        for t, tree in enumerate(self.trees):
+            votes[t] = np.argmax(predict_tree(tree, X), axis=1)
         return votes
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Vote fractions per class; rows sum to 1."""
-        votes = self.tree_votes(X)
-        n = votes.shape[1]
-        out = np.zeros((n, len(self.class_labels)))
-        rows = np.arange(n)
-        for t in range(votes.shape[0]):
-            out[rows, votes[t]] += 1.0
-        return out / votes.shape[0]
+        return _vote_fractions(self.tree_votes(X), len(self.class_labels))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
+
+
+def _vote_fractions(votes: np.ndarray, k: int) -> np.ndarray:
+    """Share of the trees voting for each of k classes, (n, k), from (B, n) votes."""
+    out, rows = np.zeros((votes.shape[1], k)), np.arange(votes.shape[1])
+    for tree_votes in votes:
+        out[rows, tree_votes] += 1.0
+    return out / votes.shape[0]
 
 
 def fit_random_forest(ds: Dataset, target: str, config: ForestConfig = ForestConfig()) -> ForestModel:
@@ -104,7 +98,7 @@ def fit_random_forest(ds: Dataset, target: str, config: ForestConfig = ForestCon
     params = TreeParams("gini", config.max_depth, config.min_samples_leaf, mtry, n_classes=len(labels))
     codes, values = rank_codes(X)
     master = np.random.default_rng(config.seed)
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     seeds: list[int] = []
     for _ in range(config.trees):
         tree_seed = int(master.integers(2**32))
@@ -136,14 +130,12 @@ class ForestDiagnostics:
 
     def to_csv(self, path: str | Path) -> None:
         """Per-row margins followed by the three summary values."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_id", "margin"])
-            for i, m in enumerate(self.margins):
-                writer.writerow([i, repr(float(m))])
-            writer.writerow(["s", repr(self.strength)])
-            writer.writerow(["rho_bar", repr(self.rho_bar)])
-            writer.writerow(["bound", "inf" if math.isinf(self.bound) else repr(self.bound)])
+        write_csv_rows(path, ["row_id", "margin"], [
+            *([i, repr(float(m))] for i, m in enumerate(self.margins)),
+            ["s", repr(self.strength)],
+            ["rho_bar", repr(self.rho_bar)],
+            ["bound", "inf" if math.isinf(self.bound) else repr(self.bound)],
+        ])
 
 
 def forest_diagnostics(forest: ForestModel, data: Dataset, target: str) -> ForestDiagnostics:
@@ -167,12 +159,8 @@ def forest_diagnostics(forest: ForestModel, data: Dataset, target: str) -> Fores
 
     votes = forest.tree_votes(X)
     n_trees, n = votes.shape
-    k = len(forest.class_labels)
-    fractions = np.zeros((n, k))
+    fractions = _vote_fractions(votes, len(forest.class_labels))
     rows = np.arange(n)
-    for t in range(n_trees):
-        fractions[rows, votes[t]] += 1.0
-    fractions /= n_trees
 
     true_frac = fractions[rows, y]
     wrong = np.array(fractions, copy=True)

@@ -9,7 +9,6 @@ before the statistic is computed.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import JsonCodec
+from .codec import JsonCodec, write_csv_rows
 from .dataset import ColumnSchema, Dataset
 from .errors import (
     ArgumentError,
@@ -260,11 +259,8 @@ class FeatureRanking:
         return len(self.entries)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "feature", "chi2"])
-            for rank, (name, score) in enumerate(self.entries, start=1):
-                writer.writerow([rank, name, repr(score)])
+        rows = ([rank, name, repr(score)] for rank, (name, score) in enumerate(self.entries, start=1))
+        write_csv_rows(path, ["rank", "feature", "chi2"], rows)
 
     @staticmethod
     def from_pairs(pairs: Sequence[tuple[str, float]]) -> "FeatureRanking":

@@ -10,7 +10,6 @@ counted half).
 
 from __future__ import annotations
 
-import csv
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import read_json, write_json
+from .codec import atomic_write, read_json, write_csv_rows, write_json
 from .errors import ArgumentError, DegenerateDataError, EvaluationError, PersistenceError
 
 
@@ -347,33 +346,22 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path, form
 
     if "csv" in formats:
         path = out_dir / "overall_accuracy.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["algorithm"] + tasks)
-            for algo in algorithms:
-                writer.writerow([algo] + [
-                    repr(accuracy[(algo, t)]) if (algo, t) in accuracy else "" for t in tasks
-                ])
+        write_csv_rows(path, ["algorithm"] + tasks, (
+            [algo] + [repr(accuracy[(algo, t)]) if (algo, t) in accuracy else "" for t in tasks] for algo in algorithms
+        ))
         written.append(path)
 
         for task in tasks:
             path = out_dir / f"metrics_{_slug(task)}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["algorithm", "class", "precision", "recall", "f1", "auc"])
-                for rep in sorted(by_task[task], key=lambda r: r.algorithm):
-                    m = rep.metrics
-                    for i, label in enumerate(rep.labels):
-                        curve = rep.roc.get(label)
-                        writer.writerow([
-                            rep.algorithm,
-                            label,
-                            repr(m.precision[i]),
-                            repr(m.recall[i]),
-                            repr(m.f1[i]),
-                            "" if curve is None else repr(curve.auc),
-                        ])
-                    writer.writerow([rep.algorithm, "macro", repr(m.macro_precision), repr(m.macro_recall), repr(m.macro_f1), ""])
+            rows = []
+            for rep in sorted(by_task[task], key=lambda r: r.algorithm):
+                m = rep.metrics
+                for i, label in enumerate(rep.labels):
+                    curve = rep.roc.get(label)
+                    auc = "" if curve is None else repr(curve.auc)
+                    rows.append([rep.algorithm, label, repr(m.precision[i]), repr(m.recall[i]), repr(m.f1[i]), auc])
+                rows.append([rep.algorithm, "macro", repr(m.macro_precision), repr(m.macro_recall), repr(m.macro_f1), ""])
+            write_csv_rows(path, ["algorithm", "class", "precision", "recall", "f1", "auc"], rows)
             written.append(path)
 
         for rep in reports:
@@ -381,11 +369,7 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path, form
                 if curve is None:
                     continue
                 path = out_dir / f"roc_{_slug(rep.algorithm)}_{_slug(label)}.csv"
-                with open(path, "w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["fpr", "tpr"])
-                    for x, y in zip(curve.fpr, curve.tpr):
-                        writer.writerow([repr(x), repr(y)])
+                write_csv_rows(path, ["fpr", "tpr"], ([repr(x), repr(y)] for x, y in zip(curve.fpr, curve.tpr)))
                 written.append(path)
 
     if "markdown" in formats:
@@ -429,7 +413,8 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path, form
                     cells.append("n/a" if curve is None else _fmt2(curve.auc))
                 lines.append("| " + " | ".join([rep.algorithm] + cells) + " |")
         path = out_dir / "report.md"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("\n".join(lines) + "\n")
         written.append(path)
 
     return written

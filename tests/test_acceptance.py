@@ -23,7 +23,7 @@ from genoclass.artifact import ModelArtifact, revive_model
 from genoclass.config import RunConfig
 from genoclass.dataset import schema_to_json, write_csv
 from genoclass.ensemble.boosting import GbdtConfig, fit_gbdt, goss_gain, goss_sample, loss_gradients, loss_value
-from genoclass.ensemble.cart import TreeNode
+from genoclass.ensemble.cart import Tree, tree_from_splits
 from genoclass.ensemble.forest import ForestConfig, ForestModel, forest_diagnostics
 from genoclass.features import ContingencyTable, chi2_statistic
 from genoclass.linear import KernelSpec, SvmConfig, fit_svm, logistic_loss_gradient, svm_decision
@@ -264,17 +264,12 @@ def test_criterion_07_boosting_monotone():
         assert time.perf_counter() - start < 10.0
 
 
-def count_leaf(code: int) -> TreeNode:
-    value = np.zeros(2)
-    value[code] = 1.0
-    return TreeNode(value=value)
-
-
-def chain_tree(thresholds, votes) -> TreeNode:
-    node = count_leaf(votes[-1])
-    for t, v in zip(reversed(thresholds), reversed(votes[:-1])):
-        node = TreeNode(feature=0, threshold=t, left=count_leaf(v), right=node)
-    return node
+def chain_tree(thresholds, votes) -> Tree:
+    # split i is node 2i, its left child 2i + 1 leaf votes[i]; the last node is leaf votes[-1]
+    n = 2 * len(thresholds) + 1
+    value = np.zeros((n, 2))
+    value[[*range(1, n, 2), n - 1], votes] = 1.0
+    return tree_from_splits(n, [(2 * i, 0, t, 2 * i + 1) for i, t in enumerate(thresholds)], value)
 
 
 def test_criterion_08_forest_margins():

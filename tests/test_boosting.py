@@ -17,7 +17,7 @@ from genoclass.ensemble.boosting import (
     loss_value,
     softmax,
 )
-from genoclass.ensemble.cart import TreeNode
+from genoclass.ensemble.cart import Tree
 from genoclass.errors import ArgumentError
 
 
@@ -48,16 +48,16 @@ def blob_fixture(n=150, seed=34):
     return X, y
 
 
-def level_tests(root: TreeNode) -> list[set]:
+def level_tests(tree: Tree) -> list[set]:
     """Distinct (feature, threshold) pairs used at each depth of the tree."""
     levels: list[set] = []
-    frontier = [root]
+    frontier = [0]
     while True:
-        internal = [node for node in frontier if not node.is_leaf]
+        internal = [node for node in frontier if tree.left[node] >= 0]
         if not internal:
             return levels
-        levels.append({(node.feature, node.threshold) for node in internal})
-        frontier = [child for node in internal for child in (node.left, node.right)]
+        levels.append({(tree.feature[node], tree.threshold[node]) for node in internal})
+        frontier = [child for node in internal for child in (tree.left[node], tree.right[node])]
 
 
 class TestGbdtConfig:

@@ -4,31 +4,36 @@ import numpy as np
 import pytest
 
 from genoclass.ensemble.cart import (
-    TreeNode,
+    Tree,
     TreeParams,
+    apply,
     fit_tree,
     predict_tree,
-    tree_depth,
-    tree_from_json,
-    tree_to_json,
 )
 from genoclass.errors import ArgumentError
 
 
-def leaf_sizes(root: TreeNode, X: np.ndarray) -> list[int]:
+def leaf_sizes(tree: Tree, X: np.ndarray) -> list[int]:
     """Row count reaching each leaf when X is routed through the tree."""
-    sizes: list[int] = []
+    counts = np.bincount(apply(tree, X), minlength=tree.feature.size)
+    return [int(counts[i]) for i in np.flatnonzero(tree.left < 0)]
 
-    def route(node: TreeNode, rows: np.ndarray) -> None:
-        if node.is_leaf:
-            sizes.append(rows.size)
-            return
-        go_left = X[rows, node.feature] <= node.threshold
-        route(node.left, rows[go_left])
-        route(node.right, rows[~go_left])
 
-    route(root, np.arange(X.shape[0]))
-    return sizes
+def tree_depth(tree: Tree) -> int:
+    """Edges on the longest root-to-leaf path (child ids exceed their parent's)."""
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    for i in np.flatnonzero(tree.left >= 0):
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return int(depth.max())
+
+
+def is_leaf(tree: Tree, node: int = 0) -> bool:
+    return bool(tree.left[node] < 0)
+
+
+def stump(threshold=1.5, values=(0.0, 1.0)):
+    """Root split on feature 0 with two leaves."""
+    return Tree(np.array([0, -1, -1]), np.array([threshold, 0.0, 0.0]), np.array([1, -1, -1]), np.array([2, -1, -1]), np.array([0.0, *values]))
 
 
 class TestTreeParams:
@@ -95,25 +100,26 @@ class TestVarianceTrees:
     def test_constant_target_gives_single_leaf(self):
         X = np.arange(6, dtype=np.float64).reshape(-1, 1)
         root = fit_tree(X, np.full(6, 2.5))
-        assert root.is_leaf
-        assert root.value == 2.5
+        assert is_leaf(root)
+        assert root.value[0] == 2.5
 
     def test_two_cluster_split_lands_between_clusters(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         root = fit_tree(X, y, TreeParams(max_depth=1))
-        assert not root.is_leaf
-        assert root.feature == 0
-        assert 2.0 < root.threshold < 3.0
-        assert root.left.is_leaf and root.right.is_leaf
-        assert root.left.value == 0.0
-        assert root.right.value == 1.0
+        assert not is_leaf(root)
+        assert root.feature[0] == 0
+        assert 2.0 < root.threshold[0] < 3.0
+        left, right = root.left[0], root.right[0]
+        assert is_leaf(root, left) and is_leaf(root, right)
+        assert root.value[left] == 0.0
+        assert root.value[right] == 1.0
 
     def test_max_depth_zero_gives_mean_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
         root = fit_tree(X, np.array([1.0, 2.0, 6.0]), TreeParams(max_depth=0))
-        assert root.is_leaf
-        assert root.value == pytest.approx(3.0)
+        assert is_leaf(root)
+        assert root.value[0] == pytest.approx(3.0)
 
     def test_unlimited_depth_memorizes_distinct_rows(self):
         rng = np.random.default_rng(11)
@@ -135,7 +141,7 @@ class TestVarianceTrees:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         root = fit_tree(X, y, TreeParams(min_samples_leaf=3))
-        assert root.is_leaf
+        assert is_leaf(root)
 
     def test_depth_limit_holds_everywhere(self):
         rng = np.random.default_rng(13)
@@ -151,24 +157,24 @@ class TestGiniTrees:
     def test_constant_class_gives_count_leaf(self):
         X = np.arange(4, dtype=np.float64).reshape(-1, 1)
         root = fit_tree(X, np.array([1, 1, 1, 1]), TreeParams(criterion="gini", n_classes=3))
-        assert root.is_leaf
-        np.testing.assert_array_equal(root.value, [0.0, 4.0, 0.0])
+        assert is_leaf(root)
+        np.testing.assert_array_equal(root.value[0], [0.0, 4.0, 0.0])
 
     def test_two_cluster_split_lands_between_clusters(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0, 0, 1, 1])
         root = fit_tree(X, y, TreeParams(criterion="gini", max_depth=1, n_classes=2))
-        assert not root.is_leaf
-        assert 2.0 < root.threshold < 3.0
-        np.testing.assert_array_equal(root.left.value, [2.0, 0.0])
-        np.testing.assert_array_equal(root.right.value, [0.0, 2.0])
+        assert not is_leaf(root)
+        assert 2.0 < root.threshold[0] < 3.0
+        np.testing.assert_array_equal(root.value[root.left[0]], [2.0, 0.0])
+        np.testing.assert_array_equal(root.value[root.right[0]], [0.0, 2.0])
 
     def test_leaf_counts_use_declared_class_count(self):
         X = np.array([[1.0], [2.0]])
         root = fit_tree(X, np.array([0, 0]), TreeParams(criterion="gini", n_classes=5))
-        assert root.is_leaf
-        assert root.value.shape == (5,)
-        assert root.value.sum() == 2.0
+        assert is_leaf(root)
+        assert root.value[0].shape == (5,)
+        assert root.value[0].sum() == 2.0
 
     def test_unlimited_depth_memorizes_distinct_rows(self):
         rng = np.random.default_rng(14)
@@ -199,7 +205,7 @@ class TestMtry:
         params = TreeParams(mtry=2, seed=42, max_depth=4)
         a = fit_tree(X, y, params)
         b = fit_tree(X, y, params)
-        assert tree_to_json(a) == tree_to_json(b)
+        assert a.to_json() == b.to_json()
 
     def test_mtry_at_full_width_matches_unrestricted(self):
         rng = np.random.default_rng(16)
@@ -207,7 +213,7 @@ class TestMtry:
         y = rng.normal(size=50)
         full = fit_tree(X, y, TreeParams(max_depth=3))
         capped = fit_tree(X, y, TreeParams(max_depth=3, mtry=3, seed=99))
-        assert tree_to_json(full) == tree_to_json(capped)
+        assert full.to_json() == capped.to_json()
 
 
 class TestPredictTree:
@@ -221,10 +227,10 @@ class TestPredictTree:
         X = np.array([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         root = fit_tree(X, y, TreeParams(max_depth=1))
-        if root.is_leaf:
+        if is_leaf(root):
             pytest.skip("no split found")
         with pytest.raises(ArgumentError, match="tree expects feature index"):
-            predict_tree(root, np.ones((3, root.feature)))
+            predict_tree(root, np.ones((3, root.feature[0])))
 
 
 class TestSerialization:
@@ -233,7 +239,7 @@ class TestSerialization:
         X = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
         root = fit_tree(X, y, TreeParams(max_depth=5))
-        clone = tree_from_json(tree_to_json(root))
+        clone = Tree.from_json(root.to_json())
         np.testing.assert_array_equal(predict_tree(root, X), predict_tree(clone, X))
         assert tree_depth(clone) == tree_depth(root)
 
@@ -242,9 +248,67 @@ class TestSerialization:
         X = rng.normal(size=(40, 2))
         y = rng.integers(0, 3, size=40)
         root = fit_tree(X, y, TreeParams(criterion="gini", n_classes=3))
-        clone = tree_from_json(tree_to_json(root))
+        clone = Tree.from_json(root.to_json())
         np.testing.assert_array_equal(predict_tree(root, X), predict_tree(clone, X))
 
     def test_leaf_document_shape(self):
-        doc = tree_to_json(TreeNode(value=1.5))
-        assert tree_from_json(doc).is_leaf
+        doc = Tree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([1.5])).to_json()
+        assert doc == {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [1.5]}
+        assert is_leaf(Tree.from_json(doc))
+
+
+def walk(tree: Tree, x: np.ndarray) -> int:
+    """Reference descent of one row, node by node."""
+    node = 0
+    while tree.left[node] >= 0:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return int(node)
+
+
+class TestApply:
+    def test_matches_row_by_row_descent(self):
+        rng = np.random.default_rng(19)
+        for criterion, y in (("variance", rng.normal(size=80)), ("gini", rng.integers(0, 3, size=80))):
+            X = rng.integers(0, 6, size=(80, 3)).astype(np.float64)
+            tree = fit_tree(X, y, TreeParams(criterion=criterion, mtry=2, seed=3))
+            probe = rng.integers(-1, 7, size=(50, 3)).astype(np.float64)
+            np.testing.assert_array_equal(apply(tree, probe), [walk(tree, x) for x in probe])
+
+    def test_single_leaf_sends_every_row_to_the_root(self):
+        leaf = Tree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([[1.0, 2.0]]))
+        np.testing.assert_array_equal(apply(leaf, np.ones((3, 4))), [0, 0, 0])
+
+    def test_ties_route_left(self):
+        np.testing.assert_array_equal(apply(stump(), np.array([[1.0], [1.5], [2.0]])), [1, 1, 2])
+
+
+class TestTreeValidation:
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("threshold", [1.5, 0.0], "equal lengths"),
+            ("value", [0.0, 1.0], "equal lengths"),
+            ("left", [1, -1, 0], "leaf"),
+            ("feature", [-1, -1, -1], "leaf"),
+            ("feature", [-2, -1, -1], "leaf"),
+            ("right", [3, -1, -1], "between"),
+            ("left", [0, -1, -1], "between"),
+            ("left", [1.5, -1, -1], "integers"),
+            ("feature", [True, False, False], "integers"),
+        ],
+    )
+    def test_malformed_arrays_rejected(self, field, value, match):
+        doc = {**stump().to_json(), field: value}
+        with pytest.raises(ArgumentError, match=match):
+            Tree(**{k: np.asarray(v) for k, v in doc.items()})
+
+    def test_child_before_its_parent_rejected(self):
+        # node 1 points back at node 0: a descent would never end
+        doc = {"feature": [0, 0, -1], "threshold": [1.0, 2.0, 0.0], "left": [1, 0, -1], "right": [2, 2, -1], "value": [0.0, 0.0, 1.0]}
+        with pytest.raises(ArgumentError, match="between"):
+            Tree.from_json(doc)
+
+    def test_integral_float_ids_become_int64(self):
+        doc = {**stump().to_json(), "left": [1.0, -1.0, -1.0]}
+        tree = Tree.from_json(doc)
+        assert tree.left.dtype == np.int64 and tree.feature.dtype == np.int64

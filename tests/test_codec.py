@@ -1,7 +1,8 @@
-"""Property tests for the dataclass JSON codec, the algorithm registry and atomic JSON writes."""
+"""Property tests for the dataclass JSON codec, the algorithm registry and atomic file writes."""
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import make_dataset
 from genoclass.artifact import ModelArtifact
-from genoclass.ensemble import LOSSES, VARIANTS, ForestConfig, ForestModel, GbdtConfig, GbdtModel, TreeNode
+from genoclass.dataset import write_csv
+from genoclass.ensemble import LOSSES, VARIANTS, ForestConfig, ForestModel, GbdtConfig, GbdtModel, Tree
 from genoclass.errors import ArgumentError, ConfigError
-from genoclass.features import EngineeredSpec
+from genoclass.features import EngineeredSpec, FeatureRanking
 from genoclass.linear import (
     KERNEL_KINDS,
     ColumnEncoder,
@@ -24,7 +27,7 @@ from genoclass.linear import (
     SvmModel,
     SvmSubmodel,
 )
-from genoclass.metrics import build_report
+from genoclass.metrics import build_report, render_report
 from genoclass.pipeline import FeaturePipeline
 from genoclass.registry import ALGORITHMS
 
@@ -94,14 +97,19 @@ encoders = st.lists(st.tuples(st.text(max_size=6), st.sampled_from([0, 2, 3, 7])
 )
 
 
-def trees(leaves):
-    return st.recursive(
-        leaves.map(lambda v: TreeNode(value=v)),
-        lambda children: st.builds(
-            TreeNode, feature=st.integers(0, 40), threshold=reals, left=children, right=children
-        ),
-        max_leaves=8,
-    )
+@st.composite
+def trees(draw, leaf_values):
+    """Up to 8 leaves: each step splits a drawn leaf, appending its two children."""
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    for _ in range(draw(st.integers(0, 7))):
+        node = draw(st.sampled_from([i for i, child in enumerate(left) if child == -1]))
+        feature[node], threshold[node] = draw(st.integers(0, 40)), draw(reals)
+        left[node], right[node] = len(left), len(left) + 1
+        for ids, fill in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
+            ids += [fill, fill]
+    value = draw(leaf_values(len(left)))
+    value[np.array(left) >= 0] = 0.0
+    return Tree(np.array(feature), np.array(threshold), np.array(left), np.array(right), value)
 
 
 @st.composite
@@ -153,7 +161,7 @@ def forest_models(draw):
     return ForestModel(
         feature_names=draw(names),
         class_labels=draw(names),
-        trees=draw(st.lists(trees(vectors(k)), max_size=3)),
+        trees=draw(st.lists(trees(lambda n: hnp.arrays(np.float64, (n, k), elements=st.floats(allow_nan=False))), max_size=3)),
         tree_seeds=tuple(draw(st.lists(seeds, max_size=3))),
         config=draw(forest_configs),
     )
@@ -166,7 +174,7 @@ def gbdt_models(draw):
         feature_names=draw(names),
         class_labels=draw(names),
         f0=draw(vectors(k)),
-        trees=draw(st.lists(st.lists(trees(reals), min_size=k, max_size=k), max_size=3)),
+        trees=draw(st.lists(st.lists(trees(lambda n: matrices(n, 1).map(np.ravel)), min_size=k, max_size=k), max_size=3)),
         loss_history=tuple(draw(st.lists(reals, max_size=5))),
         config=draw(gbdt_configs),
     )
@@ -182,6 +190,7 @@ CODEC_CLASSES = {
     SvmSubmodel: svm_submodels(),
     SvmModel: svm_models(),
     ForestConfig: forest_configs,
+    Tree: trees(vectors),
     ForestModel: forest_models(),
     GbdtConfig: gbdt_configs,
     GbdtModel: gbdt_models(),
@@ -275,11 +284,14 @@ class TestRegistryProperties:
         assert built == expected
 
 
-# -- atomic JSON writes -----------------------------------------------------------
+# -- atomic writes ----------------------------------------------------------------
 
 
 class Unserializable:
-    """A value json.dump cannot encode, so the write fails partway."""
+    """A value neither json.dump nor repr can render, so a write fails partway."""
+
+    def __repr__(self):
+        raise TypeError("cannot render")
 
 
 def failing_artifact():
@@ -303,14 +315,71 @@ def failing_report():
     return small_report(config_hash=Unserializable())
 
 
-@pytest.mark.parametrize("make", [failing_artifact, failing_pipeline, failing_report])
-def test_failed_save_keeps_the_old_file(tmp_path, make):
-    path = tmp_path / "out.json"
+class UnrenderableScore(float):
+    """A chi-squared score that sorts as a float but cannot be rendered."""
+
+    def __repr__(self):
+        raise TypeError("cannot render")
+
+
+def failing_ranking(path):
+    FeatureRanking((("a", 2.0), ("b", UnrenderableScore(1.0)))).to_csv(path)
+
+
+def failing_tables(path):
+    report = small_report()
+    broken = dataclasses.replace(report, metrics=dataclasses.replace(report.metrics, accuracy=Unserializable()))
+    render_report([broken], path.parent, formats=("csv",))
+
+
+@pytest.mark.parametrize(
+    "name, write",
+    [
+        ("out.json", lambda path: failing_artifact().save(path)),
+        ("out.json", lambda path: failing_pipeline().save(path)),
+        ("out.json", lambda path: failing_report().save(path)),
+        ("ranking.csv", failing_ranking),
+        ("overall_accuracy.csv", failing_tables),
+    ],
+    ids=["failing_artifact", "failing_pipeline", "failing_report", "failing_ranking", "failing_tables"],
+)
+def test_failed_save_keeps_the_old_file(tmp_path, name, write):
+    path = tmp_path / name
     path.write_text("old contents", encoding="utf-8")
     with pytest.raises(TypeError):
-        make().save(path)
+        write(path)
     assert path.read_text(encoding="utf-8") == "old contents"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def small_dataset():
+    return make_dataset([("x", "numeric"), ("c", "categorical", "feature", ("a", "b"))], {"x": [1.5, 2.0], "c": [0, 1]})
+
+
+#: every kind of file the package writes, by the name the write replaces
+WRITERS = {
+    "model.json": lambda path: dataclasses.replace(failing_artifact(), model_doc={"a": 1}).save(path),
+    "data.csv": lambda path: write_csv(small_dataset(), path),
+    "ranking.csv": lambda path: FeatureRanking((("a", 1.0),)).to_csv(path),
+    "overall_accuracy.csv": lambda path: render_report([small_report()], path.parent, formats=("csv",)),
+    "report.md": lambda path: render_report([small_report()], path.parent, formats=("markdown",)),
+}
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_failed_rename_keeps_the_old_file(tmp_path, monkeypatch, name):
+    """A write that fails at its last step leaves the old file whole and no temporary file."""
+    path = tmp_path / name
+    path.write_text("old contents", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[name](path)
+    assert path.read_text(encoding="utf-8") == "old contents"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_saved_bytes_match_the_canonical_dump(tmp_path):
@@ -358,3 +427,27 @@ def test_stored_configs_of_the_wrong_json_type_are_rejected(doc):
     stored = {**ForestConfig().to_json(), **doc}
     with pytest.raises(ArgumentError, match="must be a JSON"):
         ForestConfig.from_json(stored)
+
+
+# -- strict array decoding --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"mean": ["1", "2"], "scale": [True, False]}, "mean"),
+        ({"mean": [1.0, 2.0], "scale": [True, False]}, "scale"),
+        ({"mean": [1.0, None], "scale": [1.0, 1.0]}, "mean"),
+        ({"mean": [[1.0], [1.0, 2.0]], "scale": [1.0]}, "mean"),
+        ({"mean": 1.0, "scale": [1.0]}, "mean"),
+    ],
+    ids=["strings", "booleans", "null", "ragged", "scalar"],
+)
+def test_arrays_of_non_numbers_are_rejected(doc, match):
+    with pytest.raises(ArgumentError, match=f"{match} must be a rectangular JSON array of numbers"):
+        Standardizer.from_json(doc)
+
+
+def test_integer_arrays_decode_as_float64():
+    scaler = Standardizer.from_json({"mean": [1, 2], "scale": [1, 0.5]})
+    assert scaler.mean.dtype == np.float64 and scaler.mean.tolist() == [1.0, 2.0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import xy_dataset
-from genoclass.ensemble.cart import TreeNode, TreeParams, fit_tree, predict_tree
+from genoclass.ensemble.cart import Tree, TreeParams, fit_tree, predict_tree, tree_from_splits
 from genoclass.ensemble.forest import (
     ForestConfig,
     ForestDiagnostics,
@@ -15,19 +15,21 @@ from genoclass.ensemble.forest import (
 from genoclass.errors import ArgumentError, DegenerateDataError
 
 
-def count_leaf(class_code: int, k: int = 2) -> TreeNode:
-    """Leaf voting for one class via a one-hot count vector."""
-    value = np.zeros(k)
-    value[class_code] = 1.0
-    return TreeNode(value=value)
+def leaf_tree(counts) -> Tree:
+    """One-node tree whose leaf holds the class-count vector counts."""
+    return Tree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([counts], dtype=np.float64))
 
 
-def chain_tree(thresholds: list[float], votes: list[int]) -> TreeNode:
-    """Right-spine chain on feature 0: leaf votes[i] covers the i-th threshold bucket."""
-    node = count_leaf(votes[-1])
-    for t, v in zip(reversed(thresholds), reversed(votes[:-1])):
-        node = TreeNode(feature=0, threshold=t, left=count_leaf(v), right=node)
-    return node
+def chain_tree(thresholds: list[float], votes: list[int], k: int = 2) -> Tree:
+    """Right-spine chain on feature 0: leaf votes[i] covers the i-th threshold bucket.
+
+    Split i is node 2i; its left child 2i + 1 is leaf votes[i], its right
+    child the next split; the last node, 2 * len(thresholds), is leaf votes[-1].
+    """
+    n = 2 * len(thresholds) + 1
+    value = np.zeros((n, k))
+    value[[*range(1, n, 2), n - 1], votes] = 1.0  # one-hot vote of each leaf
+    return tree_from_splits(n, [(2 * i, 0, t, 2 * i + 1) for i, t in enumerate(thresholds)], value)
 
 
 def hand_forest() -> tuple[ForestModel, "Dataset"]:
@@ -127,7 +129,7 @@ class TestForestModel:
         model = ForestModel(
             feature_names=("x0",),
             class_labels=("c0", "c1", "c2"),
-            trees=[TreeNode(value=np.array([0.0, 0.0, 3.0]))] * 4,
+            trees=[leaf_tree([0.0, 0.0, 3.0])] * 4,
             tree_seeds=(0, 1, 2, 3),
             config=ForestConfig(trees=4),
         )
@@ -196,7 +198,7 @@ class TestForestDiagnostics:
         assert diag.bound == 0.0
 
     def test_non_positive_strength_gives_infinite_bound(self):
-        always_one = TreeNode(value=np.array([0.0, 1.0]))
+        always_one = leaf_tree([0.0, 1.0])
         model = ForestModel(
             feature_names=("x0",),
             class_labels=("c0", "c1"),

@@ -597,21 +597,37 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "damage",
-        ["gbdt_without_f0", "forest_node_without_threshold", "gbdt_unknown_key", "gbdt_without_config"],
+        [
+            "gbdt_without_f0",
+            "forest_node_without_threshold",
+            "gbdt_unknown_key",
+            "gbdt_without_config",
+            "forest_child_out_of_range",
+            "forest_child_before_parent",
+            "forest_arrays_of_unequal_length",
+        ],
     )
     def test_malformed_model_document_exits_2(self, flow, tmp_path, damage):
-        source = flow.forest if damage == "forest_node_without_threshold" else flow.gbdt
+        source = flow.forest if damage.startswith("forest_") else flow.gbdt
         doc = json.loads(source.artifact_path.read_text(encoding="utf-8"))
+        tree = doc["model"]["trees"][0] if damage.startswith("forest_") else None
         if damage == "gbdt_without_f0":
             del doc["model"]["f0"]
         elif damage == "gbdt_unknown_key":
             doc["model"]["bogus"] = 1
         elif damage == "gbdt_without_config":
             del doc["model"]["config"]
+        elif damage == "forest_node_without_threshold":
+            assert "threshold" in tree
+            del tree["threshold"]
+        elif damage == "forest_child_out_of_range":
+            tree["left"][0] = len(tree["left"])
+        elif damage == "forest_child_before_parent":
+            # the root's left child points back at the root: a descent would never end
+            assert tree["left"][0] > 0
+            tree["left"][0] = 0
         else:
-            root = doc["model"]["trees"][0]
-            assert "threshold" in root
-            del root["threshold"]
+            tree["threshold"].pop()
         broken = tmp_path / source.artifact_path.name
         broken.write_text(json.dumps(doc), encoding="utf-8")
         result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
@@ -690,6 +706,18 @@ class TestStrictDocuments:
         assert result.exit_code == 2, result.output
         assert "must be a JSON boolean" in result.output
         with pytest.raises(PersistenceError, match="must be a JSON boolean"):
+            revive_model(ModelArtifact.load(broken))
+
+    def test_stored_tree_threshold_as_a_string_exits_2(self, flow, tmp_path):
+        doc = json.loads(flow.forest.artifact_path.read_text(encoding="utf-8"))
+        tree = doc["model"]["trees"][0]
+        tree["threshold"][0] = str(tree["threshold"][0])
+        broken = tmp_path / flow.forest.artifact_path.name
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert "threshold must be a rectangular JSON array of numbers" in result.output
+        with pytest.raises(PersistenceError, match="threshold must be a rectangular JSON array of numbers"):
             revive_model(ModelArtifact.load(broken))
 
     @pytest.mark.parametrize("key", ["roc", "flags", "config_hash"])

@@ -59,13 +59,13 @@ class TestRootSplitProperties:
     @given(data=st.data())
     def test_root_split_is_a_best_valid_midpoint(self, criterion, data):
         X, y, msl = data.draw(split_problems(criterion))
-        root = fit_tree(X, y, TreeParams(criterion=criterion, max_depth=1, min_samples_leaf=msl))
+        tree = fit_tree(X, y, TreeParams(criterion=criterion, max_depth=1, min_samples_leaf=msl))
         best = max((brute_gain(X[:, f], y, t, criterion) for f, t in candidates(X, msl)), default=None)
-        if root.is_leaf:
+        if tree.left[0] < 0:
             assert best is None or best <= GAIN_EPS + TOL
             return
         assert best is not None
-        f, t = root.feature, root.threshold
+        f, t = tree.feature[0], tree.threshold[0]
         assert brute_gain(X[:, f], y, t, criterion) >= best - TOL
         values = np.unique(X[:, f])
         assert ((values[:-1] < t) & (t < values[1:])).sum() == 1
@@ -83,8 +83,8 @@ class TestGossRootSplit:
         cols = [("x0", "numeric"), ("x1", "numeric"), ("x2", "numeric"), ("y", "numeric")]
         ds = make_dataset(cols, {"x0": X[:, 0], "x1": X[:, 1], "x2": X[:, 2], "y": y})
         cfg = GbdtConfig(loss="squared", rounds=1, max_depth=1, variant="goss", a=0.2, b=0.3, seed=seed)
-        root = fit_gbdt(ds, "y", cfg).trees[0][0]
-        assert not root.is_leaf
+        tree = fit_gbdt(ds, "y", cfg).trees[0][0]
+        assert tree.left[0] >= 0
 
         # round 0's residuals and sample, drawn as fit_gbdt draws them
         g = y - y.mean()
@@ -93,7 +93,7 @@ class TestGossRootSplit:
         best = max(
             goss_gain(X[:, f], g, t, sample) for f in range(X.shape[1]) for t in midpoints(X[sample.indices, f])
         )
-        assert goss_gain(X[:, root.feature], g, root.threshold, sample) >= best - TOL
+        assert goss_gain(X[:, tree.feature[0]], g, tree.threshold[0], sample) >= best - TOL
 
 
 # -- whole trees from the histogram kernel ------------------------------------------
@@ -103,31 +103,31 @@ def best_candidate_gain(X: np.ndarray, y: np.ndarray, msl: int, criterion: str):
     return max((brute_gain(X[:, f], y, t, criterion) for f, t in candidates(X, msl)), default=None)
 
 
-def assert_greedy_tree(root, X, y, criterion, msl, max_depth):
+def assert_greedy_tree(tree, X, y, criterion, msl, max_depth):
     """Every internal node holds a brute-force best split of its rows; no leaf could still split."""
-    stack = [(root, np.arange(X.shape[0]), 0)]
+    stack = [(0, np.arange(X.shape[0]), 0)]
     while stack:
         node, rows, depth = stack.pop()
         best = best_candidate_gain(X[rows], y[rows], msl, criterion)
-        if node.is_leaf:
+        if tree.left[node] < 0:
             if depth < max_depth:
                 assert best is None or best <= GAIN_EPS + TOL * max(1.0, abs(best))
             continue
-        f, t = node.feature, node.threshold
+        f, t = tree.feature[node], tree.threshold[node]
         assert best is not None
         assert brute_gain(X[rows, f], y[rows], t, criterion) >= best - TOL * max(1.0, abs(best))
         assert t in set(midpoints(X[rows, f]))
         left = X[rows, f] <= t
         assert min(left.sum(), (~left).sum()) >= msl
-        stack += [(node.left, rows[left], depth + 1), (node.right, rows[~left], depth + 1)]
+        stack += [(tree.left[node], rows[left], depth + 1), (tree.right[node], rows[~left], depth + 1)]
 
 
-def level_tests_of(root) -> list[tuple[int, float]]:
+def level_tests_of(tree) -> list[tuple[int, float]]:
     """(feature, threshold) of each level of an oblivious tree, read down the left spine."""
-    out = []
-    while not root.is_leaf:
-        out.append((root.feature, root.threshold))
-        root = root.left
+    out, node = [], 0
+    while tree.left[node] >= 0:
+        out.append((tree.feature[node], tree.threshold[node]))
+        node = tree.left[node]
     return out
 
 
@@ -166,8 +166,8 @@ class TestGreedyTreeProperties:
     def test_every_node_holds_a_best_split(self, criterion, data):
         X, y, msl = data.draw(split_problems(criterion))
         depth = data.draw(st.integers(2, 4))
-        root = fit_tree(X, y, TreeParams(criterion=criterion, max_depth=depth, min_samples_leaf=msl))
-        assert_greedy_tree(root, X, y, criterion, msl, depth)
+        tree = fit_tree(X, y, TreeParams(criterion=criterion, max_depth=depth, min_samples_leaf=msl))
+        assert_greedy_tree(tree, X, y, criterion, msl, depth)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -179,13 +179,8 @@ class TestGreedyTreeProperties:
         j = data.draw(st.integers(0, X.shape[1] - 1))
         slope = data.draw(st.sampled_from([-3.0, -1.0, -0.5, 2.0]))
         X = np.column_stack([X, slope * X[:, j] + 1.0])
-        root = fit_tree(X, y, TreeParams(criterion=criterion, max_depth=3, min_samples_leaf=msl))
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                assert node.feature != X.shape[1] - 1
-                stack += [node.left, node.right]
+        tree = fit_tree(X, y, TreeParams(criterion=criterion, max_depth=3, min_samples_leaf=msl))
+        assert (tree.feature[tree.left >= 0] != X.shape[1] - 1).all()
 
 
 class TestGossTreeProperties:
@@ -199,13 +194,13 @@ class TestGossTreeProperties:
         cols = [(f"x{j}", "numeric") for j in range(3)] + [("y", "numeric")]
         ds = make_dataset(cols, {**{f"x{j}": X[:, j] for j in range(3)}, "y": y})
         cfg = GbdtConfig(loss="squared", rounds=1, max_depth=depth, min_samples_leaf=msl, variant="goss", a=0.3, b=0.5, seed=seed)
-        root = fit_gbdt(ds, "y", cfg).trees[0][0]
+        tree = fit_gbdt(ds, "y", cfg).trees[0][0]
 
         # round 0's residuals and sample, drawn as fit_gbdt draws them
         g = y - float(y.mean())
         sample = goss_sample(np.sqrt(g * g), cfg.a, cfg.b, seed=int(np.random.default_rng(seed).integers(2**32)))
         stats = sample.row_weights * g[sample.indices]
-        assert_greedy_tree(root, X[sample.indices], stats, "variance", msl, depth)
+        assert_greedy_tree(tree, X[sample.indices], stats, "variance", msl, depth)
 
 
 class TestObliviousLevelProperties:
