@@ -93,6 +93,8 @@ def revive_model(artifact: ModelArtifact):
     if name not in ALGORITHMS:
         raise ArgumentError(f"unknown algorithm {name!r} in artifact")
     try:
-        return ALGORITHMS[name].model.from_json(artifact.model_doc)
+        model = ALGORITHMS[name].model.from_json(artifact.model_doc)
+        model.check_stored()
+        return model
     except ArgumentError as exc:
         raise PersistenceError(f"{name} model document is malformed: {exc}") from exc

@@ -21,6 +21,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import types
@@ -42,6 +43,9 @@ class JsonCodec:
     @classmethod
     def from_json(cls, doc: dict):
         return decode(cls, doc)
+
+    def check_stored(self) -> None:
+        """Raise ArgumentError if a revived instance breaks a rule its fields' types cannot state."""
 
 
 @functools.cache
@@ -112,8 +116,12 @@ def _decode_value(hint: Any, value: Any, base: Any, where: str) -> Any:
             array = np.asarray(value) if isinstance(value, list) else None
         except ValueError:  # ragged rows
             array = None
-        # the dtype kind shows strings, booleans and nulls before the cast could convert them
-        if array is None or array.dtype.kind not in "iuf":
+        # the dtype kind shows strings, booleans and nulls before the cast could convert them;
+        # numbers promote booleans mixed in among them, so only the items show those
+        items = value
+        for _ in range(1, getattr(array, "ndim", 1)):
+            items = itertools.chain.from_iterable(items)
+        if array is None or array.dtype.kind not in "iuf" or bool in set(map(type, items)):
             raise ArgumentError(f"{where} must be a rectangular JSON array of numbers")
         return array.astype(np.float64)
     return scalar(hint, value, where)

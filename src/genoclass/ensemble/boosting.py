@@ -209,6 +209,11 @@ class GbdtModel(JsonCodec):
     loss_history: tuple[float, ...]
     config: GbdtConfig = field(default_factory=GbdtConfig)
 
+    def check_stored(self) -> None:
+        """Every round holds one tree of (n_nodes,) leaf scores per score column."""
+        if any(len(r) != self.f0.size or any(tree.value.ndim != 1 for tree in r) for r in self.trees):
+            raise ArgumentError(f"each boosting round must hold {self.f0.size} trees of (n_nodes,) values")
+
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         """Accumulated additive scores, shape (n, classes) (classes = 1 for regression)."""
         X = feature_rows(X, len(self.feature_names))
@@ -258,13 +263,13 @@ def _fit_oblivious_structure(codes: np.ndarray, values: tuple[np.ndarray, ...], 
     it falls at (a node it leaves whole adds its unsplit score), and a cut
     several midpoints reach keeps the lowest. Stops when nothing improves.
     """
-    features = np.arange(codes.shape[1])
+    features = np.arange(codes.shape[1])[None]
     cells: list[np.ndarray] = [np.arange(codes.shape[0])]
     levels: list[tuple[int, float]] = []
     for _ in range(max_depth):
         live = [c for c in cells if c.size]
         rows = np.concatenate(live)
-        bins, start, slot, value = compact_bins(codes, values, rows, features, min(len(live), NODES_PER_CALL))
+        bins, start, slot, value = compact_bins(codes, values, [rows], features, min(len(live), NODES_PER_CALL))
         key = slot + 1j * value  # complex order is (feature, value): one search finds a value's bin in its feature
         node = np.repeat(np.arange(len(live)), [c.size for c in live])
         score, threshold, parent = np.zeros(value.size), np.full(value.size, np.inf), 0.0

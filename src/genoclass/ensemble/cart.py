@@ -5,11 +5,11 @@ then scores every cut from ``np.bincount`` histograms of a per-row
 statistic matrix over the codes, sorting nothing. One target column gives
 the squared-error reduction, one-hot class columns the Gini impurity
 reduction. Thresholds are midpoints between adjacent distinct values in the
-node. An unsampled tree grows level by level, one kernel call per level; an
-``mtry`` tree grows depth first, one call per node, drawing its features in
-the order of a recursive fit. Gains within ``TIE_RTOL`` of the best tie,
-broken toward the lowest feature, then the lowest threshold. Rows route
-left when value <= threshold.
+node. Every tree grows level by level, one kernel call per ``NODES_PER_CALL``
+nodes, each node searching all features or, in an ``mtry`` tree, its own
+subset, drawn for the whole level in one call on the tree's generator.
+Gains within ``TIE_RTOL`` of the best tie, broken toward the lowest feature,
+then the lowest threshold. Rows route left when value <= threshold.
 
 Every tree, greedy or oblivious, is one ``Tree`` of parallel per-node
 arrays, and ``apply`` is the one descent: it maps rows to leaf ids level by
@@ -87,8 +87,8 @@ class TreeParams:
         max_depth: deepest allowed internal level; None = unlimited; 0 means
             the tree is a single leaf.
         min_samples_leaf: smallest row count either side of a split may have.
-        mtry: features sampled (without replacement) per split; None = all.
-        seed: generator seed for the mtry sampling stream.
+        mtry: features drawn (without replacement) per node; None = all.
+        seed: generator seed for the mtry draws, one per tree level.
         n_classes: class-count-vector length for gini trees; None infers
             max(y)+1 from the training labels.
     """
@@ -127,46 +127,49 @@ def rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return codes, tuple(values for values, _ in pairs)
 
 
-def split_scores(bins: np.ndarray, S: np.ndarray, node: np.ndarray, n_nodes: int, start: np.ndarray):
+def split_scores(bins: np.ndarray, S: np.ndarray, node: np.ndarray, n_nodes: int, start: np.ndarray, last=-1):
     """The split kernel: score every cut of every (node, feature) from histograms.
 
-    bins (m x F) holds each row's bin per chosen feature, a feature's bins
-    consecutive in value order, start[b] the first bin of b's feature; S
-    (m x k) holds per-row statistics. Returns n_nodes x B arrays count, n_left
+    bins (m x F) holds each row's bin per feature of its node, a feature's
+    bins consecutive in value order, start[b] the first bin of b's feature,
+    last (per node or for all) the last bin of a node's last feature; S (m x
+    k) holds per-row statistics. Returns n_nodes x B arrays count, n_left
     (rows in, and at or below, the bin) and score = sum_j L_j^2/n_l + R_j^2/n_r
     for the cut after the bin (L, R the side sums of S; an empty side scores
     0), and each node's unsplit score sum_j T_j^2/n, its last bin's score.
     """
     F, k, B = bins.shape[1], S.shape[1], start.size
     key = (node[:, None] * B + bins).ravel()
-    weights = np.repeat(S.T, F, axis=1)
-    hist = np.empty((k + 1, n_nodes * B))
-    for j in range(k):
-        hist[j] = np.bincount(key, weights=weights[j], minlength=n_nodes * B)
-    hist[k] = np.bincount(key, minlength=n_nodes * B)
-    hist = hist.reshape(k + 1, n_nodes, B)
+    # plane by plane (statistic j, then the counts), so temporaries stay n_nodes x B
     cum = np.zeros((k + 1, n_nodes, B + 1))
-    np.cumsum(hist, axis=2, out=cum[..., 1:])
-    left = cum[..., 1:] - cum[..., start]
-    # the last bin closes the last feature: its left side is the whole node
-    L, n_l, total = left[:k], left[k], left[..., -1:]
-    R, n_r = total[:k] - L, total[k] - n_l
+    for j, plane in enumerate(cum):
+        hist = np.bincount(key, weights=np.repeat(S[:, j], F) if j < k else None, minlength=n_nodes * B).reshape(n_nodes, B)
+        np.cumsum(hist, axis=1, out=plane[:, 1:])
+        plane[:, 1:] -= plane[:, start]
+    left, nodes = cum[..., 1:], np.arange(n_nodes)
+    # a node's last bin closes its last feature: its left side is the whole node
+    n_l, total = left[k], left[:, nodes, last, None]
+    sq_l = sq_r = 0.0
+    for j in range(k):
+        sq_l, sq_r = sq_l + np.square(left[j]), sq_r + np.square(total[j] - left[j])
     # an empty side's sums are 0 (R up to rounding, summed by another feature)
-    score = (L * L).sum(axis=0) / np.maximum(n_l, 1) + (R * R).sum(axis=0) / np.maximum(n_r, 1)
-    return hist[k], n_l, score, score[:, -1]
+    score = sq_l / np.maximum(n_l, 1) + sq_r / np.maximum(total[k] - n_l, 1)
+    return hist, n_l, score, score[nodes, last]
 
 
-def compact_bins(codes: np.ndarray, values: Sequence[np.ndarray], rows: np.ndarray, features: np.ndarray, n_nodes: int):
-    """Kernel bins of the chosen features for the rows, and each bin's feature start,
-    position in features and value (see split_scores). When n_nodes histograms
-    over every value would outsize the (row, feature) pairs, only the pairs the
-    rows have get a bin, so histograms scale with the rows."""
-    sizes = [values[f].size for f in features]
-    full = np.cumsum([0] + sizes)
-    flat = np.take(codes[rows], features, axis=1) + full[:-1]  # row-major, as split_scores reads it
-    value = np.concatenate([values[f] for f in features])
+def compact_bins(codes: np.ndarray, values: Sequence[np.ndarray], groups: list[np.ndarray], features: np.ndarray, n_nodes: int):
+    """Kernel bins of the groups' rows, in group order, and each bin's feature
+    start, feature and value (see split_scores). features (groups x F) holds
+    each group's features in ascending order; bins cover every group's
+    features, in feature order. When n_nodes histograms over every value
+    would outsize the (row, feature) pairs, only the values the rows have get
+    a bin, so histograms scale with the rows."""
+    sizes = np.where(np.bincount(features.ravel(), minlength=len(values)) > 0, [v.size for v in values], 0)
+    full = np.cumsum([0, *sizes])
+    flat = np.concatenate([np.take(codes[g], f, axis=1) + full[f] for g, f in zip(groups, features)])  # row-major, as split_scores reads it
+    value = np.concatenate([v[:size] for v, size in zip(values, sizes)])
     if flat.size >= n_nodes * full[-1]:
-        slot = np.repeat(np.arange(len(sizes)), sizes)
+        slot = np.repeat(np.arange(sizes.size), sizes)
         return flat, full[slot], slot, value
     present = np.bincount(flat.ravel(), minlength=full[-1]) > 0
     used = np.flatnonzero(present)
@@ -176,29 +179,34 @@ def compact_bins(codes: np.ndarray, values: Sequence[np.ndarray], rows: np.ndarr
 
 
 def _best_splits(codes, values, S, groups: list[np.ndarray], features: np.ndarray, msl: int) -> list:
-    """Best (gain, feature, threshold, cut code) of each row group, or None.
+    """Best (gain, feature, threshold, cut code) of each nonempty row group, or None.
 
-    A valid cut separates values present in the group, msl rows or more on each
-    side. Empty groups, and groups whose statistic rows are all equal (no cut
-    improves them), are not scored."""
+    features (groups x F) holds each group's candidate features in ascending
+    order. A valid cut separates values present in the group, msl rows or
+    more on each side. Groups whose statistic rows are all equal (no cut
+    improves them) are not scored."""
     found: list = [None] * len(groups)
-    live = [i for i, g in enumerate(groups) if features.size and g.size and (S[g] != S[g[0]]).any()]
+    if not (groups and features.size):
+        return found
+    bounds, stats = np.cumsum([0] + [g.size for g in groups[:-1]]), S[np.concatenate(groups)]
+    live = np.flatnonzero((np.maximum.reduceat(stats, bounds) != np.minimum.reduceat(stats, bounds)).any(axis=1))
     for lo in range(0, len(live), NODES_PER_CALL):
         part = live[lo : lo + NODES_PER_CALL]
-        sizes = np.array([groups[i].size for i in part])
-        rows = np.concatenate([groups[i] for i in part])
-        bins, start, slot, value = compact_bins(codes, values, rows, features, len(part))
-        count, n_l, score, parent = split_scores(bins, S[rows], np.repeat(np.arange(len(part)), sizes), len(part), start)
+        chunk = [groups[i] for i in part]
+        sizes, rows = np.array([g.size for g in chunk]), np.concatenate(chunk)
+        bins, start, slot, value = compact_bins(codes, values, chunk, features[part], len(part))
+        # a node's last bin is that of its own last feature
+        last = np.searchsorted(slot, features[part, -1], side="right") - 1
+        count, n_l, score, parent = split_scores(bins, S[rows], np.repeat(np.arange(len(part)), sizes), len(part), start, last)
         valid = (count > 0) & (n_l >= msl) & (sizes[:, None] - n_l >= msl)
         gain = np.where(valid, score - parent[:, None], -np.inf)
-        for i, best in enumerate(gain.max(axis=1)):
-            if best == -np.inf:
-                continue
-            p = int(np.argmax(gain[i] >= best - TIE_RTOL * (best + parent[i])))
-            # rows remain above a valid cut, so the next nonempty bin is the same feature's
-            q = p + 1 + int(np.argmax(count[i, p + 1 :] > 0))
-            f, t = int(features[slot[p]]), float((value[p] + value[q]) / 2.0)
-            found[part[i]] = (float(best), f, t, int(np.searchsorted(values[f], t, side="right")) - 1)
+        best = gain.max(axis=1)
+        at = np.flatnonzero(best > -np.inf)
+        p = np.argmax(gain[at] >= (best[at] - TIE_RTOL * (best[at] + parent[at]))[:, None], axis=1)
+        # rows remain above a valid cut, so the next nonempty bin is the same feature's
+        q = np.argmax((count[at] > 0) & (np.arange(count.shape[1]) > p[:, None]), axis=1)
+        for i, f, t in zip(at, slot[p], (value[p] + value[q]) / 2.0):
+            found[part[i]] = (float(best[i]), int(f), float(t), int(np.searchsorted(values[f], t, side="right")) - 1)
     return found
 
 
@@ -225,23 +233,25 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, pa
     rng = np.random.default_rng(params.seed)
     limit, min_rows = params.max_depth, max(2, 2 * params.min_samples_leaf)
     splits, leaves, n_nodes = [], [], 1
-    stack = [(0, np.arange(n), 0)]
-    while stack:
-        # sampled: one node, depth first, left child first; unsampled: the whole level
-        batch, stack = ([stack.pop()], stack) if sampled else (stack, [])
-        grows = [(limit is None or depth < limit) and rows.size >= min_rows for _, rows, depth in batch]
-        features = np.sort(rng.choice(d, size=params.mtry, replace=False)) if sampled and grows[0] else np.arange(d)
-        groups = [rows if go else rows[:0] for (_, rows, _), go in zip(batch, grows)]
-        best = _best_splits(codes, values, S, groups, features, params.min_samples_leaf)
-        for (node, rows, depth), found in zip(batch, best):
+    level, depth = [(0, np.arange(n))], 0
+    while level:
+        grows = [(limit is None or depth < limit) and rows.size >= min_rows for _, rows in level]
+        groups = [rows for (_, rows), go in zip(level, grows) if go]
+        # an mtry tree draws the features of all the level's growing nodes in one call, in node order
+        drawn = np.argsort(rng.random((len(groups), d)), axis=1)[:, : params.mtry] if sampled else np.arange(d)
+        features = np.broadcast_to(np.sort(drawn, axis=-1), (len(groups), drawn.shape[-1]))
+        best = iter(_best_splits(codes, values, S, groups, features, params.min_samples_leaf))
+        grown, level, depth = level, [], depth + 1
+        for (node, rows), go in zip(grown, grows):
+            found = next(best) if go else None
             if found is None or found[0] <= GAIN_EPS:
                 leaves.append((node, S[rows].sum(axis=0) if params.criterion == "gini" else S[rows].mean()))
                 continue
             _, f, t, cut = found
             go_left = codes[rows, f] <= cut
-            # a node's children get the next two ids when it splits
+            # a node's children get the next two ids when it splits; the next level lists the right child first
             splits.append((node, f, t, n_nodes))
-            stack += [(n_nodes + 1, rows[~go_left], depth + 1), (n_nodes, rows[go_left], depth + 1)]
+            level += [(n_nodes + 1, rows[~go_left]), (n_nodes, rows[go_left])]
             n_nodes += 2
     value = np.zeros((n_nodes, S.shape[1]))
     for node, payload in leaves:

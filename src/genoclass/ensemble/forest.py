@@ -1,8 +1,8 @@
 """Random forest of CART trees plus margin/strength/correlation diagnostics.
 
 Each tree (a flat ``cart.Tree`` of class counts) trains on a bootstrap
-resample (of rank codes computed once per fit) with a per-split feature
-subsample and casts one vote (its leaf's plurality class) per row; the
+resample (of rank codes computed once per fit), searching mtry features
+drawn per node, and casts one vote (its leaf's plurality class) per row; the
 forest predicts the vote-fraction argmax.
 Diagnostics summarize the ensemble by the margin
 
@@ -32,7 +32,7 @@ class ForestConfig(JsonCodec):
 
     Args:
         trees: ensemble size B.
-        mtry: features sampled per split; None = floor(sqrt(d)), at least 1.
+        mtry: features drawn per node; None = floor(sqrt(d)), at least 1.
         max_depth: per-tree depth limit; None = unlimited.
         min_samples_leaf: smallest row count per leaf.
         bootstrap: draw n rows with replacement per tree; False trains every
@@ -65,6 +65,12 @@ class ForestModel(JsonCodec):
     trees: list[Tree]
     tree_seeds: tuple[int, ...]
     config: ForestConfig = field(default_factory=ForestConfig)
+
+    def check_stored(self) -> None:
+        """Every tree holds one class-count column per class label."""
+        k = len(self.class_labels)
+        if any(tree.value.shape != (tree.feature.size, k) for tree in self.trees):
+            raise ArgumentError(f"forest tree values must have shape (n_nodes, {k})")
 
     def tree_votes(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predicted class codes, shape (B, n); vote ties go to the lowest code."""

@@ -80,9 +80,12 @@ def kernel_eval(spec: KernelSpec, u: np.ndarray, v: np.ndarray, gamma: float | N
     elif spec.kind == "polynomial":
         out = (g * (u2 @ v2.T) + spec.coef0) ** spec.degree
     else:
-        # rbf: ||u-v||^2 = ||u||^2 + ||v||^2 - 2 u.v, clipped against rounding
-        sq = (u2 * u2).sum(axis=1)[:, None] + (v2 * v2).sum(axis=1)[None, :] - 2.0 * (u2 @ v2.T)
-        out = np.exp(-g * np.maximum(sq, 0.0))
+        # rbf: ||u-v||^2 = ||u||^2 + ||v||^2 - 2 u.v, clipped against rounding; in place, one m x n temporary
+        out = (u2 * u2).sum(axis=1)[:, None] + (v2 * v2).sum(axis=1)[None, :]
+        dot = u2 @ v2.T
+        dot *= 2.0
+        out -= dot
+        np.exp(np.multiply(np.maximum(out, 0.0, out=out), -g, out=out), out=out)
     return float(out[0, 0]) if scalar else out
 
 

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+from hypothesis import settings
 
 from genoclass import ColumnSchema, Dataset
+
+# CI runs replay the same examples, so a property failure there reproduces
+# (and prints the blob to replay it); local runs keep exploring new ones.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 BINARY = ("No", "Yes")
 

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genoclass.ensemble import cart
 from genoclass.ensemble.cart import (
+    TIE_RTOL,
     Tree,
     TreeParams,
     apply,
@@ -312,3 +316,75 @@ class TestTreeValidation:
         doc = {**stump().to_json(), "left": [1.0, -1.0, -1.0]}
         tree = Tree.from_json(doc)
         assert tree.left.dtype == np.int64 and tree.feature.dtype == np.int64
+
+
+class TestGrowthPath:
+    """One level-by-level loop grows every tree; mtry trees draw a feature subset per node."""
+
+    @pytest.mark.parametrize("mtry", [None, 2], ids=["unsampled", "mtry"])
+    @pytest.mark.parametrize("criterion", ["variance", "gini"])
+    def test_tree_does_not_depend_on_nodes_per_call(self, monkeypatch, criterion, mtry):
+        rng = np.random.default_rng(31)
+        X = rng.integers(0, 12, size=(400, 5)).astype(np.float64)
+        y = rng.integers(0, 3, size=400) if criterion == "gini" else rng.normal(size=400)
+        params = TreeParams(criterion=criterion, mtry=mtry, seed=8, min_samples_leaf=2)
+        wide = fit_tree(X, y, params)
+        # some level splits more than 16 nodes, so the default scores it in several calls
+        depth = np.zeros(wide.feature.size, dtype=np.int64)
+        for i in np.flatnonzero(wide.left >= 0):
+            depth[[wide.left[i], wide.right[i]]] = depth[i] + 1
+        assert np.bincount(depth[wide.left >= 0]).max() > 16
+        monkeypatch.setattr(cart, "NODES_PER_CALL", 1)
+        narrow = fit_tree(X, y, params)
+        assert narrow.to_json() == wide.to_json()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mtry_splits_are_the_best_over_the_drawn_features(self, data):
+        n, d, k = data.draw(st.integers(4, 60)), data.draw(st.integers(2, 6)), data.draw(st.integers(2, 4))
+        # a drawn seed, not drawn cells: shrinking cells toward zero would leave little to split
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.integers(0, data.draw(st.integers(2, 8)), size=(n, d)).astype(np.float64)
+        y = rng.integers(0, k, size=n)
+        msl = data.draw(st.integers(1, 3))
+        params = TreeParams("gini", data.draw(st.none() | st.integers(1, 4)), msl, data.draw(st.integers(1, d - 1)), data.draw(st.integers(0, 2**32 - 1)), k)
+        calls = []
+        search = cart._best_splits
+
+        def recording(codes, values, S, groups, features, msl):
+            found = search(codes, values, S, groups, features, msl)
+            calls.append((groups, np.array(features), found))
+            return found
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cart, "_best_splits", recording)
+            tree = fit_tree(X, y, params)
+        onehot = np.eye(k)[y]
+        splits = 0
+        for groups, features, found in calls:
+            assert features.shape == (len(groups), params.mtry)
+            for rows, drawn, best in zip(groups, features, found):
+                assert len(set(drawn.tolist())) == params.mtry
+                gains = [brute_gain(onehot[rows], X[rows, f] <= t, msl) for f in drawn for t in np.unique(X[rows, f])[:-1]]
+                top = max((g for g in gains if g is not None), default=None)
+                if best is None:
+                    # no valid cut, or rows of one class, which no cut improves
+                    assert top is None or np.unique(y[rows]).size == 1
+                    continue
+                assert top is not None
+                gain, f, t, _ = best
+                assert f in drawn
+                parent = (onehot[rows].sum(axis=0) ** 2).sum() / rows.size
+                realized = brute_gain(onehot[rows], X[rows, f] <= t, msl)
+                assert realized is not None and abs(realized - top) <= TIE_RTOL * (top + parent) + 1e-12
+                assert abs(gain - top) <= TIE_RTOL * (top + parent) + 1e-12
+                splits += gain > cart.GAIN_EPS
+        assert splits == int((tree.left >= 0).sum())
+
+
+def brute_gain(stats: np.ndarray, go_left: np.ndarray, msl: int) -> float | None:
+    """Gini score gain of one cut from its two sides' class sums; None when a side has fewer than msl rows."""
+    if min(go_left.sum(), (~go_left).sum()) < msl:
+        return None
+    side = lambda mask: (stats[mask].sum(axis=0) ** 2).sum() / mask.sum()
+    return side(go_left) + side(~go_left) - (stats.sum(axis=0) ** 2).sum() / stats.shape[0]

@@ -448,6 +448,20 @@ def test_arrays_of_non_numbers_are_rejected(doc, match):
         Standardizer.from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"mean": [1, True], "scale": [2.5, 1.0]}, "mean"),
+        ({"mean": [1.0, 2.0], "scale": [2.5, False]}, "scale"),
+        ({"mean": [[1.0, 2.0], [0, True]], "scale": [1.0, 1.0]}, "mean"),
+    ],
+    ids=["among_integers", "among_floats", "in_a_matrix"],
+)
+def test_booleans_among_numbers_are_rejected(doc, match):
+    with pytest.raises(ArgumentError, match=f"{match} must be a rectangular JSON array of numbers"):
+        Standardizer.from_json(doc)
+
+
 def test_integer_arrays_decode_as_float64():
     scaler = Standardizer.from_json({"mean": [1, 2], "scale": [1, 0.5]})
     assert scaler.mean.dtype == np.float64 and scaler.mean.tolist() == [1.0, 2.0]

@@ -636,6 +636,27 @@ class TestCli:
         with pytest.raises(PersistenceError, match="malformed"):
             revive_model(ModelArtifact.load(broken))
 
+    @pytest.mark.parametrize("damage", ["forest_one_value_column", "forest_extra_class_column", "gbdt_value_matrix", "gbdt_round_without_a_tree"])
+    def test_tree_values_of_the_wrong_shape_exit_2(self, flow, tmp_path, damage):
+        source = flow.forest if damage.startswith("forest_") else flow.gbdt
+        doc = json.loads(source.artifact_path.read_text(encoding="utf-8"))
+        trees = doc["model"]["trees"]
+        if damage == "forest_one_value_column":
+            trees[0]["value"] = [row[0] for row in trees[0]["value"]]
+        elif damage == "forest_extra_class_column":
+            trees[-1]["value"] = [[*row, 0.0] for row in trees[-1]["value"]]
+        elif damage == "gbdt_value_matrix":
+            trees[0][0]["value"] = [[v] for v in trees[0][0]["value"]]
+        else:
+            trees[-1].pop()
+        broken = tmp_path / source.artifact_path.name
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert "model document is malformed" in result.output
+        with pytest.raises(PersistenceError, match="values"):
+            revive_model(ModelArtifact.load(broken))
+
     @pytest.mark.parametrize("content", [None, "not json", '{"x": 1}'], ids=["missing", "not_json", "keyless"])
     def test_bad_evaluation_file_exits_2(self, tmp_path, content):
         path = tmp_path / "evaluation.json"
@@ -712,6 +733,18 @@ class TestStrictDocuments:
         doc = json.loads(flow.forest.artifact_path.read_text(encoding="utf-8"))
         tree = doc["model"]["trees"][0]
         tree["threshold"][0] = str(tree["threshold"][0])
+        broken = tmp_path / flow.forest.artifact_path.name
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert "threshold must be a rectangular JSON array of numbers" in result.output
+        with pytest.raises(PersistenceError, match="threshold must be a rectangular JSON array of numbers"):
+            revive_model(ModelArtifact.load(broken))
+
+    def test_stored_boolean_among_numbers_exits_2(self, flow, tmp_path):
+        doc = json.loads(flow.forest.artifact_path.read_text(encoding="utf-8"))
+        tree = doc["model"]["trees"][0]
+        tree["threshold"][0] = True
         broken = tmp_path / flow.forest.artifact_path.name
         broken.write_text(json.dumps(doc), encoding="utf-8")
         result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
