@@ -20,11 +20,9 @@ from .dataset import (
     ROLES,
     TASK_ROLES,
     ColumnSchema,
-    ColumnStats,
     Dataset,
     SplitPair,
     apply_imputation,
-    column_stats,
     fit_imputation,
     impute_missing,
     load_csv,

@@ -93,8 +93,6 @@ def revive_model(artifact: ModelArtifact):
     if name not in ALGORITHMS:
         raise ArgumentError(f"unknown algorithm {name!r} in artifact")
     try:
-        model = ALGORITHMS[name].model.from_json(artifact.model_doc)
-        model.check_stored()
-        return model
+        return ALGORITHMS[name].model.from_json(artifact.model_doc)
     except ArgumentError as exc:
         raise PersistenceError(f"{name} model document is malformed: {exc}") from exc

@@ -44,9 +44,6 @@ class JsonCodec:
     def from_json(cls, doc: dict):
         return decode(cls, doc)
 
-    def check_stored(self) -> None:
-        """Raise ArgumentError if a revived instance breaks a rule its fields' types cannot state."""
-
 
 @functools.cache
 def _init_fields(cls: type) -> tuple[tuple[str, Any], ...]:

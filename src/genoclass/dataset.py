@@ -14,9 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -572,60 +572,4 @@ def stratified_split(ds: Dataset, ratio: float, seed: int, target: str) -> Split
         test=ds.take(np.concatenate(test_idx)),
         seed=seed,
         ratio=ratio,
-    )
-
-
-# -- summaries ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Summary of one column over its observed cells.
-
-    ``defined`` is False (and aggregates None) when every cell is missing.
-    For discrete columns the histogram maps category tokens to counts and
-    ``mode`` is a token; min/max/median apply to numeric columns only.
-    """
-
-    name: str
-    kind: str
-    missing_count: int
-    defined: bool
-    min: float | None = None
-    max: float | None = None
-    median: float | None = None
-    mode: float | str | None = None
-    histogram: dict[str, int] | None = None
-
-
-def column_stats(ds: Dataset, col: str) -> ColumnStats:
-    """Summarize a column; statistics cover non-missing cells only."""
-    schema = ds.schema_of(col)
-    mask = ds.missing_mask(col)
-    present = ds.values(col)[~mask]
-    n_missing = int(mask.sum())
-    if present.size == 0:
-        return ColumnStats(col, schema.kind, n_missing, defined=False)
-    if schema.kind == "numeric":
-        uniq, counts = np.unique(present, return_counts=True)
-        mode = float(uniq[np.argmax(counts)])  # ties: np.unique sorts, argmax picks smallest
-        return ColumnStats(
-            col,
-            schema.kind,
-            n_missing,
-            defined=True,
-            min=float(present.min()),
-            max=float(present.max()),
-            median=float(np.median(present)),
-            mode=mode,
-        )
-    counts = np.bincount(present.astype(np.int64), minlength=len(schema.categories))
-    histogram = {tok: int(counts[i]) for i, tok in enumerate(schema.categories)}
-    return ColumnStats(
-        col,
-        schema.kind,
-        n_missing,
-        defined=True,
-        mode=schema.token_of(int(np.argmax(counts))),
-        histogram=histogram,
     )

@@ -7,16 +7,18 @@ then replaces every leaf value with a one-step Newton update
     leaf = learning_rate * sum(residuals) / sum(hessians)
 
 computed over the full training data routed to that leaf (the step size is
-absorbed into the stored leaf values). One ``cart.apply`` descent per tree
-gives each row's leaf for both this refit and the score update. Features
-are rank-coded once per fit, and every structure search runs the histogram
-kernel of ``cart``.
+absorbed into the stored leaf values). Plain and oblivious trees grow on
+every row and hand back each row's leaf for both this refit and the score
+update; a GOSS tree, grown on a sample, gets them from one ``cart.apply``
+descent. Features are rank-coded, and their offset bin matrix built, once
+per fit, and every structure search runs the histogram kernel of ``cart``,
+reusing a level's histograms for the next as ``cart`` describes.
 Plain and GOSS trees grow level by level with the variance criterion:
 plain on every row's residuals, GOSS on one gradient-magnitude-based row
 sample per round, with the random remainder's residuals weighted by
 (1 - a) / b, so each node's split maximizes goss_gain over its rows. The
 oblivious variant gives each level one shared (feature, threshold) test
-maximizing the score summed over the level's nodes, stored as a complete
+maximizing the score summed over the level's cells, stored as a complete
 ``cart.Tree`` in heap order, so every variant predicts through one path.
 """
 
@@ -30,7 +32,7 @@ import numpy as np
 from ..codec import JsonCodec
 from ..dataset import Dataset, supervised_arrays
 from ..errors import ArgumentError, ConvergenceError
-from .cart import GAIN_EPS, NODES_PER_CALL, TIE_RTOL, Tree, TreeParams, apply, compact_bins, feature_rows, grow_tree, predict_tree, rank_codes, split_scores, tree_from_splits
+from .cart import GAIN_EPS, NODES_PER_CALL, TIE_RTOL, Tree, TreeParams, apply, feature_offsets, feature_rows, grow_tree, level_histograms, offset_bins, predict_tree, rank_codes, split_scores, tree_from_splits
 
 LOSSES = ("squared", "multiclass_logloss")
 VARIANTS = ("plain", "goss", "oblivious")
@@ -209,8 +211,11 @@ class GbdtModel(JsonCodec):
     loss_history: tuple[float, ...]
     config: GbdtConfig = field(default_factory=GbdtConfig)
 
-    def check_stored(self) -> None:
-        """Every round holds one tree of (n_nodes,) leaf scores per score column."""
+    def __post_init__(self) -> None:
+        """A classifier has one score column per class label, and every round
+        one tree of (n_nodes,) leaf scores per score column; raises ArgumentError."""
+        if self.class_labels and self.f0.size != len(self.class_labels):
+            raise ArgumentError(f"f0 holds {self.f0.size} initial scores for {len(self.class_labels)} class labels")
         if any(len(r) != self.f0.size or any(tree.value.ndim != 1 for tree in r) for r in self.trees):
             raise ArgumentError(f"each boosting round must hold {self.f0.size} trees of (n_nodes,) values")
 
@@ -244,46 +249,59 @@ class GbdtModel(JsonCodec):
 def _refit_leaves(tree: Tree, leaf: np.ndarray, g: np.ndarray, h: np.ndarray, lr: float) -> None:
     """Set leaf values to learning-rate-scaled Newton steps over the full data.
 
-    leaf holds each training row's leaf id (``cart.apply``); each leaf sums
-    its rows in ascending row order. Leaves no full-data row reaches
-    (possible for oblivious cells) score 0, as does a leaf whose hessian
-    mass vanishes; internal rows, which no row ends at, stay 0.
+    leaf holds each training row's leaf id (from growth or ``cart.apply``);
+    each leaf sums its rows in ascending row order. Leaves no full-data row
+    reaches (possible for oblivious cells) score 0, as does a leaf whose
+    hessian mass vanishes; internal rows, which no row ends at, stay 0.
     """
     counts = np.bincount(leaf, minlength=tree.value.shape[0])
-    for node, rows in enumerate(np.split(np.argsort(leaf, kind="stable"), np.cumsum(counts)[:-1])):
+    order, end = np.argsort(leaf, kind="stable"), np.cumsum(counts)
+    tree.value[:] = 0.0
+    for node in np.flatnonzero(counts):
+        rows = order[end[node] - counts[node] : end[node]]
         h_sum = float(h[rows].sum())
         tree.value[node] = 0.0 if h_sum <= 1e-12 else lr * float(g[rows].sum()) / h_sum
 
 
-def _fit_oblivious_structure(codes: np.ndarray, values: tuple[np.ndarray, ...], g: np.ndarray, max_depth: int) -> Tree:
+def _fit_oblivious_structure(codes: np.ndarray, bins: np.ndarray, values: tuple[np.ndarray, ...], g: np.ndarray, max_depth: int) -> tuple[Tree, np.ndarray]:
     """Choose one shared (feature, threshold) per level maximizing the summed score.
 
-    Candidates are the union over the level's nodes of midpoints between
-    adjacent distinct values in the node; each scores as the cut of the codes
-    it falls at (a node it leaves whole adds its unsplit score), and a cut
+    Candidates are the union over the level's cells of midpoints between
+    adjacent distinct values in the cell; each scores as the cut of the codes
+    it falls at (a cell it leaves whole adds its unsplit score), and a cut
     several midpoints reach keeps the lowest. Stops when nothing improves.
+    Rows are keyed by their cell id (bins are the codes' ``offset_bins``),
+    and a level scored in one call keeps its cells' histograms, so the next
+    counts only the smaller half of each cell. Returns the tree and each
+    row's leaf id.
     """
-    features = np.arange(codes.shape[1])[None]
-    cells: list[np.ndarray] = [np.arange(codes.shape[0])]
+    offsets, value = feature_offsets(values), np.concatenate(values)
+    slot = np.repeat(np.arange(len(values)), np.diff(offsets))
+    key = slot + 1j * value  # complex order is (feature, value): one search finds a value's bin in its feature
+    cell = np.zeros(codes.shape[0], dtype=np.int64)  # cell c splits into cells 2c (left) and 2c + 1
     levels: list[tuple[int, float]] = []
-    for _ in range(max_depth):
-        live = [c for c in cells if c.size]
-        rows = np.concatenate(live)
-        bins, start, slot, value = compact_bins(codes, values, [rows], features, min(len(live), NODES_PER_CALL))
-        key = slot + 1j * value  # complex order is (feature, value): one search finds a value's bin in its feature
-        node = np.repeat(np.arange(len(live)), [c.size for c in live])
+    kept = None
+    for depth in range(max_depth):
+        size = np.bincount(cell, minlength=2**depth)
+        live = np.flatnonzero(size)
         score, threshold, parent = np.zeros(value.size), np.full(value.size, np.inf), 0.0
-        for lo in range(0, len(live), NODES_PER_CALL):
-            part = (node >= lo) & (node < lo + NODES_PER_CALL)
-            n_cells = min(NODES_PER_CALL, len(live) - lo)
-            count, _, cell_score, cell_parent = split_scores(bins[part], g[rows[part], None], node[part] - lo, n_cells, start)
+        for lo in range(0, live.size, NODES_PER_CALL):
+            part = live[lo : lo + NODES_PER_CALL]
+            hist = level_histograms(bins, g[:, None], cell, part, size, kept if part.size == live.size else None, value.size)
+            # scoring sums the statistic planes in place; a level scored in one call keeps a copy
+            count, _, cell_score, cell_parent = split_scores(hist.copy() if part.size == live.size else hist, offsets)
             score += cell_score.sum(axis=0)
             parent += cell_parent.sum()
-            cell, at = np.nonzero(count)
-            pair = (cell[:-1] == cell[1:]) & (slot[at[:-1]] == slot[at[1:]])
+            at_cell, at = np.nonzero(count)
+            pair = (at_cell[:-1] == at_cell[1:]) & (slot[at[:-1]] == slot[at[1:]])
             a, b = at[:-1][pair], at[1:][pair]
             mids = (value[a] + value[b]) / 2.0
-            np.minimum.at(threshold, np.searchsorted(key, slot[a] + 1j * mids, side="right") - 1, mids)
+            # a midpoint lands on a, or on b if it rounds up to b's value; between a and b
+            # lie the values the cell lacks, searched for in (feature, value) order
+            to = a + (mids >= value[b])
+            gap = np.flatnonzero(b > a + 1)
+            to[gap] = np.searchsorted(key, slot[a[gap]] + 1j * mids[gap], side="right") - 1
+            np.minimum.at(threshold, to, mids)
         score[np.isinf(threshold)] = -np.inf
         best = score.max(initial=-np.inf)
         if not best - parent > GAIN_EPS:
@@ -291,13 +309,13 @@ def _fit_oblivious_structure(codes: np.ndarray, values: tuple[np.ndarray, ...], 
         at = int(np.argmax(score >= best - TIE_RTOL * best))
         f, t = int(slot[at]), float(threshold[at])
         levels.append((f, t))
-        cut = int(np.searchsorted(values[f], t, side="right")) - 1
-        cells = [side for cell in cells for side in (cell[codes[cell, f] <= cut], cell[codes[cell, f] > cut])]
+        kept = (2 * live, hist) if live.size <= NODES_PER_CALL else None
+        cell = 2 * cell + (codes[:, f] > int(np.searchsorted(values[f], t, side="right")) - 1)
 
     # the complete tree in heap order: node i, on level floor(log2(i + 1)), has children 2i + 1 and 2i + 2
     n_nodes = 2 ** (len(levels) + 1) - 1
     splits = [(i, *levels[(i + 1).bit_length() - 1], 2 * i + 1) for i in range(n_nodes // 2)]
-    return tree_from_splits(n_nodes, splits, np.zeros(n_nodes))
+    return tree_from_splits(n_nodes, splits, np.zeros(n_nodes)), cell + n_nodes // 2
 
 
 # -- fitting -------------------------------------------------------------------------
@@ -361,6 +379,7 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
 
     params = TreeParams(criterion="variance", max_depth=config.max_depth, min_samples_leaf=config.min_samples_leaf)
     codes, values = rank_codes(X)
+    bins = offset_bins(codes, values)
     F = np.tile(f0, (n, 1))
     history = [loss_value(config.loss, y, F)]
     trees: list[list[Tree]] = []
@@ -375,17 +394,19 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
             magnitude = np.sqrt((residuals * residuals).sum(axis=1))
             sample = goss_sample(magnitude, config.a, config.b, seed=int(master.integers(2**32)))
             idx, weights = sample.indices, sample.row_weights
+            sample_codes, sample_bins = codes[idx], bins[idx]
 
         round_trees: list[Tree] = []
         for c in range(k):
             g = residuals[:, c]
             if config.variant == "plain":
-                tree = grow_tree(codes, values, g, params)
+                tree, leaf = grow_tree(codes, values, g, params, bins)
             elif config.variant == "goss":
-                tree = grow_tree(codes[idx], values, weights * g[idx], params)
+                # grown on the sample, so the full data descends the tree
+                tree = grow_tree(sample_codes, values, weights * g[idx], params, sample_bins)[0]
+                leaf = apply(tree, X)
             else:
-                tree = _fit_oblivious_structure(codes, values, g, config.max_depth)
-            leaf = apply(tree, X)
+                tree, leaf = _fit_oblivious_structure(codes, bins, values, g, config.max_depth)
             _refit_leaves(tree, leaf, g, hessians[:, c], config.learning_rate)
             round_trees.append(tree)
             F[:, c] += tree.value[leaf]

@@ -1,15 +1,27 @@
 """CART base learner: greedy binary trees for regression and classification.
 
 A fit rank-codes each feature once; the split kernel (``split_scores``)
-then scores every cut from ``np.bincount`` histograms of a per-row
-statistic matrix over the codes, sorting nothing. One target column gives
-the squared-error reduction, one-hot class columns the Gini impurity
+then scores every cut from ``np.bincount`` histograms (``histograms``) of a
+per-row statistic matrix over the codes, sorting nothing. One target column
+gives the squared-error reduction, one-hot class columns the Gini impurity
 reduction. Thresholds are midpoints between adjacent distinct values in the
 node. Every tree grows level by level, one kernel call per ``NODES_PER_CALL``
 nodes, each node searching all features or, in an ``mtry`` tree, its own
 subset, drawn for the whole level in one call on the tree's generator.
 Gains within ``TIE_RTOL`` of the best tie, broken toward the lowest feature,
 then the lowest threshold. Rows route left when value <= threshold.
+
+Rows carry their node id. An unsampled level reads its rows' bins from one
+offset bin matrix (``offset_bins``), which a fit builds once. A level scored
+in one call over every bin keeps its histograms (``level_histograms``), so
+the next level counts only the smaller child of each split and takes its
+sibling as parent minus child: count planes stay exact integers, statistic
+sums change by rounding, which ``TIE_RTOL`` absorbs. The kept histograms are
+those of at most ``NODES_PER_CALL`` nodes, B bins per plane. A wider level,
+or a call whose histograms over every bin would outnumber its (row, feature)
+pairs and so keeps only the bins its rows have (``compact_bins``), builds its
+histograms directly, as does every ``mtry`` level: its nodes search
+different features, so no parent histogram covers them.
 
 Every tree, greedy or oblivious, is one ``Tree`` of parallel per-node
 arrays, and ``apply`` is the one descent: it maps rows to leaf ids level by
@@ -35,7 +47,8 @@ GAIN_EPS = 1e-12
 #: scale counts the children, as boosting residuals can sum to a zero parent
 TIE_RTOL = 1e-9
 
-#: most nodes one kernel call scores, which bounds memory on wide levels
+#: most nodes one kernel call scores, and most a level keeps histograms of for the
+#: next level; this bounds memory on wide levels
 NODES_PER_CALL = 16
 
 
@@ -127,91 +140,207 @@ def rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return codes, tuple(values for values, _ in pairs)
 
 
-def split_scores(bins: np.ndarray, S: np.ndarray, node: np.ndarray, n_nodes: int, start: np.ndarray, last=-1):
+def feature_offsets(values: Sequence[np.ndarray]) -> np.ndarray:
+    """First bin of each feature, then the bin count: feature f's bins, one per
+    distinct value in value order, run from offsets[f] to offsets[f + 1] - 1."""
+    return np.cumsum([0, *(v.size for v in values)])
+
+
+def offset_bins(codes: np.ndarray, values: Sequence[np.ndarray]) -> np.ndarray:
+    """Each row's bin per feature: its rank code plus the feature's first bin (intp, as bincount reads it)."""
+    return codes + feature_offsets(values)[:-1].astype(np.intp)
+
+
+def histograms(key: np.ndarray, S: np.ndarray, n_nodes: int, n_bins: int) -> np.ndarray:
+    """The (k + 1) x n_nodes x n_bins histogram planes of rows with keys key
+    (m x F), each row's bins plus n_bins times its node: the per-bin sums of
+    each column of S (m x k), then the per-bin row counts. A bin sums its
+    rows in their order here."""
+    flat, k = key.reshape(-1), S.shape[1]
+    hist = np.empty((k + 1, n_nodes, n_bins))
+    for j, plane in enumerate(hist.reshape(k + 1, -1)):
+        plane[:] = np.bincount(flat, weights=np.repeat(S[:, j], key.shape[1]) if j < k else None, minlength=plane.size)
+    return hist
+
+
+def split_scores(hist: np.ndarray, offsets: np.ndarray, last=-1):
     """The split kernel: score every cut of every (node, feature) from histograms.
 
-    bins (m x F) holds each row's bin per feature of its node, a feature's
-    bins consecutive in value order, start[b] the first bin of b's feature,
-    last (per node or for all) the last bin of a node's last feature; S (m x
-    k) holds per-row statistics. Returns n_nodes x B arrays count, n_left
-    (rows in, and at or below, the bin) and score = sum_j L_j^2/n_l + R_j^2/n_r
-    for the cut after the bin (L, R the side sums of S; an empty side scores
-    0), and each node's unsplit score sum_j T_j^2/n, its last bin's score.
+    hist holds the histogram planes of ``histograms``, built or derived by
+    subtraction; the kernel sums its statistic planes in place. A feature's
+    bins are consecutive in value order, from offsets[f] to offsets[f + 1] -
+    1 (see feature_offsets), and last (per node or for all) is the last bin
+    of a node's last feature. Returns n_nodes x B arrays count, n_left (rows
+    in, and at or below, the bin) and score = sum_j L_j^2/n_l + R_j^2/n_r for
+    the cut after the bin (L, R the side sums of S; an empty side scores 0),
+    and each node's unsplit score sum_j T_j^2/n, its last bin's score.
     """
-    F, k, B = bins.shape[1], S.shape[1], start.size
-    key = (node[:, None] * B + bins).ravel()
-    # plane by plane (statistic j, then the counts), so temporaries stay n_nodes x B
-    cum = np.zeros((k + 1, n_nodes, B + 1))
-    for j, plane in enumerate(cum):
-        hist = np.bincount(key, weights=np.repeat(S[:, j], F) if j < k else None, minlength=n_nodes * B).reshape(n_nodes, B)
-        np.cumsum(hist, axis=1, out=plane[:, 1:])
-        plane[:, 1:] -= plane[:, start]
-    left, nodes = cum[..., 1:], np.arange(n_nodes)
+    # in place where it can be, as large temporaries cost page faults
+    count, nodes, sizes = hist[-1], np.arange(hist.shape[1]), np.diff(offsets)
+    left = [*np.cumsum(hist[:-1], axis=2, out=hist[:-1]), np.cumsum(count, axis=1)]
+    for plane in left:
+        # restart the sums at each feature's first bin
+        before = plane[:, offsets[:-1] - 1]
+        before[:, offsets[:-1] == 0] = 0.0
+        plane -= np.repeat(before, sizes, axis=1)
     # a node's last bin closes its last feature: its left side is the whole node
-    n_l, total = left[k], left[:, nodes, last, None]
-    sq_l = sq_r = 0.0
-    for j in range(k):
-        sq_l, sq_r = sq_l + np.square(left[j]), sq_r + np.square(total[j] - left[j])
-    # an empty side's sums are 0 (R up to rounding, summed by another feature)
-    score = sq_l / np.maximum(n_l, 1) + sq_r / np.maximum(total[k] - n_l, 1)
-    return hist, n_l, score, score[nodes, last]
+    n_l, total = left[-1], [plane[nodes, last, None] for plane in left]
+    # the first statistic plane is scratch once read
+    sq_l, sq_r = np.square(left[0]), np.subtract(total[0], left[0])
+    np.square(sq_r, out=sq_r)
+    scratch = left[0]
+    for j in range(1, len(left) - 1):
+        sq_l += np.square(left[j], out=scratch)
+        np.subtract(total[j], left[j], out=scratch)
+        sq_r += np.square(scratch, out=scratch)
+    # an empty side's sums are 0 (R up to rounding, summed by another feature or by subtraction)
+    sq_l /= np.maximum(n_l, 1, out=scratch)
+    np.subtract(total[-1], n_l, out=scratch)
+    sq_r /= np.maximum(scratch, 1, out=scratch)
+    sq_l += sq_r
+    return count, n_l, sq_l, sq_l[nodes, last]
 
 
-def compact_bins(codes: np.ndarray, values: Sequence[np.ndarray], groups: list[np.ndarray], features: np.ndarray, n_nodes: int):
-    """Kernel bins of the groups' rows, in group order, and each bin's feature
-    start, feature and value (see split_scores). features (groups x F) holds
-    each group's features in ascending order; bins cover every group's
-    features, in feature order. When n_nodes histograms over every value
-    would outsize the (row, feature) pairs, only the values the rows have get
-    a bin, so histograms scale with the rows."""
-    sizes = np.where(np.bincount(features.ravel(), minlength=len(values)) > 0, [v.size for v in values], 0)
-    full = np.cumsum([0, *sizes])
-    flat = np.concatenate([np.take(codes[g], f, axis=1) + full[f] for g, f in zip(groups, features)])  # row-major, as split_scores reads it
-    value = np.concatenate([v[:size] for v, size in zip(values, sizes)])
-    if flat.size >= n_nodes * full[-1]:
-        slot = np.repeat(np.arange(sizes.size), sizes)
-        return flat, full[slot], slot, value
-    present = np.bincount(flat.ravel(), minlength=full[-1]) > 0
+def compact_bins(bins: np.ndarray, offsets: np.ndarray, value: np.ndarray, n_nodes: int):
+    """Kernel bins of rows with bins (m x F) in the layout of offsets (see
+    feature_offsets), whose bins hold value, with the kernel layout's
+    offsets and each kernel bin's feature and value. When n_nodes histograms
+    over every bin would outsize the (row, feature) pairs, only the bins the
+    rows have are kept, so histograms scale with the rows."""
+    slot = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    if bins.size >= n_nodes * offsets[-1]:
+        return bins, offsets, slot, value
+    present = np.bincount(bins.ravel(), minlength=offsets[-1]) > 0
     used = np.flatnonzero(present)
-    slot = np.searchsorted(full, used, side="right") - 1
-    start = np.searchsorted(used, full[:-1])[slot]
-    return (np.cumsum(present) - 1)[flat], start, slot, value[used]
+    return (np.cumsum(present) - 1)[bins], np.searchsorted(used, offsets), slot[used], value[used]
 
 
-def _best_splits(codes, values, S, groups: list[np.ndarray], features: np.ndarray, msl: int) -> list:
-    """Best (gain, feature, threshold, cut code) of each nonempty row group, or None.
+def level_histograms(bins: np.ndarray, S: np.ndarray, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, n_bins: int) -> np.ndarray:
+    """The histograms (see ``histograms``) of the given nodes over every bin,
+    rows keyed by their node id node; bins are the rows' offset_bins.
 
-    features (groups x F) holds each group's candidate features in ascending
-    order. A valid cut separates values present in the group, msl rows or
-    more on each side. Groups whose statistic rows are all equal (no cut
-    improves them) are not scored."""
-    found: list = [None] * len(groups)
-    if not (groups and features.size):
-        return found
-    bounds, stats = np.cumsum([0] + [g.size for g in groups[:-1]]), S[np.concatenate(groups)]
-    live = np.flatnonzero((np.maximum.reduceat(stats, bounds) != np.minimum.reduceat(stats, bounds)).any(axis=1))
-    for lo in range(0, len(live), NODES_PER_CALL):
-        part = live[lo : lo + NODES_PER_CALL]
-        chunk = [groups[i] for i in part]
-        sizes, rows = np.array([g.size for g in chunk]), np.concatenate(chunk)
-        bins, start, slot, value = compact_bins(codes, values, chunk, features[part], len(part))
-        # a node's last bin is that of its own last feature
-        last = np.searchsorted(slot, features[part, -1], side="right") - 1
-        count, n_l, score, parent = split_scores(bins, S[rows], np.repeat(np.arange(len(part)), sizes), len(part), start, last)
-        valid = (count > 0) & (n_l >= msl) & (sizes[:, None] - n_l >= msl)
-        gain = np.where(valid, score - parent[:, None], -np.inf)
-        best = gain.max(axis=1)
-        at = np.flatnonzero(best > -np.inf)
-        p = np.argmax(gain[at] >= (best[at] - TIE_RTOL * (best[at] + parent[at]))[:, None], axis=1)
+    size holds the rows of each node id. kept is None, or (left, hist): the
+    split nodes of the level above as their left child ids (the right child
+    is left + 1) and their histograms. Then only the smaller child of each
+    split is counted and its sibling is the parent's histogram minus it:
+    counts stay exact, sums change by rounding.
+    """
+    slot = np.full(size.size, -1)
+    slot[nodes] = np.arange(nodes.size)
+    n_slots = nodes.size
+    if kept is not None:
+        left, parent = kept
+        pair = np.full(size.size, -1)
+        pair[left] = pair[left + 1] = np.arange(left.size)
+        pair = pair[nodes]
+        small = np.where(size[left[pair]] <= size[left[pair] + 1], left[pair], left[pair] + 1)
+        big = np.flatnonzero(small != nodes)
+        slot[nodes[big]] = -1
+        # a smaller child that is not scored itself is counted after the scored nodes
+        spare = small[big][slot[small[big]] < 0]
+        slot[spare] = n_slots + np.arange(spare.size)
+        n_slots += spare.size
+    rows = np.flatnonzero(slot[node] >= 0)
+    if rows.size == node.size:
+        key, stats = bins, S
+    else:
+        key, stats = bins[rows], S[rows]
+    if n_slots > 1:
+        key = key + (slot[node[rows]] * n_bins)[:, None]
+    hist = histograms(key, stats, n_slots, n_bins)
+    for b in big if kept is not None else ():
+        np.subtract(parent[:, pair[b]], hist[:, slot[small[b]]], out=hist[:, b])
+    return hist[:, : nodes.size]
+
+
+def _pick(hist: np.ndarray, offsets: np.ndarray, last, slot: np.ndarray, value: np.ndarray, values: Sequence[np.ndarray], sizes: np.ndarray, msl: int) -> list:
+    """Best (gain, feature, threshold, cut code) of each node scored from its
+    histograms (see split_scores), or None; bins have features slot
+    and values value, sizes holds the nodes' rows. A valid cut separates
+    values present in the node, msl rows or more on each side."""
+    count, n_l, score, parent = split_scores(hist, offsets, last)
+    gain = score
+    gain -= parent[:, None]
+    # msl <= n_l <= size - msl, in exact half-integer arithmetic
+    half = sizes[:, None] / 2.0
+    valid = (count > 0) & (np.abs(n_l - half) <= half - msl)
+    # an invalid cut gains -inf: the minimum with +inf keeps a gain, with -inf drops it (no branches on the mask)
+    np.minimum(gain, (valid - 0.5) * np.inf, out=gain)
+    best = gain.max(axis=1)
+    at = np.flatnonzero(best > -np.inf)
+    p = np.argmax(gain[at] >= (best[at] - TIE_RTOL * (best[at] + parent[at]))[:, None], axis=1)
+    found: list = [None] * sizes.size
+    for i, b in zip(at, p):
         # rows remain above a valid cut, so the next nonempty bin is the same feature's
-        q = np.argmax((count[at] > 0) & (np.arange(count.shape[1]) > p[:, None]), axis=1)
-        for i, f, t in zip(at, slot[p], (value[p] + value[q]) / 2.0):
-            found[part[i]] = (float(best[i]), int(f), float(t), int(np.searchsorted(values[f], t, side="right")) - 1)
+        t = (value[b] + value[b + 1 + np.argmax(count[i, b + 1 :] > 0)]) / 2.0
+        f = int(slot[b])
+        found[i] = (float(best[i]), f, float(t), int(np.searchsorted(values[f], t, side="right")) - 1)
     return found
 
 
-def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, params: TreeParams) -> Tree:
-    """fit_tree on rank codes and values from rank_codes (codes may be a row subset)."""
+def _best_splits(codes, values, S, groups: list[np.ndarray], features: np.ndarray, msl: int) -> list:
+    """Best split (see _pick) of each row group of an mtry level, or None.
+
+    features (groups x F) holds each group's candidate features in ascending
+    order; a call's bins cover the union of its groups' features."""
+    found: list = []
+    for lo in range(0, len(groups), NODES_PER_CALL):
+        chunk, drawn = groups[lo : lo + NODES_PER_CALL], features[lo : lo + NODES_PER_CALL]
+        sizes = np.array([g.size for g in chunk])
+        used = np.where(np.bincount(drawn.ravel(), minlength=len(values)) > 0, [v.size for v in values], 0)
+        offsets = np.cumsum([0, *used])
+        rows = np.concatenate([np.take(codes[g], f, axis=1) + offsets[f] for g, f in zip(chunk, drawn)])
+        value = np.concatenate([v[:size] for v, size in zip(values, used)])
+        key, offsets, slot, value = compact_bins(rows, offsets, value, len(chunk))
+        key += np.repeat(np.arange(len(chunk)) * slot.size, sizes)[:, None]
+        hist = histograms(key, S[np.concatenate(chunk)], len(chunk), slot.size)
+        # a node's last bin is that of its own last feature
+        found += _pick(hist, offsets, offsets[drawn[:, -1] + 1] - 1, slot, value, values, sizes, msl)
+    return found
+
+
+def _level_splits(bins, values, S, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, msl: int):
+    """Best split (see _pick) of each node of an unsampled level, rows keyed by
+    their node id node, and the level's histograms when it was scored in one
+    call over every bin (else None), for its children to subtract from."""
+    offsets, value = feature_offsets(values), np.concatenate(values)
+    if nodes.size <= NODES_PER_CALL and size[nodes].sum() * bins.shape[1] >= nodes.size * offsets[-1]:
+        hist = level_histograms(bins, S, node, nodes, size, kept, offsets[-1])
+        slot = np.repeat(np.arange(len(values)), np.diff(offsets))
+        # scoring sums the statistic planes in place, so the kept histograms are a copy
+        return _pick(hist.copy(), offsets, -1, slot, value, values, size[nodes], msl), hist
+    found: list = []
+    for lo in range(0, nodes.size, NODES_PER_CALL):
+        part = nodes[lo : lo + NODES_PER_CALL]
+        at = np.full(size.size, -1)
+        at[part] = np.arange(part.size)
+        rows = np.flatnonzero(at[node] >= 0)
+        key, part_offsets, slot, part_value = compact_bins(bins[rows], offsets, value, part.size)
+        key += (at[node[rows]] * slot.size)[:, None]
+        hist = histograms(key, S[rows], part.size, slot.size)
+        found += _pick(hist, part_offsets, -1, slot, part_value, values, size[part], msl)
+    return found, None
+
+
+def _varies(S: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Whether each node's statistic rows differ: no cut improves a node whose rows are all equal."""
+    some = np.zeros(n_nodes, dtype=np.int64)
+    some[node] = np.arange(node.size)  # one row of each node, whichever
+    return np.bincount(node, weights=(S != S[some[node]]).any(axis=1), minlength=n_nodes) > 0
+
+
+def _groups(node: np.ndarray, nodes: np.ndarray, size: np.ndarray) -> list[np.ndarray]:
+    """The rows of each of nodes, ascending, in nodes' order."""
+    pos = np.full(size.size, -1)
+    pos[nodes] = np.arange(nodes.size)
+    rows = np.flatnonzero(pos[node] >= 0)
+    return np.split(rows[np.argsort(pos[node[rows]], kind="stable")], np.cumsum(size[nodes]))[:-1]
+
+
+def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, params: TreeParams, bins: np.ndarray | None = None) -> tuple[Tree, np.ndarray]:
+    """fit_tree on rank codes and values from rank_codes (codes may be a row
+    subset); returns the tree and each row's leaf id. An unsampled tree may
+    be handed the codes' offset_bins, so a fit builds them once."""
     n, d = codes.shape
     y_len = np.asarray(y).reshape(-1).shape[0]
     if y_len != n:
@@ -230,33 +359,51 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, pa
             raise ArgumentError("targets contain non-finite values")
 
     sampled = params.mtry is not None and params.mtry < d
-    rng = np.random.default_rng(params.seed)
+    if not sampled and bins is None:
+        bins = offset_bins(codes, values)
+    rng = np.random.default_rng(params.seed) if sampled else None
     limit, min_rows = params.max_depth, max(2, 2 * params.min_samples_leaf)
-    splits, leaves, n_nodes = [], [], 1
-    level, depth = [(0, np.arange(n))], 0
-    while level:
-        grows = [(limit is None or depth < limit) and rows.size >= min_rows for _, rows in level]
-        groups = [rows for (_, rows), go in zip(level, grows) if go]
-        # an mtry tree draws the features of all the level's growing nodes in one call, in node order
-        drawn = np.argsort(rng.random((len(groups), d)), axis=1)[:, : params.mtry] if sampled else np.arange(d)
-        features = np.broadcast_to(np.sort(drawn, axis=-1), (len(groups), drawn.shape[-1]))
-        best = iter(_best_splits(codes, values, S, groups, features, params.min_samples_leaf))
-        grown, level, depth = level, [], depth + 1
-        for (node, rows), go in zip(grown, grows):
-            found = next(best) if go else None
-            if found is None or found[0] <= GAIN_EPS:
-                leaves.append((node, S[rows].sum(axis=0) if params.criterion == "gini" else S[rows].mean()))
-                continue
-            _, f, t, cut = found
-            go_left = codes[rows, f] <= cut
-            # a node's children get the next two ids when it splits; the next level lists the right child first
-            splits.append((node, f, t, n_nodes))
-            level += [(n_nodes + 1, rows[~go_left]), (n_nodes, rows[go_left])]
-            n_nodes += 2
-    value = np.zeros((n_nodes, S.shape[1]))
-    for node, payload in leaves:
-        value[node] = payload
-    return tree_from_splits(n_nodes, splits, value if params.criterion == "gini" else value[:, 0])
+    # each row's node id; split j's children get ids 2j + 1 (left) and 2j + 2
+    node = np.zeros(n, dtype=np.int64)
+    splits: list[tuple[int, int, float]] = []
+    level, kept, depth = np.zeros(1, dtype=np.int64), None, 0
+    while level.size:
+        n_nodes = 2 * len(splits) + 1
+        size = np.bincount(node, minlength=n_nodes)
+        grows = level[size[level] >= min_rows] if limit is None or depth < limit else level[:0]
+        live = grows[_varies(S, node, n_nodes)[grows]] if grows.size else grows
+        if not live.size:
+            break
+        hist = None
+        if sampled:
+            # an mtry tree draws the features of all the level's growing nodes in one call, in node order
+            drawn = np.sort(np.argsort(rng.random((grows.size, d)), axis=1)[:, : params.mtry], axis=1)
+            found = _best_splits(codes, values, S, _groups(node, live, size), drawn[np.isin(grows, live)], params.min_samples_leaf)
+        else:
+            found, hist = _level_splits(bins, values, S, node, live, size, kept, params.min_samples_leaf)
+        split = np.array([f is not None and f[0] > GAIN_EPS for f in found], dtype=bool)
+        chosen = [f for f, go in zip(found, split) if go]
+        first = len(splits)
+        splits += [(int(v), f, t) for v, (_, f, t, _) in zip(live[split], chosen)]
+        child = 2 * np.arange(first, len(splits)) + 1
+        kept = None if hist is None else (child, hist[:, split])
+        # route the split nodes' rows; the next level lists each right child first
+        to = np.full(n_nodes, -1)
+        to[live[split]] = np.arange(len(chosen))
+        moving = np.flatnonzero(to[node] >= 0)
+        j = to[node[moving]]
+        feature, cut = (np.array([c[i] for c in chosen], dtype=np.int64) for i in (1, 3))
+        node[moving] = child[j] + (codes[moving, feature[j]] > cut[j])
+        level, depth = np.stack([child + 1, child], axis=1).ravel(), depth + 1
+    n_nodes = 2 * len(splits) + 1
+    size = np.bincount(node, minlength=n_nodes)
+    if params.criterion == "gini":
+        value = np.bincount(node * k + classes, minlength=n_nodes * k).reshape(n_nodes, k).astype(np.float64)
+    else:
+        value, order, end = np.zeros(n_nodes), np.argsort(node, kind="stable"), np.cumsum(size)
+        for leaf in np.flatnonzero(size):
+            value[leaf] = S[order[end[leaf] - size[leaf] : end[leaf]]].mean()
+    return tree_from_splits(n_nodes, [(v, f, t, 2 * j + 1) for j, (v, f, t) in enumerate(splits)], value), node
 
 
 def tree_from_splits(n_nodes: int, splits: list[tuple[int, int, float, int]], value: np.ndarray) -> Tree:
@@ -282,7 +429,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) ->
     min_samples_leaf, or when no candidate improves the criterion.
     """
     codes, values = rank_codes(X)
-    return grow_tree(codes, values, y, params)
+    return grow_tree(codes, values, y, params)[0]
 
 
 def feature_rows(X: np.ndarray, width: int | None = None) -> np.ndarray:

@@ -66,8 +66,8 @@ class ForestModel(JsonCodec):
     tree_seeds: tuple[int, ...]
     config: ForestConfig = field(default_factory=ForestConfig)
 
-    def check_stored(self) -> None:
-        """Every tree holds one class-count column per class label."""
+    def __post_init__(self) -> None:
+        """Every tree holds one class-count column per class label; raises ArgumentError."""
         k = len(self.class_labels)
         if any(tree.value.shape != (tree.feature.size, k) for tree in self.trees):
             raise ArgumentError(f"forest tree values must have shape (n_nodes, {k})")
@@ -111,7 +111,7 @@ def fit_random_forest(ds: Dataset, target: str, config: ForestConfig = ForestCon
         seeds.append(tree_seed)
         tree_rng = np.random.default_rng(tree_seed)
         rows = tree_rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        trees.append(grow_tree(codes[rows], values, y[rows], replace(params, seed=int(tree_rng.integers(2**32)))))
+        trees.append(grow_tree(codes[rows], values, y[rows], replace(params, seed=int(tree_rng.integers(2**32))))[0])
     return ForestModel(
         feature_names=tuple(feature_names),
         class_labels=labels,

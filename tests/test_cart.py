@@ -388,3 +388,117 @@ def brute_gain(stats: np.ndarray, go_left: np.ndarray, msl: int) -> float | None
         return None
     side = lambda mask: (stats[mask].sum(axis=0) ** 2).sum() / mask.sum()
     return side(go_left) + side(~go_left) - (stats.sum(axis=0) ** 2).sum() / stats.shape[0]
+
+
+class TestHistogramReuse:
+    """Unsampled levels count the smaller child of each split and get its sibling by subtraction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_subtracted_histogram_equals_the_direct_one(self, data):
+        n, d, k = data.draw(st.integers(2, 60)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        codes, values = cart.rank_codes(rng.integers(0, data.draw(st.integers(1, 9)), size=(n, d)).astype(np.float64))
+        bins, n_bins = cart.offset_bins(codes, values), sum(v.size for v in values)
+        S = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+        # a level of parents, each split j sending its rows to children 2j + 1 (left) and 2j + 2
+        n_parents = data.draw(st.integers(1, 4))
+        parent = rng.integers(0, n_parents, size=n)
+        child = 2 * parent + 1 + (rng.random(n) < data.draw(st.floats(0.0, 1.0)))
+        size = np.bincount(child, minlength=2 * n_parents + 1)
+        above = cart.level_histograms(bins, S, parent, np.arange(n_parents), np.bincount(parent, minlength=2 * n_parents + 1), None, n_bins)
+        # score a subset of the children, so some smaller siblings are counted without being scored
+        scored = np.flatnonzero(size * rng.integers(0, 2, size=size.size))
+        if not scored.size:
+            return
+        kept = (2 * np.arange(n_parents) + 1, above)
+        reused = cart.level_histograms(bins, S, child, scored, size, kept, n_bins)
+        direct = cart.level_histograms(bins, S, child, scored, size, None, n_bins)
+        np.testing.assert_array_equal(reused[-1], direct[-1])
+        assert (reused[-1] == np.round(reused[-1])).all()
+        for j in range(k):
+            scale = np.abs(S[:, j]).sum()
+            np.testing.assert_allclose(reused[j], direct[j], rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_levels_from_subtracted_histograms_split_best(self, data):
+        # few distinct values, so that levels of up to 4 nodes keep every bin and reuse histograms
+        n, d = data.draw(st.integers(30, 80)), data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.integers(0, data.draw(st.integers(2, 5)), size=(n, d)).astype(np.float64)
+        y = np.round(rng.normal(size=n), 2)
+        msl = data.draw(st.integers(1, 3))
+        calls, reused = [], []
+        search, build = cart._level_splits, cart.level_histograms
+
+        def recording(bins, values, S, node, nodes, size, kept, msl):
+            found, hist = search(bins, values, S, node, nodes, size, kept, msl)
+            calls.append((node.copy(), nodes, hist is not None, found))
+            return found, hist
+
+        def building(bins, S, node, nodes, size, kept, n_bins):
+            reused.append(kept is not None)
+            return build(bins, S, node, nodes, size, kept, n_bins)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cart, "_level_splits", recording)
+            patch.setattr(cart, "level_histograms", building)
+            codes, values = cart.rank_codes(X)
+            tree, leaf = cart.grow_tree(codes, values, y, TreeParams(max_depth=4, min_samples_leaf=msl))
+        np.testing.assert_array_equal(leaf, apply(tree, X))
+        stats = y[:, None]
+        # one call per level; a level scored whole over every bin subtracts when the level above was too
+        whole = [False] + [w for _, _, w, _ in calls]
+        assert reused == [above for above, here in zip(whole, whole[1:]) if here]
+        for node, nodes, _, found in calls:
+            for v, best in zip(nodes, found):
+                rows = np.flatnonzero(node == v)
+                gains = [brute_gain(stats[rows], X[rows, f] <= t, msl) for f in range(d) for t in np.unique(X[rows, f])[:-1]]
+                top = max((g for g in gains if g is not None), default=None)
+                if best is None:
+                    assert top is None
+                    continue
+                gain, f, t, _ = best
+                parent = (stats[rows].sum(axis=0) ** 2).sum() / rows.size
+                realized = brute_gain(stats[rows], X[rows, f] <= t, msl)
+                assert realized is not None and abs(realized - top) <= TIE_RTOL * (top + parent) + 1e-9
+                assert abs(gain - top) <= TIE_RTOL * (top + parent) + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_oblivious_levels_from_subtracted_histograms_split_best(self, data):
+        from genoclass.ensemble import boosting
+
+        n, d, depth = data.draw(st.integers(8, 60)), data.draw(st.integers(1, 4)), data.draw(st.integers(2, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.integers(0, data.draw(st.integers(2, 8)), size=(n, d)).astype(np.float64)
+        g = np.round(rng.normal(size=n), 2)
+        reused = []
+        build = boosting.level_histograms
+
+        def recording(bins, S, node, nodes, size, kept, n_bins):
+            reused.append(kept is not None)
+            return build(bins, S, node, nodes, size, kept, n_bins)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(boosting, "level_histograms", recording)
+            codes, values = cart.rank_codes(X)
+            tree, leaf = boosting._fit_oblivious_structure(codes, cart.offset_bins(codes, values), values, g, depth)
+        np.testing.assert_array_equal(leaf, apply(tree, X))
+        # every level below the root is scored in one call and reuses the histograms of the level above
+        assert reused == [False] + [True] * (len(reused) - 1)
+        cells, node, stats = [np.arange(n)], 0, g[:, None]
+        while True:
+            # an oblivious level's gain sums its cells' gains; a cell left whole gains 0
+            gain = lambda f, t: sum(brute_gain(stats[c], X[c, f] <= t, 1) or 0.0 for c in cells)
+            candidates = {(f, t) for f in range(d) for c in cells for t in (np.unique(X[c, f])[:-1] + np.unique(X[c, f])[1:]) / 2.0}
+            top = max((gain(f, t) for f, t in candidates), default=None)
+            scale = sum((stats[c].sum() ** 2) / c.size for c in cells if c.size)
+            if tree.left[node] < 0:
+                assert len(cells) == 2**depth or top is None or top <= cart.GAIN_EPS + TIE_RTOL * scale
+                break
+            f, t = tree.feature[node], tree.threshold[node]
+            assert abs(gain(f, t) - top) <= TIE_RTOL * (top + scale) + 1e-9
+            cells = [side for c in cells for side in (c[X[c, f] <= t], c[X[c, f] > t])]
+            node = tree.left[node]

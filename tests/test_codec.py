@@ -155,12 +155,17 @@ def svm_models(draw):
     )
 
 
+def labels(k):
+    return st.lists(st.text(max_size=6), min_size=k, max_size=k).map(tuple)
+
+
 @st.composite
 def forest_models(draw):
+    # one class-count column per class label, as the model requires
     k = draw(st.integers(1, 4))
     return ForestModel(
         feature_names=draw(names),
-        class_labels=draw(names),
+        class_labels=draw(labels(k)),
         trees=draw(st.lists(trees(lambda n: hnp.arrays(np.float64, (n, k), elements=st.floats(allow_nan=False))), max_size=3)),
         tree_seeds=tuple(draw(st.lists(seeds, max_size=3))),
         config=draw(forest_configs),
@@ -169,10 +174,11 @@ def forest_models(draw):
 
 @st.composite
 def gbdt_models(draw):
+    # one score column per class label, or any number for a regression model, which has none
     k = draw(st.integers(1, 3))
     return GbdtModel(
         feature_names=draw(names),
-        class_labels=draw(names),
+        class_labels=draw(st.just(()) | labels(k)),
         f0=draw(vectors(k)),
         trees=draw(st.lists(st.lists(trees(lambda n: matrices(n, 1).map(np.ravel)), min_size=k, max_size=k), max_size=3)),
         loss_history=tuple(draw(st.lists(reals, max_size=5))),
@@ -465,3 +471,28 @@ def test_booleans_among_numbers_are_rejected(doc, match):
 def test_integer_arrays_decode_as_float64():
     scaler = Standardizer.from_json({"mean": [1, 2], "scale": [1, 0.5]})
     assert scaler.mean.dtype == np.float64 and scaler.mean.tolist() == [1.0, 2.0]
+
+
+def stump(value) -> Tree:
+    return Tree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1]), np.array([2, -1, -1]), np.asarray(value, dtype=np.float64))
+
+
+class TestModelsCheckTheirTreesWhenBuilt:
+    """A model built in code with trees that do not fit its labels fails at once, as a revived one does."""
+
+    @pytest.mark.parametrize("value", [np.zeros(3), np.zeros((3, 2))], ids=["one_dimensional", "two_of_three_columns"])
+    def test_forest_tree_values_must_hold_a_column_per_label(self, value):
+        with pytest.raises(ArgumentError, match="values must have shape"):
+            ForestModel(("x",), ("a", "b", "c"), [stump(value)], (0,))
+
+    def test_gbdt_round_must_hold_a_tree_per_class(self):
+        with pytest.raises(ArgumentError, match="must hold 3 trees"):
+            GbdtModel(("x",), ("a", "b", "c"), np.zeros(3), [[stump(np.zeros(3))]], (0.0,))
+
+    def test_gbdt_initial_scores_must_match_the_labels(self):
+        with pytest.raises(ArgumentError, match="1 initial scores for 3 class labels"):
+            GbdtModel(("x",), ("a", "b", "c"), np.zeros(1), [[stump(np.zeros(3))]], (0.0,))
+
+    def test_regression_gbdt_has_no_labels_to_match(self):
+        model = GbdtModel(("x",), (), np.zeros(1), [[stump([0.0, -1.0, 1.0])]], (0.0,), GbdtConfig(loss="squared"))
+        np.testing.assert_array_equal(model.predict_value(np.array([[0.0], [1.0]])), [-1.0, 1.0])

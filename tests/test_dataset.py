@@ -15,7 +15,6 @@ from genoclass import (
     SchemaError,
     StratificationError,
     apply_imputation,
-    column_stats,
     fit_imputation,
     impute_missing,
     load_csv,
@@ -447,30 +446,3 @@ class TestStratifiedSplit:
             for c, count in enumerate(counts):
                 got = int((y_train == c).sum())
                 assert abs(got - count * ratio) <= 1.0
-
-
-class TestColumnStats:
-    def test_numeric_summary(self):
-        ds = make_dataset([("x", "numeric")], {"x": [5.0, 1.0, np.nan, 1.0, 3.0]})
-        st = column_stats(ds, "x")
-        assert st.defined and st.missing_count == 1
-        assert (st.min, st.max, st.median, st.mode) == (1.0, 5.0, 2.0, 1.0)
-
-    def test_constant_column(self):
-        ds = make_dataset([("x", "numeric")], {"x": [7.0, 7.0]})
-        st = column_stats(ds, "x")
-        assert st.min == st.max == st.median == st.mode == 7.0
-
-    def test_all_missing_flagged(self):
-        ds = make_dataset([("x", "numeric")], {"x": [np.nan, np.nan]})
-        st = column_stats(ds, "x")
-        assert not st.defined and st.missing_count == 2
-        assert st.median is None
-
-    def test_discrete_histogram(self):
-        ds = make_dataset(
-            [("g", "categorical", "feature", ("a", "b", "c"))], {"g": [0, 1, 1, 2]}
-        )
-        st = column_stats(ds, "g")
-        assert st.histogram == {"a": 1, "b": 2, "c": 1}
-        assert st.mode == "b"
