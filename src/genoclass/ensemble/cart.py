@@ -248,8 +248,9 @@ def level_histograms(bins: np.ndarray, S: np.ndarray, node: np.ndarray, nodes: n
     if n_slots > 1:
         key = key + (slot[node[rows]] * n_bins)[:, None]
     hist = histograms(key, stats, n_slots, n_bins)
-    for b in big if kept is not None else ():
-        np.subtract(parent[:, pair[b]], hist[:, slot[small[b]]], out=hist[:, b])
+    if kept is not None:
+        for b in big:
+            np.subtract(parent[:, pair[b]], hist[:, slot[small[b]]], out=hist[:, b])
     return hist[:, : nodes.size]
 
 
