@@ -16,7 +16,7 @@ from .codec import read_json, write_json
 from .errors import ArgumentError, PersistenceError
 from .registry import ALGORITHMS
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)

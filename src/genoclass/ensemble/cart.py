@@ -401,9 +401,8 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, pa
     if params.criterion == "gini":
         value = np.bincount(node * k + classes, minlength=n_nodes * k).reshape(n_nodes, k).astype(np.float64)
     else:
-        value, order, end = np.zeros(n_nodes), np.argsort(node, kind="stable"), np.cumsum(size)
-        for leaf in np.flatnonzero(size):
-            value[leaf] = S[order[end[leaf] - size[leaf] : end[leaf]]].mean()
+        # each leaf's mean target; internal nodes hold no rows and stay 0
+        value = np.bincount(node, weights=S[:, 0], minlength=n_nodes) / np.maximum(size, 1)
     return tree_from_splits(n_nodes, [(v, f, t, 2 * j + 1) for j, (v, f, t) in enumerate(splits)], value), node
 
 

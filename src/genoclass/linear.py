@@ -17,12 +17,19 @@ solver on the dual
     minimize   0.5 * b' Q b - sum(b)
     subject to 0 <= b_i <= C,  sum_i y_i b_i = 0,   Q_ij = y_i y_j K(x_i, x_j)
 
-and classifies by the largest decision value across classes.
+and classifies by the largest decision value across classes. The solver
+picks each pair by second-order working-set selection and stops on the
+maximal-violating-pair gap, as LIBSVM does (Fan, Chen & Lin, JMLR 2005;
+Chang & Lin, ACM TIST 2011), so a converged fit meets every KKT condition
+within tol. It reads kernel rows on demand from a cache of KERNEL_CACHE_MB
+that the k subproblems share, so no n x n matrix is ever built. The model
+stores one support set of raw rows with an n_sv x k coefficient matrix.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -75,18 +82,36 @@ def kernel_eval(spec: KernelSpec, u: np.ndarray, v: np.ndarray, gamma: float | N
     if u2.shape[1] != v2.shape[1]:
         raise ArgumentError(f"kernel inputs differ in width: {u2.shape[1]} vs {v2.shape[1]}")
     g = spec.resolve_gamma(u2.shape[1]) if gamma is None else float(gamma)
-    if spec.kind == "linear":
-        out = u2 @ v2.T
-    elif spec.kind == "polynomial":
-        out = (g * (u2 @ v2.T) + spec.coef0) ** spec.degree
-    else:
-        # rbf: ||u-v||^2 = ||u||^2 + ||v||^2 - 2 u.v, clipped against rounding; in place, one m x n temporary
-        out = (u2 * u2).sum(axis=1)[:, None] + (v2 * v2).sum(axis=1)[None, :]
-        dot = u2 @ v2.T
-        dot *= 2.0
-        out -= dot
-        np.exp(np.multiply(np.maximum(out, 0.0, out=out), -g, out=out), out=out)
+    out = _kernel_from_dot(spec, g, _operands(spec, u2)[0] @ _operands(spec, v2)[1].T)
     return float(out[0, 0]) if scalar else out
+
+
+def _operands(spec: KernelSpec, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right factors of A's rows: K(a, b) = _kernel_from_dot(left(a) . right(b)).
+
+    Plain rows, except for rbf, whose squared distance is one dot product,
+    ||a - b||^2 = [a, ||a||^2, 1] . [-2 b, 1, ||b||^2], so a block of kernel
+    values costs one matrix product and three passes.
+    """
+    if spec.kind != "rbf":
+        return A, A
+    sq = (A * A).sum(axis=1)[:, None]
+    ones = np.ones_like(sq)
+    return np.hstack([A, sq, ones]), np.hstack([-2.0 * A, ones, sq])
+
+
+def _kernel_from_dot(spec: KernelSpec, gamma: float, dot: np.ndarray) -> np.ndarray:
+    """Turn products of _operands factors into kernel values in place and return them."""
+    if spec.kind == "polynomial":
+        dot *= gamma
+        dot += spec.coef0
+        np.power(dot, spec.degree, out=dot)
+    elif spec.kind == "rbf":
+        # a squared distance is never negative; rounding can make it so
+        np.maximum(dot, 0.0, out=dot)
+        dot *= -gamma
+        np.exp(dot, out=dot)
+    return dot
 
 
 @dataclass(frozen=True)
@@ -133,7 +158,7 @@ class ColumnEncoder(JsonCodec):
                 blocks.append(col[:, None])
                 continue
             codes = col.astype(np.int64)
-            if (codes != col).any() or codes.min() < 0 or codes.max() >= card:
+            if codes.size and ((codes != col).any() or codes.min() < 0 or codes.max() >= card):
                 raise ArgumentError(
                     f"column {self.names[i]!r}: values must be integer codes in [0, {card})"
                 )
@@ -310,6 +335,16 @@ def predict_proba_logistic(model: LogisticModel, rows: np.ndarray) -> np.ndarray
 
 # -- support vector machine ---------------------------------------------------------
 
+#: megabytes of training-kernel rows an SVM fit caches; its one-vs-rest solves share them
+KERNEL_CACHE_MB = 32
+
+#: most (row, support vector) kernel cells one decision_matrix chunk holds: a
+#: 2 MB block, so that its passes run in cache rather than in memory
+DECISION_CELLS = 2**18
+
+#: curvature floor for a pair whose kernel rows coincide (LIBSVM's TAU)
+TAU = 1e-12
+
 
 @dataclass(frozen=True)
 class SvmConfig(JsonCodec):
@@ -330,12 +365,13 @@ class SvmConfig(JsonCodec):
             raise ArgumentError("max_passes must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SvmSubmodel(JsonCodec):
     """One binary decision function: f(x) = sum_i coef_i K(sv_i, x) + b.
 
-    coef holds beta_i * y_i for the retained support vectors, so the stored
-    model no longer needs the training labels; beta_i = |coef_i|.
+    A read-only view of one class of an SvmModel: support_x holds the
+    design-space support rows whose coefficient for that class is nonzero,
+    and coef those coefficients, beta_i * y_i, so beta_i = |coef_i|.
     """
 
     support_x: np.ndarray
@@ -346,21 +382,51 @@ class SvmSubmodel(JsonCodec):
 
 @dataclass
 class SvmModel(JsonCodec):
-    """One-vs-rest kernel SVM; predicts the class with the largest decision value."""
+    """One-vs-rest kernel SVM over one shared support set; predicts the class with the largest decision value.
+
+    support_rows are raw input rows, as predict takes them; row i of coef
+    holds that row's coefficient in each class's decision function (0 where
+    it is no support vector of the class), and b and converged hold one entry
+    per class. support_design, the same rows encoded and standardized, is
+    derived on construction and not stored.
+    """
 
     feature_names: tuple[str, ...]
     class_labels: tuple[str, ...]
     encoder: ColumnEncoder
     scaler: Standardizer
-    submodels: list[SvmSubmodel]
+    support_rows: np.ndarray
+    coef: np.ndarray
+    b: np.ndarray
+    converged: tuple[bool, ...]
     config: SvmConfig = field(default_factory=SvmConfig)
     gamma: float = 1.0
+    support_design: np.ndarray = field(init=False, repr=False)
     trained: bool = field(default=True, init=False)
 
     def __post_init__(self) -> None:
-        # JSON stores an empty support set as [], which drops its width
-        for sub in self.submodels:
-            sub.support_x = sub.support_x.reshape(-1, self.scaler.mean.size)
+        k = len(self.class_labels)
+        # JSON stores an empty support set as [], which drops its widths
+        if self.support_rows.size == 0:
+            self.support_rows = self.support_rows.reshape(0, len(self.feature_names))
+        if self.coef.size == 0:
+            self.coef = self.coef.reshape(0, k)
+        if self.b.shape != (k,) or len(self.converged) != k:
+            raise ArgumentError(f"an SVM of {k} classes needs {k} biases and convergence flags")
+        if self.support_rows.ndim != 2 or self.support_rows.shape[1] != len(self.feature_names):
+            raise ArgumentError(f"support rows must have {len(self.feature_names)} columns, one per feature")
+        if self.coef.shape != (self.support_rows.shape[0], k):
+            raise ArgumentError(f"coefficients must form a {self.support_rows.shape[0]} x {k} matrix")
+        self.support_design = self.scaler.transform(self.encoder.transform(self.support_rows))
+
+    @property
+    def submodels(self) -> list[SvmSubmodel]:
+        """One binary decision function per class, over its own support vectors."""
+        out = []
+        for c in range(self.b.size):
+            keep = self.coef[:, c] != 0.0
+            out.append(SvmSubmodel(self.support_design[keep], self.coef[keep, c], float(self.b[c]), self.converged[c]))
+        return out
 
     def _design(self, X: np.ndarray) -> np.ndarray:
         if not self.trained:
@@ -368,14 +434,16 @@ class SvmModel(JsonCodec):
         return self.scaler.transform(self.encoder.transform(X))
 
     def decision_matrix(self, X: np.ndarray) -> np.ndarray:
-        Z = self._design(X)
-        out = np.empty((Z.shape[0], len(self.submodels)))
-        for c, sub in enumerate(self.submodels):
-            if sub.support_x.shape[0] == 0:
-                out[:, c] = sub.b
-                continue
-            k_mat = kernel_eval(self.config.kernel, Z, sub.support_x, self.gamma)
-            out[:, c] = k_mat @ sub.coef + sub.b
+        """Decision values, one column per class, one kernel product per chunk of rows."""
+        spec = self.config.kernel
+        left = _operands(spec, self._design(X))[0]
+        right = _operands(spec, self.support_design)[1]
+        out = np.empty((left.shape[0], self.b.size))
+        step = max(1, DECISION_CELLS // max(1, right.shape[0]))
+        for lo in range(0, left.shape[0], step):
+            k_mat = _kernel_from_dot(spec, self.gamma, left[lo : lo + step] @ right.T)
+            np.matmul(k_mat, self.coef, out=out[lo : lo + step])
+        out += self.b
         return out
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -392,82 +460,114 @@ class SvmModel(JsonCodec):
         return np.argmax(self.decision_matrix(X), axis=1)
 
 
-def _smo_solve(K: np.ndarray, y: np.ndarray, config: SvmConfig) -> tuple[np.ndarray, float, bool]:
-    """Solve one binary dual by sequential minimal optimization.
+class KernelRows:
+    """Rows of the training kernel matrix, computed on demand into a bounded LRU buffer.
 
-    K is the full kernel Gram matrix, y has entries in {-1, +1}. Returns
-    (beta, b, converged). Each sweep visits every i whose KKT condition is
-    violated beyond tol and pairs it with the j maximizing |E_i - E_j|
-    (ties to the lowest j), updating the cached errors E incrementally.
-    A sweep with zero updates means the KKT conditions hold everywhere;
-    max_passes caps the total sweep count.
+    The buffer holds KERNEL_CACHE_MB of rows (at least two, at most all n) in
+    preallocated slots; a missed row is computed in place into a free slot,
+    or into the least recently used one. Every row comes from the same call,
+    so a recomputed row is bit-identical to the one evicted and the solver's
+    path does not depend on the cache size. diag holds K(x_t, x_t).
     """
-    n = y.size
-    beta = np.zeros(n)
-    b = 0.0
-    C = config.C
-    tol = config.tol
-    # E_i = f(x_i) - y_i, maintained incrementally
-    errors = -y.astype(np.float64)
 
-    sweeps = 0
+    def __init__(self, spec: KernelSpec, gamma: float, X: np.ndarray) -> None:
+        n = X.shape[0]
+        self.spec, self.gamma = spec, gamma
+        self.left, self.right = _operands(spec, X)
+        self.diag = _kernel_from_dot(spec, gamma, np.einsum("ij,ij->i", self.left, self.right))
+        self.buffer = np.empty((min(n, max(2, int(KERNEL_CACHE_MB * 2**20) // (8 * n))), n))
+        self.slots: OrderedDict[int, int] = OrderedDict()  # row -> slot, least recently used first
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        slot = self.slots.get(i)
+        if slot is not None:
+            self.slots.move_to_end(i)
+            return self.buffer[slot]
+        slot = len(self.slots) if len(self.slots) < self.buffer.shape[0] else self.slots.popitem(last=False)[1]
+        self.slots[i] = slot
+        row = self.buffer[slot]
+        np.dot(self.left, self.right[i], out=row)
+        return _kernel_from_dot(self.spec, self.gamma, row)
+
+
+def _smo_solve(K: KernelRows, y: np.ndarray, config: SvmConfig) -> tuple[np.ndarray, float, bool]:
+    """Solve one binary dual by SMO with second-order working-set selection.
+
+    y has entries in {-1, +1}. The solver works on coef = y * beta, boxed in
+    [lo, hi] ([0, C] where y = +1, [-C, 0] where y = -1), and on the residual
+    g = y - K coef each row's bias-free decision leaves. A step moves coef_i
+    up and coef_j down by one t, so sum(coef) stays 0, and updates
+    g -= t (K_i - K_j). i is a row that can rise with the largest g (m); j,
+    among rows that can fall with g below m, gains most from its exact line
+    search, (m - g_j)^2 / (K_ii + K_jj - 2 K_ij) (WSS2: Fan, Chen & Lin, JMLR
+    2005, as in LIBSVM). It stops when m - M < tol, M the smallest g of a row
+    that can fall: then every row meets its KKT condition within tol. At most
+    max_passes * n steps run. Returns (coef, b, converged); b is the mean g
+    of the free rows, or (m + M) / 2 if none is free.
+    """
+    n, cap = y.size, config.max_passes * y.size
+    hi = np.where(y > 0, config.C, 0.0).tolist()
+    lo = [h - config.C for h in hi]
+    coef = [0.0] * n
+    # g kept as two masked copies: rise is g where a row can rise and -inf
+    # elsewhere, fall is g where it can fall and +inf elsewhere
+    rise = np.where(y > 0, y, -np.inf)
+    fall = np.where(y > 0, np.inf, y)
+    rbf = K.spec.kind == "rbf"
+    gain, curve = np.empty(n), np.empty(n)
     converged = False
-    while sweeps < config.max_passes:
-        sweeps += 1
-        changed = 0
-        for i in range(n):
-            e_i = errors[i]
-            r_i = e_i * y[i]
-            if not ((r_i < -tol and beta[i] < C) or (r_i > tol and beta[i] > 0)):
-                continue
-            gaps = np.abs(e_i - errors)
-            gaps[i] = -1.0
-            j = int(np.argmax(gaps))
-            e_j = errors[j]
-            b_i_old, b_j_old = beta[i], beta[j]
-            if y[i] != y[j]:
-                lo = max(0.0, b_j_old - b_i_old)
-                hi = min(C, C + b_j_old - b_i_old)
-            else:
-                lo = max(0.0, b_i_old + b_j_old - C)
-                hi = min(C, b_i_old + b_j_old)
-            if lo >= hi:
-                continue
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-            if eta >= 0:
-                continue
-            b_j = b_j_old - y[j] * (e_i - e_j) / eta
-            b_j = min(hi, max(lo, b_j))
-            if abs(b_j - b_j_old) < 1e-12:
-                continue
-            b_i = b_i_old + y[i] * y[j] * (b_j_old - b_j)
-            d_i = b_i - b_i_old
-            d_j = b_j - b_j_old
-            b1 = b - e_i - y[i] * d_i * K[i, i] - y[j] * d_j * K[i, j]
-            b2 = b - e_j - y[i] * d_i * K[i, j] - y[j] * d_j * K[j, j]
-            if 0 < b_i < C:
-                b_new = b1
-            elif 0 < b_j < C:
-                b_new = b2
-            else:
-                b_new = (b1 + b2) / 2.0
-            errors += y[i] * d_i * K[:, i] + y[j] * d_j * K[:, j] + (b_new - b)
-            beta[i], beta[j] = b_i, b_j
-            b = b_new
-            changed += 1
-        if changed == 0:
+    for step in range(cap + 1):
+        i = int(rise.argmax())
+        m = float(rise[i])
+        np.subtract(m, fall, out=gain)
+        if gain.max() < config.tol:
             converged = True
             break
-    return beta, b, converged
+        if step == cap:
+            break
+        K_i = K[i]
+        np.maximum(gain, 0.0, out=gain)
+        gain *= gain
+        # the pair curvature K_ii + K_tt - 2 K_it, floored at TAU; halved for
+        # rbf, whose diagonal is 1 and whose values never exceed it
+        if rbf:
+            np.subtract(1.0 + TAU, K_i, out=curve)
+        else:
+            np.multiply(K_i, -2.0, out=curve)
+            curve += K.diag
+            curve += K.diag[i]
+            np.maximum(curve, TAU, out=curve)
+        gain /= curve
+        j = int(gain.argmax())
+        K_j = K[j]
+        room_i, room_j = hi[i] - coef[i], coef[j] - lo[j]
+        t = min((m - float(fall[j])) / (float(curve[j]) * (2.0 if rbf else 1.0)), room_i, room_j)
+        coef[i] = hi[i] if t == room_i else coef[i] + t
+        coef[j] = lo[j] if t == room_j else coef[j] - t
+        np.subtract(K_i, K_j, out=curve)
+        curve *= t
+        rise -= curve
+        fall -= curve
+        g_i, g_j = float(rise[i]), float(fall[j])
+        rise[i] = g_i if coef[i] < hi[i] else -np.inf
+        fall[i] = g_i if coef[i] > lo[i] else np.inf
+        rise[j] = g_j if coef[j] < hi[j] else -np.inf
+        fall[j] = g_j if coef[j] > lo[j] else np.inf
+    free = np.isfinite(rise) & np.isfinite(fall)
+    b = float(rise[free].mean()) if free.any() else (float(rise.max()) + float(fall.min())) / 2.0
+    return np.array(coef), b, converged
 
 
 def fit_svm(ds: Dataset, target: str, config: SvmConfig = SvmConfig()) -> SvmModel:
     """Fit one-vs-rest kernel SVMs with the SMO solver.
 
-    A subproblem whose one-vs-rest labels are all identical (a class absent
-    from the training rows, or the only class present) is degenerate: it gets
-    an empty support set and a constant decision of +1 or -1 matching that
-    label, so prediction still behaves sensibly.
+    The k binary solves read one KernelRows cache, so beyond the design
+    matrix a fit holds KERNEL_CACHE_MB of kernel rows and a few length-n
+    vectors, never an n x n matrix. A subproblem whose one-vs-rest labels
+    are all identical (a class absent from the training rows, or the only
+    class present) is degenerate: it has no support vectors and a constant
+    decision of +1 or -1 matching that label, so prediction still behaves
+    sensibly. The model keeps the rows that support any class.
     """
     X_raw, y, labels, feature_names = supervised_arrays(ds, target, discrete=True)
     encoder = ColumnEncoder.from_dataset(ds, feature_names)
@@ -475,28 +575,30 @@ def fit_svm(ds: Dataset, target: str, config: SvmConfig = SvmConfig()) -> SvmMod
     scaler = Standardizer.fit(design)
     X = scaler.transform(design)
     gamma = config.kernel.resolve_gamma(X.shape[1])
-    K = kernel_eval(config.kernel, X, X, gamma)
+    K = KernelRows(config.kernel, gamma, X)
 
-    submodels: list[SvmSubmodel] = []
-    any_unconverged = False
-    for c in range(len(labels)):
+    k = len(labels)
+    coef, b, converged = np.zeros((X.shape[0], k)), np.zeros(k), []
+    for c in range(k):
         y_bin = np.where(y == c, 1.0, -1.0)
         if (y_bin == y_bin[0]).all():
-            submodels.append(SvmSubmodel(np.empty((0, X.shape[1])), np.empty(0), float(y_bin[0]), True))
+            b[c] = y_bin[0]
+            converged.append(True)
             continue
-        beta, b, converged = _smo_solve(K, y_bin, config)
-        if not converged:
-            any_unconverged = True
-        mask = beta > 1e-12
-        submodels.append(SvmSubmodel(X[mask].copy(), beta[mask] * y_bin[mask], float(b), converged))
-    if any_unconverged:
+        coef[:, c], b[c], done = _smo_solve(K, y_bin, config)
+        converged.append(done)
+    if not all(converged):
         warnings.warn("SMO hit the sweep cap before satisfying the KKT tolerance", stacklevel=2)
+    support = np.flatnonzero(coef.any(axis=1))
     return SvmModel(
         feature_names=tuple(feature_names),
         class_labels=labels,
         encoder=encoder,
         scaler=scaler,
-        submodels=submodels,
+        support_rows=X_raw[support],
+        coef=coef[support],
+        b=b,
+        converged=tuple(converged),
         config=config,
         gamma=gamma,
     )

@@ -134,22 +134,34 @@ def logistic_models(draw):
 
 
 @st.composite
-def svm_submodels(draw, width=None, min_support=1):
-    width = draw(st.integers(1, 4)) if width is None else width
-    m = draw(st.integers(min_support, 4))
+def svm_submodels(draw):
+    # a view of one class; only a whole SvmModel keeps the width of an empty support set
+    m, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     return SvmSubmodel(draw(matrices(m, width)), draw(vectors(m)), draw(reals), draw(st.booleans()))
 
 
 @st.composite
 def svm_models(draw):
-    width = draw(st.integers(1, 4))
+    # support rows are raw input rows the model encodes and standardizes on construction:
+    # category codes in range, and numbers the scaler maps to finite values
+    moderate = st.floats(-1e6, 1e6)
+    columns = draw(st.lists(st.tuples(st.text(max_size=6), st.sampled_from([0, 2, 3, 7])), min_size=1, max_size=4))
+    encoder = ColumnEncoder(tuple(n for n, _ in columns), tuple(c for _, c in columns))
+    k, m = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    cells = [draw(st.integers(0, card - 1).map(float) if card else moderate) for _ in range(m) for _, card in columns]
     return SvmModel(
-        feature_names=draw(names),
-        class_labels=draw(names),
-        encoder=draw(encoders),
-        scaler=draw(standardizers(width)),
-        # an empty support set must come back with its width
-        submodels=draw(st.lists(svm_submodels(width, min_support=0), max_size=3)),
+        feature_names=encoder.names,
+        class_labels=draw(labels(k)),
+        encoder=encoder,
+        scaler=Standardizer(
+            draw(hnp.arrays(np.float64, encoder.width, elements=moderate)),
+            draw(hnp.arrays(np.float64, encoder.width, elements=st.floats(1e-3, 1e3))),
+        ),
+        # an empty support set must come back with its widths
+        support_rows=np.array(cells).reshape(m, len(columns)),
+        coef=draw(matrices(m, k)),
+        b=draw(hnp.arrays(np.float64, k, elements=reals)),
+        converged=tuple(draw(st.lists(st.booleans(), min_size=k, max_size=k))),
         config=draw(svm_configs),
         gamma=draw(positive),
     )

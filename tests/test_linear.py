@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from genoclass import (
     ArgumentError,
@@ -24,7 +28,8 @@ from genoclass import (
     predict_proba_logistic,
     svm_decision,
 )
-from genoclass.linear import SvmSubmodel, logistic_loss_gradient, sigmoid
+from genoclass import linear
+from genoclass.linear import KernelRows, _smo_solve, logistic_loss_gradient, sigmoid
 
 from conftest import BINARY, make_dataset, xy_dataset
 
@@ -284,14 +289,17 @@ class TestSvm:
         assert model.submodels[0].support_x.shape[0] == 0
 
     def test_empty_submodel_scores_equal_bias(self):
-        sub = SvmSubmodel(np.empty((0, 1)), np.empty(0), b=-1.0, converged=True)
         model = SvmModel(
             feature_names=("x0",),
             class_labels=("a", "b"),
             encoder=ColumnEncoder(("x0",), (0,)),
             scaler=Standardizer(np.zeros(1), np.ones(1)),
-            submodels=[sub, sub],
+            support_rows=np.empty((0, 1)),
+            coef=np.empty((0, 2)),
+            b=np.array([-1.0, -1.0]),
+            converged=(True, True),
         )
+        assert [sub.support_x.shape for sub in model.submodels] == [(0, 1), (0, 1)]
         np.testing.assert_array_equal(model.decision_matrix(np.zeros((2, 1))), -1.0)
 
     def test_linear_kernel_matches_explicit_weights(self):
@@ -305,6 +313,30 @@ class TestSvm:
         Z = model.scaler.transform(model.encoder.transform(X))
         direct = Z @ w + sub.b
         np.testing.assert_allclose(svm_decision(model, X)[:, 1], direct, atol=1e-9)
+
+    @pytest.mark.parametrize("damage", ["coef_row", "extra_bias", "missing_flag", "narrow_rows"])
+    def test_inconsistent_layout_rejected(self, damage):
+        doc = fit_svm(XOR, "y", SvmConfig(C=10.0, kernel=KernelSpec("rbf", gamma=1.0))).to_json()
+        if damage == "coef_row":
+            doc["coef"].pop()
+        elif damage == "extra_bias":
+            doc["b"].append(0.0)
+        elif damage == "missing_flag":
+            doc["converged"].pop()
+        else:
+            doc["support_rows"] = [row[:1] for row in doc["support_rows"]]
+        with pytest.raises(ArgumentError):
+            SvmModel.from_json(doc)
+
+    def test_decision_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        rng = np.random.default_rng(127)
+        ds = xy_dataset(rng.normal(size=(60, 2)), rng.integers(0, 3, size=60))
+        model = fit_svm(ds, "y")
+        X = rng.normal(size=(25, 2))
+        whole = model.decision_matrix(X)
+        # chunks of a few rows each, the last one short
+        monkeypatch.setattr(linear, "DECISION_CELLS", 3 * model.support_rows.shape[0])
+        np.testing.assert_allclose(model.decision_matrix(X), whole, rtol=0.0, atol=1e-12)
 
     def test_unconverged_fit_warns_and_flags(self):
         config = SvmConfig(C=10.0, kernel=KernelSpec("rbf", gamma=1.0), max_passes=1, tol=1e-9)
@@ -348,3 +380,39 @@ class TestSvm:
             SvmConfig(tol=0.0)
         with pytest.raises(ArgumentError):
             SvmConfig(max_passes=0)
+
+
+class TestSmoSolver:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_converged_solution_meets_kkt_and_the_dual_constraints(self, data):
+        n, d = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 3))
+        X = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-3.0, 3.0)))
+        # both labels present, so the subproblem is not degenerate
+        y = np.where(data.draw(hnp.arrays(np.bool_, n)), 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        config = SvmConfig(C=data.draw(st.floats(0.1, 10.0)), kernel=KernelSpec(data.draw(st.sampled_from(["linear", "rbf"]))))
+        gamma = config.kernel.resolve_gamma(d)
+        coef, b, converged = _smo_solve(KernelRows(config.kernel, gamma, X), y, config)
+        assert converged
+        beta = y * coef
+        assert (beta >= 0.0).all() and (beta <= config.C).all()
+        assert abs(coef.sum()) <= 1e-9
+        margin = y * (kernel_eval(config.kernel, X, X, gamma) @ coef + b)
+        tol = config.tol + 1e-9  # the margins are recomputed, not the solver's running residuals
+        assert (margin[beta == 0.0] >= 1.0 - tol).all()
+        assert (margin[beta == config.C] <= 1.0 + tol).all()
+        free = (beta > 0.0) & (beta < config.C)
+        assert (np.abs(margin[free] - 1.0) <= tol).all()
+
+    def test_model_does_not_depend_on_the_kernel_cache_size(self, monkeypatch):
+        rng = np.random.default_rng(113)
+        X = rng.normal(size=(120, 3))
+        ds = xy_dataset(X, rng.integers(0, 3, size=120))
+        full = fit_svm(ds, "y")
+        assert KernelRows(full.config.kernel, full.gamma, X).buffer.shape[0] == 120
+        # room for two rows: the two of the current pair, every other row recomputed
+        monkeypatch.setattr(linear, "KERNEL_CACHE_MB", 2 * 8 * 120 / 2**20)
+        assert KernelRows(full.config.kernel, full.gamma, X).buffer.shape[0] == 2
+        two_rows = fit_svm(ds, "y")
+        assert json.dumps(two_rows.to_json()) == json.dumps(full.to_json())

@@ -657,6 +657,16 @@ class TestCli:
         with pytest.raises(PersistenceError, match="values"):
             revive_model(ModelArtifact.load(broken))
 
+    def test_format_2_artifact_exits_2(self, flow, tmp_path):
+        # format 3 stores an SVM as one shared support set; older files are rejected, not migrated
+        doc = json.loads(flow.gbdt.artifact_path.read_text(encoding="utf-8"))
+        doc["format_version"] = 2
+        old = tmp_path / flow.gbdt.artifact_path.name
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("evaluate", "--artifact", old, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert "version 2 is not supported" in result.output
+
     @pytest.mark.parametrize("content", [None, "not json", '{"x": 1}'], ids=["missing", "not_json", "keyless"])
     def test_bad_evaluation_file_exits_2(self, tmp_path, content):
         path = tmp_path / "evaluation.json"

@@ -12,7 +12,7 @@ from genoclass.registry import ALGORITHMS
 #: small fits, so that each drawn dataset trains in milliseconds
 PARAMS = {
     "logistic": {"epochs": 20},
-    "svm": {"max_passes": 5},
+    "svm": {},
     "random_forest": {"trees": 3, "max_depth": 3},
     "gbdt_plain": {"rounds": 2, "max_depth": 2},
     "gbdt_goss": {"rounds": 2, "max_depth": 2},
@@ -29,7 +29,6 @@ def datasets(draw):
     return X, y, k
 
 
-@pytest.mark.filterwarnings("ignore:SMO hit the sweep cap")
 @pytest.mark.parametrize("name", list(ALGORITHMS))
 @settings(max_examples=20, deadline=None)
 @given(data=datasets(), seed=st.integers(0, 2**32 - 1))
