@@ -10,9 +10,10 @@ gradient descent on the mean negative log-likelihood of
 
     pi(x) = e^(alpha + beta.x) / (1 + e^(alpha + beta.x))
 
-and predicts by normalizing the per-class pi values. The SVM side trains
-one-vs-rest binary subproblems with a sequential-minimal-optimization
-solver on the dual
+and predicts by normalizing the per-class pi values. An epoch takes one exp
+per margin z, e^-|z|, for both the sigmoid and the loss (through log1p), so
+neither overflows. The SVM side trains one-vs-rest binary subproblems with a
+sequential-minimal-optimization solver on the dual
 
     minimize   0.5 * b' Q b - sum(b)
     subject to 0 <= b_i <= C,  sum_i y_i b_i = 0,   Q_ij = y_i y_j K(x_i, x_j)
@@ -28,6 +29,7 @@ stores one support set of raw rows with an n_sv x k coefficient matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -59,8 +61,10 @@ class KernelSpec(JsonCodec):
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ArgumentError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ArgumentError("kernel gamma must be positive")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ArgumentError("kernel gamma must be positive and finite")
+        if not math.isfinite(self.coef0):
+            raise ArgumentError("kernel coef0 must be finite")
         if self.degree < 1:
             raise ArgumentError("polynomial degree must be >= 1")
 
@@ -195,12 +199,18 @@ class Standardizer(JsonCodec):
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return _sigmoid(z, np.exp(-np.abs(z)))
+
+
+def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The logistic function of z given e = exp(-|z|): 1 / (1 + e) where z >= 0, e / (1 + e) elsewhere."""
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _logistic_terms(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell loss log(1 + e^s) = max(s, 0) + log1p(e^-|z|) of margins z, s = -z where label y is 1, else z; and sigmoid(z)."""
+    e = np.exp(-np.abs(z))
+    return np.maximum(np.where(y, -z, z), 0.0) + np.log1p(e), _sigmoid(z, e)
 
 
 # -- logistic regression ------------------------------------------------------------
@@ -216,12 +226,12 @@ class LogisticConfig(JsonCodec):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ArgumentError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ArgumentError("learning rate must be positive and finite")
         if self.epochs < 1:
             raise ArgumentError("epochs must be >= 1")
-        if self.l2 < 0:
-            raise ArgumentError("l2 penalty must be non-negative")
+        if not 0 <= self.l2 < math.inf:
+            raise ArgumentError("l2 penalty must be non-negative and finite")
 
 
 def logistic_loss_gradient(w: np.ndarray, alpha: float, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> tuple[float, np.ndarray, float]:
@@ -239,12 +249,9 @@ def logistic_loss_gradient(w: np.ndarray, alpha: float, X: np.ndarray, y: np.nda
     """
     w = np.asarray(w, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
-    z = X @ w + alpha
-    # log(1 + e^z) via logaddexp keeps the loss finite for large |z|
-    loss = float(np.mean(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)))
-    loss += 0.5 * l2 * float(w @ w)
-    diff = (sigmoid(z) - y) / n
+    cells, p = _logistic_terms(X @ w + alpha, y)
+    loss = float(np.mean(cells)) + 0.5 * l2 * float(w @ w)
+    diff = (p - y) / X.shape[0]
     return loss, X.T @ diff + l2 * w, float(diff.sum())
 
 
@@ -297,23 +304,22 @@ def fit_logistic(ds: Dataset, target: str, config: LogisticConfig = LogisticConf
     scaler = Standardizer.fit(design)
     X = scaler.transform(design)
     n = X.shape[0]
-    Y = np.zeros((n, k))
-    Y[np.arange(n), y] = 1.0
+    Y = np.zeros((n, k), dtype=bool)
+    Y[np.arange(n), y] = True
 
     W = np.zeros((X.shape[1], k))
     alpha = np.zeros(k)
     history = []
     for epoch in range(config.epochs):
-        Z = X @ W + alpha
-        # overflow here is the divergence condition itself, reported below
-        with np.errstate(over="ignore"):
-            per_class = np.mean(Y * np.logaddexp(0.0, -Z) + (1.0 - Y) * np.logaddexp(0.0, Z), axis=0)
-            per_class = per_class + 0.5 * config.l2 * (W * W).sum(axis=0)
-        loss = float(per_class.mean())
-        if not np.isfinite(loss):
+        # overflow is the divergence itself; so is an infinite margin, whose loss can be 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = X @ W + alpha
+            cells, P = _logistic_terms(Z, Y)
+            loss = float((cells.mean(axis=0) + 0.5 * config.l2 * (W * W).sum(axis=0)).mean())
+        if not (np.isfinite(loss) and np.isfinite(Z).all()):
             raise ConvergenceError(f"loss diverged at epoch {epoch}; lower the learning rate")
         history.append(loss)
-        diff = (sigmoid(Z) - Y) / n
+        diff = (P - Y) / n
         W = W - config.learning_rate * (X.T @ diff + config.l2 * W)
         alpha = alpha - config.learning_rate * diff.sum(axis=0)
     return LogisticModel(
@@ -357,10 +363,10 @@ class SvmConfig(JsonCodec):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
-            raise ArgumentError("C must be positive")
-        if self.tol <= 0:
-            raise ArgumentError("tolerance must be positive")
+        if not 0 < self.C < math.inf:
+            raise ArgumentError("C must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ArgumentError("tolerance must be positive and finite")
         if self.max_passes < 1:
             raise ArgumentError("max_passes must be >= 1")
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -29,6 +29,7 @@ from genoclass import (
     svm_decision,
 )
 from genoclass import linear
+from genoclass.dataset import supervised_arrays
 from genoclass.linear import KernelRows, _smo_solve, logistic_loss_gradient, sigmoid
 
 from conftest import BINARY, make_dataset, xy_dataset
@@ -136,6 +137,51 @@ def separable_1d(n=40, seed=79):
     return xy_dataset(X, y)
 
 
+def masked_sigmoid(z):
+    """The logistic function as two masked halves, each exp taken of a non-positive value."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_logistic(ds, config):
+    """fit_logistic as a plain loop: two logaddexp loss passes and the masked sigmoid.
+
+    Returns (W, alpha, loss_history, epoch), epoch being the one whose loss was
+    not finite, or None when every epoch ran.
+    """
+    X_raw, y, labels, names = supervised_arrays(ds, "y", discrete=True)
+    design = ColumnEncoder.from_dataset(ds, names).transform(X_raw)
+    X = Standardizer.fit(design).transform(design)
+    n, k = X.shape[0], len(labels)
+    Y = np.zeros((n, k))
+    Y[np.arange(n), y] = 1.0
+    W = np.zeros((X.shape[1], k))
+    alpha = np.zeros(k)
+    history = []
+    for epoch in range(config.epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = X @ W + alpha
+            per_class = np.mean(Y * np.logaddexp(0.0, -Z) + (1.0 - Y) * np.logaddexp(0.0, Z), axis=0)
+            per_class = per_class + 0.5 * config.l2 * (W * W).sum(axis=0)
+        loss = float(per_class.mean())
+        if not np.isfinite(loss):
+            return W, alpha, history, epoch
+        history.append(loss)
+        diff = (masked_sigmoid(Z) - Y) / n
+        W = W - config.learning_rate * (X.T @ diff + config.l2 * W)
+        alpha = alpha - config.learning_rate * diff.sum(axis=0)
+    return W, alpha, history, None
+
+
+def scaled_dataset(k, seed=5, scale=100.0):
+    rng = np.random.default_rng(seed)
+    return xy_dataset(rng.normal(size=(50, 3)) * scale, rng.integers(0, k, size=50), n_classes=k)
+
+
 class TestLogistic:
     def test_sigmoid_at_zero(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
@@ -211,12 +257,68 @@ class TestLogistic:
         assert (np.diff(losses) <= 1e-12).all()
 
     def test_divergence_names_the_epoch(self):
-        with pytest.raises(ConvergenceError, match="epoch"):
+        with pytest.raises(ConvergenceError, match="epoch 26"):
             fit_logistic(
                 separable_1d(),
                 "y",
                 LogisticConfig(learning_rate=1e6, epochs=80, l2=1.0),
             )
+
+    def test_divergence_without_l2_raises_no_warning(self):
+        # with l2 = 0 the penalty of overflowed weights is 0 * inf; the pytest
+        # settings turn any RuntimeWarning into an error, so this checks that
+        # only the ConvergenceError escapes
+        with pytest.raises(ConvergenceError, match="epoch 1;"):
+            fit_logistic(scaled_dataset(3), "y", LogisticConfig(learning_rate=1e300, epochs=50))
+
+    def test_infinite_margin_counts_as_divergence(self, monkeypatch):
+        # Unstandardized inputs of 1e160 let X @ W overflow while W * W stays
+        # finite. Every margin then has the sign of its label, so each cell's
+        # loss is 0 and only the margin check reports the divergence, at the
+        # epoch the logaddexp loss turns NaN.
+        identity = Standardizer(np.zeros(1), np.ones(1))
+        monkeypatch.setattr(linear.Standardizer, "fit", staticmethod(lambda X: identity))
+        ds = xy_dataset(np.r_[-1.0, -2.0, 1.0, 2.0] * 1e160, [0, 0, 1, 1])
+        config = LogisticConfig(learning_rate=1e-10, epochs=5)
+        *_, epoch = reference_logistic(ds, config)
+        assert epoch is not None
+        with pytest.raises(ConvergenceError, match=f"epoch {epoch};"):
+            fit_logistic(ds, "y", config)
+
+    @pytest.mark.parametrize(
+        "ds, config",
+        [
+            (scaled_dataset(3, seed=2, scale=1.0), LogisticConfig(learning_rate=1e4, epochs=200, l2=2.0)),
+            (separable_1d(), LogisticConfig(learning_rate=1e200, epochs=20)),
+            (scaled_dataset(4, seed=11, scale=1.0), LogisticConfig(learning_rate=1e150, epochs=50, l2=0.5)),
+        ],
+    )
+    def test_divergence_epoch_matches_the_reference_loop(self, ds, config):
+        *_, epoch = reference_logistic(ds, config)
+        assert epoch is not None
+        with pytest.raises(ConvergenceError, match=f"epoch {epoch};"):
+            fit_logistic(ds, "y", config)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("l2", [0.0, 0.5])
+    def test_fit_matches_the_reference_loop(self, k, l2):
+        rng = np.random.default_rng(101 + k)
+        ds = xy_dataset(rng.normal(size=(80, 4)), rng.integers(0, k, size=80), n_classes=k)
+        config = LogisticConfig(learning_rate=0.3, epochs=120, l2=l2)
+        W, alpha, history, epoch = reference_logistic(ds, config)
+        assert epoch is None
+        model = fit_logistic(ds, "y", config)
+        np.testing.assert_array_equal(model.W, W)
+        np.testing.assert_array_equal(model.alpha, alpha)
+        np.testing.assert_allclose(model.loss_history, history, rtol=1e-14, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8), elements=st.floats(allow_nan=False)))
+    @example(z=np.array([np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -0.0, 0.0, 709.8, -745.1, 37.0, -37.0]))
+    def test_sigmoid_is_bit_equal_to_the_masked_halves(self, z):
+        s = sigmoid(z)
+        assert s.view(np.uint64).tolist() == masked_sigmoid(z).view(np.uint64).tolist()
+        assert ((s >= 0.0) & (s <= 1.0)).all()
 
     def test_untrained_model_rejected(self):
         model = fit_logistic(separable_1d(), "y", LogisticConfig(epochs=1))

@@ -224,6 +224,28 @@ class TestAlgorithmBuilders:
         with pytest.raises(ConfigError, match="'variant'"):
             ALGORITHMS["gbdt_goss"].build_config({"variant": "plain"}, 0)
 
+    # json.loads reads NaN and Infinity as floats, so a run config can carry them
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("logistic", '{"learning_rate": NaN}'),
+            ("logistic", '{"learning_rate": Infinity}'),
+            ("logistic", '{"l2": NaN}'),
+            ("logistic", '{"l2": Infinity}'),
+            ("svm", '{"C": NaN}'),
+            ("svm", '{"C": Infinity}'),
+            ("svm", '{"tol": NaN}'),
+            ("svm", '{"tol": Infinity}'),
+            ("svm", '{"kernel": {"gamma": NaN}}'),
+            ("svm", '{"kernel": {"gamma": Infinity}}'),
+            ("svm", '{"kernel": {"coef0": NaN}}'),
+            ("svm", '{"kernel": {"kind": "polynomial", "coef0": -Infinity}}'),
+        ],
+    )
+    def test_non_finite_param_rejected(self, name, params):
+        with pytest.raises(ConfigError, match="finite"):
+            ALGORITHMS[name].build_config(json.loads(params), 0)
+
     def test_svm_kernel_validation(self):
         with pytest.raises(ConfigError, match="kernel must be a JSON object"):
             ALGORITHMS["svm"].build_config({"kernel": ["rbf"]}, 0)
@@ -719,6 +741,15 @@ class TestStrictDocuments:
         result = self.invoke("train", "--config", path)
         assert result.exit_code == 1, result.output
         assert "trees must be a JSON integer" in result.output
+
+    def test_non_finite_model_param_exits_1(self, flow, tmp_path):
+        doc = replace(flow.cfg, algorithm="logistic", model_params={"learning_rate": float("nan")}).to_json()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert '"learning_rate": NaN' in path.read_text(encoding="utf-8")
+        result = self.invoke("train", "--config", path)
+        assert result.exit_code == 1, result.output
+        assert "learning rate must be positive and finite" in result.output
 
     def test_integer_source_threshold_keeps_its_fingerprint(self, corpus, tmp_path):
         doc = run_cfg(corpus, tmp_path / "out").to_json()
