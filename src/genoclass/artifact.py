@@ -9,10 +9,10 @@ than migrated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codec import read_json, write_json
+from .codec import JsonCodec, decode, read_json, write_json
 from .errors import ArgumentError, PersistenceError
 from .registry import ALGORITHMS
 
@@ -20,7 +20,7 @@ FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
-class ModelArtifact:
+class ModelArtifact(JsonCodec):
     """Self-describing snapshot of one fitted model.
 
     Args:
@@ -37,46 +37,21 @@ class ModelArtifact:
     algorithm: str
     task: str
     class_labels: tuple[str, ...]
-    model_doc: dict
-    pipeline_doc: dict
+    model_doc: dict = field(metadata={"key": "model"})
+    pipeline_doc: dict = field(metadata={"key": "pipeline"})
     config_hash: str
     seed: int
-    version: int = FORMAT_VERSION
+    version: int = field(default=FORMAT_VERSION, metadata={"key": "format_version"})
 
-    def to_json(self) -> dict:
-        return {
-            "format_version": self.version,
-            "algorithm": self.algorithm,
-            "task": self.task,
-            "class_labels": list(self.class_labels),
-            "model": self.model_doc,
-            "pipeline": self.pipeline_doc,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "ModelArtifact":
-        try:
-            version = int(doc["format_version"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PersistenceError(f"artifact has no readable format version: {exc}") from exc
-        if version != FORMAT_VERSION:
+    @classmethod
+    def from_json(cls, doc: dict) -> "ModelArtifact":
+        if isinstance(doc, dict) and doc.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
             raise PersistenceError(
-                f"artifact format version {version} is not supported (expected {FORMAT_VERSION})"
+                f"artifact format version {doc['format_version']!r} is not supported (expected {FORMAT_VERSION})"
             )
         try:
-            return ModelArtifact(
-                algorithm=str(doc["algorithm"]),
-                task=str(doc["task"]),
-                class_labels=tuple(doc["class_labels"]),
-                model_doc=dict(doc["model"]),
-                pipeline_doc=dict(doc["pipeline"]),
-                config_hash=str(doc["config_hash"]),
-                seed=int(doc["seed"]),
-                version=version,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return decode(cls, doc)
+        except ArgumentError as exc:
             raise PersistenceError(f"artifact document is malformed: {exc}") from exc
 
     def save(self, path: str | Path) -> None:

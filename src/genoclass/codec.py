@@ -1,15 +1,23 @@
-"""One JSON codec for the package's value dataclasses, plus atomic file I/O.
+"""One JSON codec for every document the package stores, plus atomic file I/O.
 
 ``encode`` turns a dataclass into a dict of its ``init`` fields, recursing
-through nested dataclasses, sequences, arrays and numpy scalars. ``decode``
-converts each value back by the field's type hint. It is strict: an unknown
-key is an error, and so is a missing one unless a ``base`` instance supplies
-it; a scalar must already have its field's JSON type (``scalar``), so
-``"false"`` is no boolean and ``2.7`` no integer, and an array field takes
-only a rectangular JSON array of numbers.
-Stored documents decode without a base; partial user input (model params,
-engineered-feature sources) decodes over the default instance. Every
-decoding failure is an ``ArgumentError``.
+through nested dataclasses, sequences, arrays and numpy scalars; a dict is
+copied as it is, so its values must be JSON-ready. ``decode`` converts each
+value back by the field's type hint: a dataclass, bool, int, float, str,
+array, ``X | None``, ``tuple[X, ...]``, ``list[X]``, fixed-length
+``tuple[X, Y]``, ``dict[K, V]``, or a plain ``dict`` (any JSON object).
+
+A field is stored under its own name unless it names its JSON key,
+``field(metadata={"key": ...})``; a dotted key such as ``"split.ratio"``
+puts the value in a nested section, ``{"split": {"ratio": ...}}``.
+
+Decoding is strict. The document and each section must be a JSON object
+without unknown keys. A missing key is an error, except that under
+``partial=True`` (user input: run configs, model params) it takes its
+field's default; a field without a default is always required. A scalar
+must already have its field's JSON type (``_scalar``), so ``"false"`` is no
+boolean and ``2.7`` no integer, and an array field takes only a rectangular
+JSON array of numbers. Every decoding failure is an ``ArgumentError``.
 
 Classes opt in by inheriting :class:`JsonCodec`. Every file the package
 writes, JSON or not, goes through ``atomic_write``.
@@ -27,7 +35,7 @@ import os
 import types
 import typing
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,69 +53,116 @@ class JsonCodec:
         return decode(cls, doc)
 
 
+class _Field(typing.NamedTuple):
+    """One ``init`` field: its name, JSON key, resolved type hint and whether it lacks a default."""
+
+    name: str
+    key: str
+    hint: Any
+    required: bool
+
+
+#: the value ``_collect`` pairs with a field whose key the document lacks
+_ABSENT = object()
+
+
 @functools.cache
-def _init_fields(cls: type) -> tuple[tuple[str, Any], ...]:
-    """(name, resolved type hint) of each ``init`` field of a dataclass."""
+def _layout(cls: type) -> dict:
+    """The document's shape: each key maps to its ``_Field``, or to the layout of its section."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.init)
+    layout: dict = {}
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        key = f.metadata.get("key", f.name)
+        *sections, last = key.split(".")
+        node = layout
+        for section in sections:
+            node = node.setdefault(section, {})
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        node[last] = _Field(f.name, key, hints[f.name], required)
+    return layout
 
 
 def encode(obj: Any) -> Any:
     """JSON-ready form of obj: dicts, lists and Python scalars only."""
     if dataclasses.is_dataclass(obj):
-        return {name: encode(getattr(obj, name)) for name, _ in _init_fields(type(obj))}
+        return _encode_section(obj, _layout(type(obj)))
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (tuple, list)):
         return [encode(v) for v in obj]
+    if isinstance(obj, dict):
+        return dict(obj)
     if isinstance(obj, np.generic):
         return obj.item()
     return obj
 
 
-def decode(cls: type, doc: Any, base: Any = None) -> Any:
+def _encode_section(obj: Any, layout: dict) -> dict:
+    return {
+        key: _encode_section(obj, entry) if isinstance(entry, dict) else encode(getattr(obj, entry.name))
+        for key, entry in layout.items()
+    }
+
+
+def decode(cls: type, doc: Any, partial: bool = False, name: str | None = None) -> Any:
     """Rebuild a ``cls`` instance from a document ``encode`` produced.
 
-    Keys missing from doc are taken from ``base`` when one is given and are
-    an error otherwise. Raises ArgumentError naming the offending keys.
+    Under ``partial`` a missing key takes its field's default; otherwise
+    every key is required. ``name`` is what messages call the document
+    (default: the class name). Raises ArgumentError naming the offending keys.
     """
-    return _decode(cls, doc, base, cls.__name__)
-
-
-def _decode(cls: type, doc: Any, base: Any, where: str) -> Any:
-    if not isinstance(doc, dict):
-        raise ArgumentError(f"{where} must be a JSON object")
-    fields = _init_fields(cls)
-    unknown = sorted(set(doc) - {name for name, _ in fields})
-    if unknown:
-        raise ArgumentError(f"unknown {where} keys {unknown}")
-    missing = [name for name, _ in fields if name not in doc]
-    if missing and base is None:
-        raise ArgumentError(f"{where} is missing keys {missing}")
+    where = name or cls.__name__
+    values = list(_collect(_layout(cls), doc, where))
+    missing = [f.key for f, value in values if value is _ABSENT and (f.required or not partial)]
+    if missing:
+        raise ArgumentError(f"{where} is missing required keys {missing}")
     try:
-        kwargs = {name: getattr(base, name) for name in missing}
-        for name, hint in fields:
-            if name in doc:
-                kwargs[name] = _decode_value(hint, doc[name], getattr(base, name, None), name)
-        return cls(**kwargs)
+        return cls(**{f.name: _decode_value(f.hint, value, partial, f.key) for f, value in values if value is not _ABSENT})
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"{where} is malformed: {exc!r}") from exc
 
 
-def _decode_value(hint: Any, value: Any, base: Any, where: str) -> Any:
+def _collect(layout: dict, doc: Any, where: str) -> Iterator[tuple[_Field, Any]]:
+    """Each field with its JSON value, or ``_ABSENT``, after checking each section's type and keys."""
+    if not isinstance(doc, dict):
+        raise ArgumentError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(layout))
+    if unknown:
+        raise ArgumentError(f"unknown {where} keys {unknown}")
+    for key, entry in layout.items():
+        if isinstance(entry, dict):
+            yield from _collect(entry, doc.get(key, {}), key)
+        else:
+            yield entry, doc.get(key, _ABSENT)
+
+
+def _decode_value(hint: Any, value: Any, partial: bool, where: str) -> Any:
     origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None:
             return None
-        (inner,) = [a for a in typing.get_args(hint) if a is not type(None)]
-        return _decode_value(inner, value, base, where)
+        (inner,) = [a for a in args if a is not type(None)]
+        return _decode_value(inner, value, partial, where)
+    if dict in (hint, origin):
+        if not isinstance(value, dict):
+            raise ArgumentError(f"{where} must be a JSON object")
+        if not args:
+            return dict(value)
+        return {k: _decode_value(args[1], v, partial, where) for k, v in value.items()}
     if origin in (tuple, list):
         if not isinstance(value, list):
             raise ArgumentError(f"{where} must be a JSON array")
-        items = [_decode_value(typing.get_args(hint)[0], v, None, where) for v in value]
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise ArgumentError(f"{where} must be a JSON array of {len(args)} items, got {len(value)}")
+            return tuple(_decode_value(a, v, partial, where) for a, v in zip(args, value))
+        items = [_decode_value(args[0], v, partial, where) for v in value]
         return tuple(items) if origin is tuple else items
     if issubclass(hint, JsonCodec):
-        return _decode(hint, value, base, where)
+        return decode(hint, value, partial, where)
     if hint is np.ndarray:
         try:
             array = np.asarray(value) if isinstance(value, list) else None
@@ -121,14 +176,14 @@ def _decode_value(hint: Any, value: Any, base: Any, where: str) -> Any:
         if array is None or array.dtype.kind not in "iuf" or bool in set(map(type, items)):
             raise ArgumentError(f"{where} must be a rectangular JSON array of numbers")
         return array.astype(np.float64)
-    return scalar(hint, value, where)
+    return _scalar(hint, value, where)
 
 
 #: JSON name and accepted Python types of each scalar field type
 _SCALARS = {bool: ("boolean", bool), int: ("integer", int), float: ("number", (int, float)), str: ("string", str)}
 
 
-def scalar(hint: type, value: Any, where: str) -> Any:
+def _scalar(hint: type, value: Any, where: str) -> Any:
     """value for a bool, int, float or str field, type-checked instead of coerced.
 
     A float field also takes a JSON integer, as a float; true and false,

@@ -14,8 +14,10 @@ The document shape is::
     }
 
 Only ``input``, ``schema``, ``target``, and ``output_dir`` are required;
-every other key falls back to the module defaults. Unknown keys anywhere
+every other key falls back to its field's default. Unknown keys anywhere
 are rejected rather than ignored, so typos cannot silently change a run.
+The flat fields of :class:`RunConfig` name their keys in the sections
+above, and ``genoclass.codec`` reads and writes the document.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .codec import decode, scalar
+from .codec import JsonCodec, decode
 from .dataset import TASK_ROLES
 from .errors import ArgumentError, ConfigError
 from .features import EngineeredSpec
@@ -36,16 +38,8 @@ ALGORITHM_NAMES = tuple(ALGORITHMS)
 IMPUTATION_POLICIES = ("mode_median", "drop_rows")
 
 
-def _reject_unknown(doc: dict, allowed: tuple[str, ...], where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {where} keys {unknown}")
-
-
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(JsonCodec):
     """Everything one prepare/train/evaluate cycle needs.
 
     Args:
@@ -69,16 +63,16 @@ class RunConfig:
     schema: str
     target: str
     output_dir: str
-    split_ratio: float = 0.8
-    split_seed: int = 42
+    split_ratio: float = field(default=0.8, metadata={"key": "split.ratio"})
+    split_seed: int = field(default=42, metadata={"key": "split.seed"})
     imputation: str = "mode_median"
-    engineer: bool = True
-    bins: int = 10
-    top_k: int = 25
-    sources: EngineeredSpec = field(default_factory=EngineeredSpec)
-    algorithm: str = "gbdt_plain"
-    model_seed: int = 0
-    model_params: dict = field(default_factory=dict)
+    engineer: bool = field(default=True, metadata={"key": "features.engineer"})
+    bins: int = field(default=10, metadata={"key": "features.bins"})
+    top_k: int = field(default=25, metadata={"key": "features.top_k"})
+    sources: EngineeredSpec = field(default_factory=EngineeredSpec, metadata={"key": "features.sources"})
+    algorithm: str = field(default="gbdt_plain", metadata={"key": "model.algorithm"})
+    model_seed: int = field(default=0, metadata={"key": "model.seed"})
+    model_params: dict = field(default_factory=dict, metadata={"key": "model.params"})
 
     def __post_init__(self) -> None:
         if self.target not in TASK_ROLES:
@@ -94,81 +88,12 @@ class RunConfig:
         if self.algorithm not in ALGORITHM_NAMES:
             raise ConfigError(f"algorithm must be one of {list(ALGORITHM_NAMES)}, got {self.algorithm!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "input": self.input,
-            "schema": self.schema,
-            "target": self.target,
-            "output_dir": self.output_dir,
-            "split": {"ratio": self.split_ratio, "seed": self.split_seed},
-            "imputation": self.imputation,
-            "features": {
-                "engineer": self.engineer,
-                "bins": self.bins,
-                "top_k": self.top_k,
-                "sources": self.sources.to_json(),
-            },
-            "model": {
-                "algorithm": self.algorithm,
-                "seed": self.model_seed,
-                "params": dict(self.model_params),
-            },
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        _reject_unknown(
-            doc,
-            ("input", "schema", "target", "output_dir", "split", "imputation", "features", "model"),
-            "config",
-        )
-        missing = [k for k in ("input", "schema", "target", "output_dir") if k not in doc]
-        if missing:
-            raise ConfigError(f"config is missing required keys {missing}")
-
-        split = doc.get("split", {})
-        _reject_unknown(split, ("ratio", "seed"), "split")
-        features = doc.get("features", {})
-        _reject_unknown(features, ("engineer", "bins", "top_k", "sources"), "features")
-        model = doc.get("model", {})
-        _reject_unknown(model, ("algorithm", "seed", "params"), "model")
-        params = model.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("model params must be a JSON object")
+    @classmethod
+    def from_json(cls, doc: dict) -> "RunConfig":
         try:
-            sources = decode(EngineeredSpec, features.get("sources", {}), base=EngineeredSpec())
+            return decode(cls, doc, partial=True, name="config")
         except ArgumentError as exc:
-            raise ConfigError(f"bad features.sources: {exc}") from exc
-
-        sections = {"split": split, "features": features, "model": model}
-
-        def typed(hint: type, where: str, default=None):
-            """The value at where ("key" or "section.key"), type-checked, or default if absent."""
-            *head, key = where.split(".")
-            section = sections[head[0]] if head else doc
-            try:
-                return scalar(hint, section[key], where) if key in section else default
-            except ArgumentError as exc:
-                raise ConfigError(str(exc)) from exc
-
-        return RunConfig(
-            input=typed(str, "input"),
-            schema=typed(str, "schema"),
-            target=typed(str, "target"),
-            output_dir=typed(str, "output_dir"),
-            split_ratio=typed(float, "split.ratio", 0.8),
-            split_seed=typed(int, "split.seed", 42),
-            imputation=typed(str, "imputation", "mode_median"),
-            engineer=typed(bool, "features.engineer", True),
-            bins=typed(int, "features.bins", 10),
-            top_k=typed(int, "features.top_k", 25),
-            sources=sources,
-            algorithm=typed(str, "model.algorithm", "gbdt_plain"),
-            model_seed=typed(int, "model.seed", 0),
-            model_params=dict(params),
-        )
+            raise ConfigError(str(exc)) from exc
 
 
 def load_run_config(path: str | Path, seed: int | None = None, output_dir: str | None = None) -> RunConfig:

@@ -9,6 +9,7 @@ before the statistic is computed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +63,12 @@ class EngineeredSpec(JsonCodec):
     respiratory_rate: str = "Respiratory Rate (breaths/min)"
     age_threshold: float = 40.0
     wbc_threshold: float = 11.0
+
+    def __post_init__(self) -> None:
+        # a NaN or infinite threshold would make its engineered column constant
+        for name in ("age_threshold", "wbc_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ArgumentError(f"engineered-feature {name} must be finite, got {getattr(self, name)}")
 
 
 def _source_values(ds: Dataset, name: str) -> tuple[np.ndarray, ColumnSchema]:

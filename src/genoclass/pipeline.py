@@ -17,13 +17,13 @@ import csv
 import hashlib
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .artifact import ModelArtifact, revive_model
-from .codec import read_json, write_json
+from .codec import JsonCodec, decode, read_json, write_json
 from .config import RunConfig, config_fingerprint
 from .dataset import (
     TASK_ROLES,
@@ -89,7 +89,7 @@ def prepare_fingerprint(cfg: RunConfig) -> str:
 
 
 @dataclass(frozen=True)
-class FeaturePipeline:
+class FeaturePipeline(JsonCodec):
     """Replayable record of every preprocessing decision of one prepare run.
 
     Args:
@@ -100,7 +100,7 @@ class FeaturePipeline:
         imputation: Missing-cell policy used.
         fills: Fitted fill value per feature column (empty for drop_rows).
         engineer: Whether the five derived columns were appended.
-        sources_doc: Engineered-feature source columns, as parsed JSON.
+        sources: Engineered-feature source columns and thresholds.
         bins: Bin count used while ranking numeric features.
         top_k: How many ranked features were selected.
         ranking: Every scored feature with its dependence statistic.
@@ -109,20 +109,21 @@ class FeaturePipeline:
         file_hashes: Content digest per prepared CSV.
     """
 
-    raw_schema_doc: tuple
+    raw_schema_doc: tuple[dict, ...] = field(metadata={"key": "raw_schema"})
     task: str
     target: str
-    class_labels: tuple
+    class_labels: tuple[str, ...]
     imputation: str
+    # a plain dict: discrete fills are integer codes and must stay integers in the record
     fills: dict
     engineer: bool
-    sources_doc: dict
+    sources: EngineeredSpec
     bins: int
     top_k: int
-    ranking: tuple
-    selected: tuple
+    ranking: tuple[tuple[str, float], ...]
+    selected: tuple[str, ...]
     prepare_hash: str
-    file_hashes: dict
+    file_hashes: dict[str, str]
 
     def raw_schema(self) -> list[ColumnSchema]:
         return schema_from_json(list(self.raw_schema_doc))
@@ -135,47 +136,11 @@ class FeaturePipeline:
             cols.extend(engineered_column_schemas())
         return cols
 
-    def sources(self) -> EngineeredSpec:
-        return EngineeredSpec.from_json(self.sources_doc)
-
-    def to_json(self) -> dict:
-        return {
-            "raw_schema": [dict(d) for d in self.raw_schema_doc],
-            "task": self.task,
-            "target": self.target,
-            "class_labels": list(self.class_labels),
-            "imputation": self.imputation,
-            "fills": dict(self.fills),
-            "engineer": self.engineer,
-            "sources": dict(self.sources_doc),
-            "bins": self.bins,
-            "top_k": self.top_k,
-            "ranking": [[name, score] for name, score in self.ranking],
-            "selected": list(self.selected),
-            "prepare_hash": self.prepare_hash,
-            "file_hashes": dict(self.file_hashes),
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "FeaturePipeline":
+    @classmethod
+    def from_json(cls, doc: dict) -> "FeaturePipeline":
         try:
-            return FeaturePipeline(
-                raw_schema_doc=tuple(dict(d) for d in doc["raw_schema"]),
-                task=str(doc["task"]),
-                target=str(doc["target"]),
-                class_labels=tuple(doc["class_labels"]),
-                imputation=str(doc["imputation"]),
-                fills=dict(doc["fills"]),
-                engineer=bool(doc["engineer"]),
-                sources_doc=dict(doc["sources"]),
-                bins=int(doc["bins"]),
-                top_k=int(doc["top_k"]),
-                ranking=tuple((str(n), float(s)) for n, s in doc["ranking"]),
-                selected=tuple(doc["selected"]),
-                prepare_hash=str(doc["prepare_hash"]),
-                file_hashes=dict(doc["file_hashes"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return decode(cls, doc)
+        except ArgumentError as exc:
             raise PersistenceError(f"pipeline record is malformed: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
@@ -259,7 +224,7 @@ def run_prepare(cfg: RunConfig) -> PrepareResult:
         imputation=cfg.imputation,
         fills=fills,
         engineer=cfg.engineer,
-        sources_doc=cfg.sources.to_json(),
+        sources=cfg.sources,
         bins=cfg.bins,
         top_k=cfg.top_k,
         ranking=ranking.entries,
@@ -396,7 +361,7 @@ def _load_eval_rows(pipeline: FeaturePipeline, path: Path) -> Dataset:
         if ds.n_rows == 0:
             raise EmptyInputError(f"{path}: every row had missing feature cells and was dropped")
     if replay_engineer:
-        ds = engineer_features(ds, pipeline.sources())
+        ds = engineer_features(ds, pipeline.sources)
     return ds
 
 

@@ -47,7 +47,7 @@ class Algorithm:
         if unknown:
             raise ConfigError(f"unknown {self.name} params {unknown}; allowed: {sorted(self.params)}")
         try:
-            return decode(self.config, params, base=self.config(seed=seed, **self.fixed))
+            return decode(self.config, {**params, "seed": seed, **self.fixed}, partial=True)
         except ArgumentError as exc:
             raise ConfigError(str(exc)) from exc
 

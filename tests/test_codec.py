@@ -12,9 +12,10 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import make_dataset
 from genoclass.artifact import ModelArtifact
-from genoclass.dataset import write_csv
+from genoclass.config import ALGORITHM_NAMES, IMPUTATION_POLICIES, RunConfig
+from genoclass.dataset import TASK_ROLES, write_csv
 from genoclass.ensemble import LOSSES, VARIANTS, ForestConfig, ForestModel, GbdtConfig, GbdtModel, Tree
-from genoclass.errors import ArgumentError, ConfigError
+from genoclass.errors import ArgumentError, ConfigError, PersistenceError
 from genoclass.features import EngineeredSpec, FeatureRanking
 from genoclass.linear import (
     KERNEL_KINDS,
@@ -266,6 +267,101 @@ class TestCodecProperties:
             cls.from_json(doc)
 
 
+json_scalars = st.none() | st.booleans() | st.integers() | reals | st.text(max_size=6)
+json_objects = st.dictionaries(st.text(max_size=6), json_scalars | st.lists(json_scalars, max_size=3), max_size=4)
+feature_pipelines = st.builds(
+    FeaturePipeline,
+    raw_schema_doc=st.lists(json_objects, max_size=3).map(tuple),
+    task=st.text(max_size=8),
+    target=st.text(max_size=8),
+    class_labels=names,
+    imputation=st.text(max_size=8),
+    # discrete fills are integer codes and must come back as integers
+    fills=st.dictionaries(st.text(max_size=6), st.integers() | reals, max_size=4),
+    engineer=st.booleans(),
+    sources=engineered_specs,
+    bins=st.integers(),
+    top_k=st.integers(),
+    ranking=st.lists(st.tuples(st.text(max_size=6), st.floats(allow_nan=False)), max_size=4).map(tuple),
+    selected=names,
+    prepare_hash=st.text(max_size=8),
+    file_hashes=st.dictionaries(st.text(max_size=6), st.text(max_size=8), max_size=3),
+)
+model_artifacts = st.builds(
+    ModelArtifact,
+    algorithm=st.text(max_size=8),
+    task=st.text(max_size=8),
+    class_labels=names,
+    model_doc=json_objects,
+    pipeline_doc=json_objects,
+    config_hash=st.text(max_size=8),
+    seed=seeds,
+)
+run_configs = st.builds(
+    RunConfig,
+    input=st.text(max_size=8),
+    schema=st.text(max_size=8),
+    target=st.sampled_from(sorted(TASK_ROLES)),
+    output_dir=st.text(max_size=8),
+    split_ratio=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    split_seed=seeds,
+    imputation=st.sampled_from(IMPUTATION_POLICIES),
+    engineer=st.booleans(),
+    bins=st.integers(2, 100),
+    top_k=st.integers(1, 100),
+    sources=engineered_specs,
+    algorithm=st.sampled_from(ALGORITHM_NAMES),
+    model_seed=seeds,
+    model_params=json_objects,
+)
+
+#: strategy, error type and document name of each document whose JSON keys differ from its field names
+DOCUMENTS = {
+    RunConfig: (run_configs, ConfigError, "config"),
+    FeaturePipeline: (feature_pipelines, PersistenceError, "FeaturePipeline"),
+    ModelArtifact: (model_artifacts, PersistenceError, "ModelArtifact"),
+}
+
+
+@pytest.mark.parametrize("cls", list(DOCUMENTS), ids=lambda c: c.__name__)
+class TestDocumentProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_exact(self, cls, data):
+        obj = data.draw(DOCUMENTS[cls][0])
+        clone = cls.from_json(json_trip(obj.to_json()))
+        assert_same(obj, clone)
+        # dumps tells 0 from 0.0, which == does not
+        assert json.dumps(clone.to_json(), sort_keys=True) == json.dumps(obj.to_json(), sort_keys=True)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_missing_required_key_rejected(self, cls, data):
+        strategy, error, _ = DOCUMENTS[cls]
+        doc = json_trip(data.draw(strategy).to_json())
+        # a run config is user input: only the keys without a default are required
+        required = ["input", "schema", "target", "output_dir"] if cls is RunConfig else sorted(doc)
+        del doc[data.draw(st.sampled_from(required))]
+        with pytest.raises(error, match="missing required keys"):
+            cls.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "cls, section",
+    [(RunConfig, None), (RunConfig, "split"), (RunConfig, "features"), (RunConfig, "model"), (FeaturePipeline, None), (ModelArtifact, None)],
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_unknown_document_key_rejected(cls, section, data):
+    strategy, error, name = DOCUMENTS[cls]
+    doc = json_trip(data.draw(strategy).to_json())
+    where = doc[section] if section else doc
+    key = data.draw(st.text(min_size=1).filter(lambda k: k not in where))
+    where[key] = data.draw(st.none() | st.integers() | st.text())
+    with pytest.raises(error, match=f"unknown {section or name} keys"):
+        cls.from_json(doc)
+
+
 def test_trained_flag_is_not_serialized():
     scaler = Standardizer(np.zeros(1), np.ones(1))
     model = LogisticModel(("x",), ("a", "b"), ColumnEncoder(("x",), (0,)), scaler, np.zeros((1, 2)), np.zeros(2), ())
@@ -319,7 +415,7 @@ def failing_artifact():
 def failing_pipeline():
     return FeaturePipeline(
         raw_schema_doc=(), task="genetic_disorder", target="y", class_labels=("a",), imputation="mode_median",
-        fills={"x": Unserializable()}, engineer=False, sources_doc={}, bins=2, top_k=1, ranking=(),
+        fills={"x": Unserializable()}, engineer=False, sources=EngineeredSpec(), bins=2, top_k=1, ranking=(),
         selected=(), prepare_hash="0", file_hashes={},
     )
 
@@ -340,32 +436,36 @@ class UnrenderableScore(float):
         raise TypeError("cannot render")
 
 
-def failing_ranking(path):
-    FeatureRanking((("a", 2.0), ("b", UnrenderableScore(1.0)))).to_csv(path)
+def failing_ranking():
+    return FeatureRanking((("a", 2.0), ("b", UnrenderableScore(1.0))))
 
 
-def failing_tables(path):
+def failing_tables():
     report = small_report()
-    broken = dataclasses.replace(report, metrics=dataclasses.replace(report.metrics, accuracy=Unserializable()))
-    render_report([broken], path.parent, formats=("csv",))
+    return dataclasses.replace(report, metrics=dataclasses.replace(report.metrics, accuracy=Unserializable()))
+
+
+def save(obj, path):
+    obj.save(path)
 
 
 @pytest.mark.parametrize(
-    "name, write",
+    "name, build, write",
     [
-        ("out.json", lambda path: failing_artifact().save(path)),
-        ("out.json", lambda path: failing_pipeline().save(path)),
-        ("out.json", lambda path: failing_report().save(path)),
-        ("ranking.csv", failing_ranking),
-        ("overall_accuracy.csv", failing_tables),
+        ("out.json", failing_artifact, save),
+        ("out.json", failing_pipeline, save),
+        ("out.json", failing_report, save),
+        ("ranking.csv", failing_ranking, lambda ranking, path: ranking.to_csv(path)),
+        ("overall_accuracy.csv", failing_tables, lambda report, path: render_report([report], path.parent, formats=("csv",))),
     ],
     ids=["failing_artifact", "failing_pipeline", "failing_report", "failing_ranking", "failing_tables"],
 )
-def test_failed_save_keeps_the_old_file(tmp_path, name, write):
+def test_failed_save_keeps_the_old_file(tmp_path, name, build, write):
     path = tmp_path / name
     path.write_text("old contents", encoding="utf-8")
+    obj = build()  # outside the raises block: only the write may fail
     with pytest.raises(TypeError):
-        write(path)
+        write(obj, path)
     assert path.read_text(encoding="utf-8") == "old contents"
     assert [p.name for p in tmp_path.iterdir()] == [name]
 

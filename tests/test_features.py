@@ -156,6 +156,14 @@ class TestEngineerFeatures:
         with pytest.raises(ArgumentError):
             EngineeredSpec.from_json({"wbc_thresh": 10.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("name", ["age_threshold", "wbc_threshold"])
+    def test_spec_rejects_non_finite_thresholds(self, name, value):
+        with pytest.raises(ArgumentError, match=f"{name} must be finite"):
+            EngineeredSpec(**{name: value})
+        with pytest.raises(ArgumentError, match=f"{name} must be finite"):
+            EngineeredSpec.from_json({**EngineeredSpec().to_json(), name: value})
+
 
 class TestBinning:
     def test_median_cut(self):

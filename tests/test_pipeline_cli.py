@@ -806,3 +806,66 @@ class TestStrictDocuments:
         assert not (tmp_path / "tables").exists() or not any((tmp_path / "tables").iterdir())
         with pytest.raises(PersistenceError, match=key):
             EvaluationReport.load(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("name", ["age_threshold", "wbc_threshold"])
+    def test_non_finite_source_threshold_exits_1(self, corpus, tmp_path, name, value):
+        doc = run_cfg(corpus, tmp_path / "out").to_json()
+        doc["features"]["sources"] = {name: float(value.replace("Infinity", "inf"))}
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            RunConfig.from_json(doc)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert f'"{name}": {value}' in path.read_text(encoding="utf-8")
+        result = self.invoke("prepare", "--config", path)
+        assert result.exit_code == 1, result.output
+        assert f"{name} must be finite" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("engineer", "false"), ("class_labels", "abc"), ("top_k", 2.9), ("prepare_hash", 5)],
+    )
+    def test_stored_pipeline_value_of_the_wrong_type_exits_2(self, flow, tmp_path, key, value):
+        record = json.loads((flow.out / PIPELINE_JSON).read_text(encoding="utf-8"))
+        record[key] = value
+        path = tmp_path / PIPELINE_JSON
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(PersistenceError, match=f"pipeline record is malformed: {key} must be a JSON"):
+            FeaturePipeline.load(path)
+        doc = json.loads(flow.gbdt.artifact_path.read_text(encoding="utf-8"))
+        doc["pipeline"][key] = value
+        broken = tmp_path / flow.gbdt.artifact_path.name
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert f"{key} must be a JSON" in result.output
+
+    @pytest.mark.parametrize("key, value", [("seed", "3"), ("algorithm", 7)])
+    def test_stored_artifact_value_of_the_wrong_type_exits_2(self, flow, tmp_path, key, value):
+        doc = json.loads(flow.gbdt.artifact_path.read_text(encoding="utf-8"))
+        doc[key] = value
+        broken = tmp_path / flow.gbdt.artifact_path.name
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(PersistenceError, match=f"artifact document is malformed: {key} must be a JSON"):
+            ModelArtifact.load(broken)
+        result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert f"{key} must be a JSON" in result.output
+
+
+class TestSavedBytes:
+    """What one command writes, the next reads back and writes again unchanged."""
+
+    def test_artifact_carries_the_pipeline_record_with_its_json_types(self, flow):
+        record = (flow.out / PIPELINE_JSON).read_text(encoding="utf-8")
+        artifact = json.loads(flow.gbdt.artifact_path.read_text(encoding="utf-8"))
+        # dumps tells 0 from 0.0, which == does not; discrete fills are integer codes
+        assert json.dumps(artifact["pipeline"], sort_keys=True) == json.dumps(json.loads(record), sort_keys=True)
+        assert any(type(fill) is int for fill in artifact["pipeline"]["fills"].values())
+        assert any(type(fill) is float for fill in artifact["pipeline"]["fills"].values())
+
+    def test_minimal_config_fingerprint_is_pinned(self):
+        doc = {"input": "a", "schema": "b", "target": "genetic_disorder", "output_dir": "o"}
+        expected = "6c6e1c3a66d7bbba2d32d064d35a0080892fbe0c75658a11a6470d9ffeb25bfb"
+        assert config_fingerprint(RunConfig.from_json(doc)) == expected
