@@ -4,6 +4,9 @@ Every stage of the pipeline transforms a :class:`Dataset`, an immutable
 column-oriented table. Numeric columns are stored as ``float64`` (NaN where
 missing), categorical/binary columns as ``int64`` category codes (-1 where
 missing); a boolean mask per column is the authoritative missing marker.
+The constructor copies and checks every array it is given; a transform
+shares the frozen arrays of the columns it leaves alone, so it costs only
+the columns it changes.
 
 Schemas are explicit: no inference happens at ingest, so category encodings
 stay exactly as the schema document declares them.
@@ -11,12 +14,13 @@ stay exactly as the schema document declares them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -151,12 +155,38 @@ def schema_to_json(columns: Sequence[ColumnSchema]) -> list[dict]:
     return out
 
 
+def _frozen_column(col: ColumnSchema, values: np.ndarray, missing: np.ndarray | None, n_rows: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Copy, check and freeze one column's cells and mask: missing cells become NaN or -1,
+    codes must be in the category range, and there must be ``n_rows`` cells unless that is None."""
+    if col.role == "ignore":
+        raise SchemaError("ignored columns are dropped at ingest and cannot be stored")
+    arr = np.asarray(values, dtype=np.float64 if col.kind == "numeric" else np.int64).reshape(-1)
+    if n_rows is not None and arr.shape[0] != n_rows:
+        raise SchemaError(f"column {col.name!r} has {arr.shape[0]} cells, expected {n_rows}")
+    mask = np.zeros(arr.shape[0], dtype=bool) if missing is None else np.array(missing, dtype=bool).reshape(-1)
+    if mask.shape[0] != arr.shape[0]:
+        raise SchemaError(f"missing mask for {col.name!r} has wrong length")
+    if col.kind == "numeric":
+        mask = mask | np.isnan(arr)
+        arr = np.where(mask, np.nan, arr)  # np.where allocates, so the caller's array is never stored
+    else:
+        present = arr[~mask]
+        if present.size and (present.min() < 0 or present.max() >= len(col.categories)):
+            raise SchemaError(f"column {col.name!r}: codes outside [0, {len(col.categories)})")
+        arr = np.where(mask, -1, arr)
+    arr.setflags(write=False)
+    mask.setflags(write=False)
+    return arr, mask
+
+
 class Dataset:
     """Immutable column-typed table.
 
-    Construction copies and freezes the provided arrays, so instances are
-    safe for concurrent reads; every transforming operation returns a new
-    Dataset.
+    The constructor copies, checks and freezes every array it is given, so
+    instances are safe for concurrent reads. Every transform returns a new
+    Dataset that shares the frozen arrays of the columns it leaves alone and
+    checks only the cells it adds, so a transform costs only the columns it
+    changes.
     """
 
     def __init__(
@@ -166,48 +196,32 @@ class Dataset:
         missing: Mapping[str, np.ndarray] | None = None,
         ingest_warnings: Mapping[str, int] | None = None,
     ) -> None:
-        self.columns: tuple[ColumnSchema, ...] = tuple(columns)
-        names = [c.name for c in self.columns]
+        columns = tuple(columns)
+        names = [c.name for c in columns]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate column names")
-        if any(c.role == "ignore" for c in self.columns):
-            raise SchemaError("ignored columns are dropped at ingest and cannot be stored")
         if set(values) != set(names):
             raise SchemaError("values must cover exactly the schema columns")
-
+        frozen_values: dict[str, np.ndarray] = {}
+        frozen_missing: dict[str, np.ndarray] = {}
         n_rows = None
-        self._values: dict[str, np.ndarray] = {}
-        self._missing: dict[str, np.ndarray] = {}
-        for col in self.columns:
-            dtype = np.float64 if col.kind == "numeric" else np.int64
-            arr = np.array(values[col.name], dtype=dtype, copy=True).reshape(-1)
-            if n_rows is None:
-                n_rows = arr.shape[0]
-            elif arr.shape[0] != n_rows:
-                raise SchemaError(f"column {col.name!r} has {arr.shape[0]} cells, expected {n_rows}")
-            if missing is not None and col.name in missing:
-                mask = np.array(missing[col.name], dtype=bool, copy=True).reshape(-1)
-                if mask.shape[0] != arr.shape[0]:
-                    raise SchemaError(f"missing mask for {col.name!r} has wrong length")
-            else:
-                mask = np.zeros(arr.shape[0], dtype=bool)
-            if col.kind == "numeric":
-                mask = mask | np.isnan(arr)
-                arr = np.where(mask, np.nan, arr)
-            else:
-                present = arr[~mask]
-                if present.size and (present.min() < 0 or present.max() >= len(col.categories)):
-                    raise SchemaError(
-                        f"column {col.name!r}: codes outside [0, {len(col.categories)})"
-                    )
-                arr = np.where(mask, -1, arr)
-            arr.setflags(write=False)
-            mask.setflags(write=False)
-            self._values[col.name] = arr
-            self._missing[col.name] = mask
-        self.n_rows: int = 0 if n_rows is None else int(n_rows)
+        for col in columns:
+            arr, mask = _frozen_column(col, values[col.name], (missing or {}).get(col.name), n_rows)
+            frozen_values[col.name], frozen_missing[col.name], n_rows = arr, mask, arr.shape[0]
+        self._adopt(columns, frozen_values, frozen_missing, n_rows or 0, ingest_warnings)
+
+    def _adopt(self, columns: Sequence[ColumnSchema], values: dict[str, np.ndarray], missing: dict[str, np.ndarray], n_rows: int, ingest_warnings: Mapping[str, int] | None) -> "Dataset":
+        """Store already checked, frozen arrays as they are."""
+        self.columns: tuple[ColumnSchema, ...] = tuple(columns)
+        self._values = values
+        self._missing = missing
+        self.n_rows: int = int(n_rows)
         self.ingest_warnings: dict[str, int] = dict(ingest_warnings or {})
         self._by_name = {c.name: c for c in self.columns}
+        return self
+
+    def _derive(self, columns: Sequence[ColumnSchema], values: dict[str, np.ndarray], missing: dict[str, np.ndarray], n_rows: int) -> "Dataset":
+        return Dataset.__new__(Dataset)._adopt(columns, values, missing, n_rows if columns else 0, self.ingest_warnings)
 
     # -- lookups ------------------------------------------------------------
 
@@ -261,45 +275,30 @@ class Dataset:
         """Return a new dataset with one appended column."""
         if schema.name in self._by_name:
             raise SchemaError(f"column {schema.name!r} already exists")
-        cols = self.columns + (schema,)
-        vals = {n: self._values[n] for n in self._values}
-        vals[schema.name] = values
-        miss = {n: self._missing[n] for n in self._missing}
-        if missing is not None:
-            miss[schema.name] = missing
-        return Dataset(cols, vals, miss, self.ingest_warnings)
+        arr, mask = _frozen_column(schema, values, missing, self.n_rows if self.columns else None)
+        return self._derive(self.columns + (schema,), {**self._values, schema.name: arr}, {**self._missing, schema.name: mask}, arr.shape[0])
 
     def replace_values(self, name: str, values: np.ndarray, missing: np.ndarray | None = None) -> "Dataset":
         """Return a new dataset with one column's cells (not schema) replaced."""
-        self.schema_of(name)
-        vals = {n: self._values[n] for n in self._values}
-        vals[name] = values
-        miss = {n: self._missing[n] for n in self._missing if n != name}
-        if missing is not None:
-            miss[name] = missing
-        return Dataset(self.columns, vals, miss, self.ingest_warnings)
+        arr, mask = _frozen_column(self.schema_of(name), values, missing, self.n_rows)
+        return self._derive(self.columns, {**self._values, name: arr}, {**self._missing, name: mask}, self.n_rows)
 
     def select_columns(self, names: Sequence[str]) -> "Dataset":
         """Return a new dataset restricted to the named columns, in given order."""
-        for n in names:
-            self.schema_of(n)
-        cols = [self._by_name[n] for n in names]
-        return Dataset(
-            cols,
-            {n: self._values[n] for n in names},
-            {n: self._missing[n] for n in names},
-            self.ingest_warnings,
-        )
+        cols = [self.schema_of(n) for n in names]
+        if len(set(names)) != len(names):
+            raise SchemaError("duplicate column names")
+        return self._derive(cols, {n: self._values[n] for n in names}, {n: self._missing[n] for n in names}, self.n_rows)
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """Return a new dataset with the given rows, in given order."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.columns,
-            {n: self._values[n][idx] for n in self._values},
-            {n: self._missing[n][idx] for n in self._missing},
-            self.ingest_warnings,
-        )
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        # rows of checked arrays need no new checks, only freezing
+        values = {n: v[idx] for n, v in self._values.items()}
+        missing = {n: m[idx] for n, m in self._missing.items()}
+        for arr in (*values.values(), *missing.values()):
+            arr.setflags(write=False)
+        return self._derive(self.columns, values, missing, idx.size)
 
     # -- comparisons ----------------------------------------------------------
 
@@ -361,6 +360,20 @@ def supervised_arrays(ds: Dataset, target: str, discrete: bool) -> tuple[np.ndar
 # -- ingestion ----------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def csv_reader(path: str | Path) -> Iterator[Iterator[list[str]]]:
+    """A csv reader over a UTF-8 file. A cell over the csv module's field limit is a DataTypeError
+    naming the line; bytes that are not UTF-8 are one naming the file, as text decodes in blocks."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise DataTypeError(f"{path} is not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataTypeError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
     """Read a CSV file against an explicit schema.
 
@@ -371,8 +384,7 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
     Ignored columns are checked for presence and then dropped.
     """
     validate_schema(schema)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -452,13 +464,12 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
     """
     cols = []
     for col in ds.columns:
-        vals = ds.values(col.name)
-        mask = ds.missing_mask(col.name)
+        # one pass over Python scalars: tolist() spares a numpy scalar per cell
+        cells = zip(ds.values(col.name).tolist(), ds.missing_mask(col.name).tolist())
         if col.kind == "numeric":
-            rendered = [("" if mask[i] else repr(float(vals[i]))) for i in range(ds.n_rows)]
+            cols.append(["" if gap else repr(v) for v, gap in cells])
         else:
-            rendered = [("" if mask[i] else col.token_of(vals[i])) for i in range(ds.n_rows)]
-        cols.append(rendered)
+            cols.append(["" if gap else col.categories[v] for v, gap in cells])
     write_csv_rows(path, ds.column_names, zip(*cols))
 
 

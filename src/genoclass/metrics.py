@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import atomic_write, read_json, write_csv_rows, write_json
+from .codec import JsonCodec, atomic_write, decode, encode, read_json, write_csv_rows, write_json
 from .errors import ArgumentError, DegenerateDataError, EvaluationError, PersistenceError
 
 
@@ -199,6 +199,40 @@ def multiclass_roc(y_true: Sequence[int], probas: np.ndarray, labels: Sequence[s
     return out
 
 
+@dataclass(frozen=True)
+class _StoredCurve(JsonCodec):
+    """One ROC curve as an evaluation JSON stores it; as arrays, its points decode in numpy."""
+
+    fpr: np.ndarray
+    tpr: np.ndarray
+    auc: float
+
+
+@dataclass(frozen=True)
+class _StoredReport:
+    """An evaluation JSON key by key, with each value's JSON type, for the codec.
+
+    The ``ClassMetrics`` fields sit at the top level, the macro averages in a
+    ``macro`` section, and the confusion matrix as bare integer counts.
+    """
+
+    algorithm: str
+    task: str
+    labels: tuple[str, ...]
+    confusion: tuple[tuple[int, ...], ...]
+    accuracy: float
+    precision: tuple[float, ...]
+    recall: tuple[float, ...]
+    f1: tuple[float, ...]
+    support: tuple[int, ...]
+    macro_precision: float = field(metadata={"key": "macro.precision"})
+    macro_recall: float = field(metadata={"key": "macro.recall"})
+    macro_f1: float = field(metadata={"key": "macro.f1"})
+    flags: tuple[tuple[str, str], ...]
+    roc: dict[str, _StoredCurve | None]
+    config_hash: str
+
+
 @dataclass
 class EvaluationReport:
     """Everything one (algorithm, task) evaluation produced, serializable to JSON."""
@@ -212,57 +246,27 @@ class EvaluationReport:
     config_hash: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "task": self.task,
-            "labels": list(self.labels),
-            "confusion": [[int(v) for v in row] for row in self.confusion.counts],
-            "accuracy": self.metrics.accuracy,
-            "precision": list(self.metrics.precision),
-            "recall": list(self.metrics.recall),
-            "f1": list(self.metrics.f1),
-            "support": list(self.metrics.support),
-            "macro": {
-                "precision": self.metrics.macro_precision,
-                "recall": self.metrics.macro_recall,
-                "f1": self.metrics.macro_f1,
-            },
-            "flags": [list(f) for f in self.metrics.flags],
-            "roc": {
-                label: (None if curve is None else {"fpr": list(curve.fpr), "tpr": list(curve.tpr), "auc": curve.auc})
-                for label, curve in self.roc.items()
-            },
-            "config_hash": self.config_hash,
-        }
+        m = self.metrics
+        # the codec copies a dict as it is, so the curves are written out here: as
+        # _StoredCurve's arrays, their thousands of points would cost 10x the time
+        roc = {label: None if c is None else {"fpr": list(c.fpr), "tpr": list(c.tpr), "auc": c.auc} for label, c in self.roc.items()}
+        return encode(_StoredReport(
+            self.algorithm, self.task, self.labels, self.confusion.counts, m.accuracy, m.precision, m.recall, m.f1,
+            m.support, m.macro_precision, m.macro_recall, m.macro_f1, m.flags, roc, self.config_hash,
+        ))
 
     @staticmethod
     def from_json(doc: dict) -> "EvaluationReport":
-        labels = tuple(doc["labels"])
-        cm = ConfusionMatrix(np.asarray(doc["confusion"], dtype=np.int64), labels)
+        """Rebuild a report; a missing key or a value of the wrong JSON type is an ArgumentError."""
+        d = decode(_StoredReport, doc, name="evaluation report")
         metrics = ClassMetrics(
-            labels=labels,
-            precision=tuple(doc["precision"]),
-            recall=tuple(doc["recall"]),
-            f1=tuple(doc["f1"]),
-            support=tuple(doc["support"]),
-            accuracy=float(doc["accuracy"]),
-            macro_precision=float(doc["macro"]["precision"]),
-            macro_recall=float(doc["macro"]["recall"]),
-            macro_f1=float(doc["macro"]["f1"]),
-            flags=tuple((str(a), str(b)) for a, b in doc["flags"]),
+            d.labels, d.precision, d.recall, d.f1, d.support, d.accuracy, d.macro_precision, d.macro_recall, d.macro_f1, d.flags
         )
-        roc: dict[str, RocCurve | None] = {}
-        for label, curve in doc["roc"].items():
-            roc[label] = None if curve is None else RocCurve(tuple(curve["fpr"]), tuple(curve["tpr"]), float(curve["auc"]))
-        return EvaluationReport(
-            algorithm=str(doc["algorithm"]),
-            task=str(doc["task"]),
-            labels=labels,
-            confusion=cm,
-            metrics=metrics,
-            roc=roc,
-            config_hash=str(doc["config_hash"]),
-        )
+        cm = ConfusionMatrix(np.asarray(d.confusion, dtype=np.int64), d.labels)
+        if any(c is not None and (c.fpr.ndim, c.tpr.ndim) != (1, 1) for c in d.roc.values()):
+            raise ArgumentError("roc fpr and tpr must each be a flat JSON array of numbers")
+        roc = {label: None if c is None else RocCurve(tuple(c.fpr.tolist()), tuple(c.tpr.tolist()), c.auc) for label, c in d.roc.items()}
+        return EvaluationReport(d.algorithm, d.task, d.labels, cm, metrics, roc, d.config_hash)
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_json(), end="\n")
@@ -272,7 +276,7 @@ class EvaluationReport:
         doc = read_json(path, "evaluation report")
         try:
             return EvaluationReport.from_json(doc)
-        except (ArgumentError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (ArgumentError, ValueError) as exc:  # ValueError: ragged confusion rows
             raise PersistenceError(f"evaluation report {str(path)!r} is malformed: {exc!r}") from exc
 
 

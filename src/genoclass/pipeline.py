@@ -13,7 +13,6 @@ Four stages, each a plain function over a run config:
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from collections.abc import Sequence
@@ -30,6 +29,7 @@ from .dataset import (
     ColumnSchema,
     Dataset,
     apply_imputation,
+    csv_reader,
     fit_imputation,
     impute_missing,
     load_csv,
@@ -309,9 +309,9 @@ def run_train(cfg: RunConfig) -> TrainResult:
 
 
 def _read_header(path: Path) -> list[str]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with csv_reader(path) as reader:
         try:
-            return next(csv.reader(fh))
+            return next(reader)
         except StopIteration:
             raise EmptyInputError(f"{path}: file is empty") from None
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genoclass import (
     ArgumentError,
@@ -268,6 +270,95 @@ class TestDatasetOps:
     def test_ignore_columns_rejected_in_memory(self):
         with pytest.raises(SchemaError):
             Dataset([ColumnSchema("n", "categorical", role="ignore")], {"n": np.zeros(1)})
+
+
+class TestTransformChains:
+    """Random chains of replace_values, with_column, select_columns and take."""
+
+    CATEGORIES = ("a", "b", "c")
+
+    @staticmethod
+    def draw_column(data, kind, n):
+        """Cells and a missing mask (or None) as a caller would pass them, plus the model's copies."""
+        mask = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+        if kind == "numeric":
+            cells = data.draw(st.lists(st.floats(allow_subnormal=False), min_size=n, max_size=n))
+            values = np.array(cells, dtype=np.float64)
+        else:
+            cells = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+            values = np.array(cells, dtype=np.int64)
+            if mask is not None:
+                values[np.array(mask, dtype=bool)] = 99  # a masked cell holds no code
+        missing = None if mask is None else np.array(mask, dtype=bool)
+        model = (values.copy(), None if missing is None else missing.copy())
+        return values, missing, model
+
+    def schema(self, name, kind):
+        return ColumnSchema(name, kind, categories=self.CATEGORIES if kind == "categorical" else ())
+
+    @staticmethod
+    def scribble(*arrays):
+        """Overwrite what the caller still holds after the dataset took it."""
+        for arr in arrays:
+            if arr is not None:
+                arr[...] = ~arr if arr.dtype == bool else 2
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chain_matches_a_dataset_built_from_scratch(self, data):
+        n = data.draw(st.integers(0, 6))
+        model = {}  # name -> (schema, values, missing) of the cells every step should hold
+        inputs = []
+        for j, kind in enumerate(data.draw(st.lists(st.sampled_from(["numeric", "categorical"]), min_size=1, max_size=4))):
+            values, missing, cells = self.draw_column(data, kind, n)
+            model[f"c{j}"] = (self.schema(f"c{j}", kind), *cells)
+            inputs.append((values, missing))
+        ds = Dataset([m[0] for m in model.values()], {k: v for k, (v, _) in zip(model, inputs)}, {k: m for k, (_, m) in zip(model, inputs) if m is not None})
+        self.scribble(*(a for pair in inputs for a in pair))
+
+        for step in range(data.draw(st.integers(1, 6))):
+            op = data.draw(st.sampled_from(["replace_values", "with_column", "select_columns", "take"]))
+            before = ds
+            if op in ("replace_values", "with_column"):
+                if op == "replace_values":
+                    name = data.draw(st.sampled_from(list(model)))
+                    schema = model[name][0]
+                else:
+                    name = f"new{step}"
+                    schema = self.schema(name, data.draw(st.sampled_from(["numeric", "categorical"])))
+                values, missing, cells = self.draw_column(data, schema.kind, ds.n_rows)
+                if op == "replace_values":
+                    ds = ds.replace_values(name, values, missing)
+                else:
+                    ds = ds.with_column(schema, values, missing)
+                model[name] = (schema, *cells)
+                self.scribble(values, missing)
+                changed = {name}
+            elif op == "select_columns":
+                names = data.draw(st.permutations(list(model)))[: data.draw(st.integers(1, len(model)))]
+                ds = ds.select_columns(names)
+                model = {name: model[name] for name in names}
+                changed = set()
+            else:
+                rows = st.lists(st.integers(0, ds.n_rows - 1), max_size=8) if ds.n_rows else st.just([])
+                idx = np.array(data.draw(rows), dtype=np.int64)
+                ds = ds.take(idx)
+                model = {k: (c, v[idx], None if m is None else m[idx]) for k, (c, v, m) in model.items()}
+                changed = set(model)
+            for name in set(model) - changed:
+                assert ds.values(name) is before.values(name)
+                assert ds.missing_mask(name) is before.missing_mask(name)
+
+            scratch = Dataset(
+                [c for c, _, _ in model.values()],
+                {k: v for k, (_, v, _) in model.items()},
+                {k: m for k, (_, _, m) in model.items() if m is not None},
+            )
+            assert ds == scratch and ds.column_names == scratch.column_names and ds.n_rows == scratch.n_rows
+            for name in model:
+                np.testing.assert_array_equal(ds.values(name), scratch.values(name))
+                assert not ds.values(name).flags.writeable
+                assert not ds.missing_mask(name).flags.writeable
 
 
 class TestImputation:

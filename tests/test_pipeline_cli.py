@@ -1,6 +1,7 @@
 """End-to-end tests for the run config, pipeline stages, artifacts, and CLI."""
 
 import csv
+import hashlib
 import json
 import shutil
 from dataclasses import replace
@@ -16,7 +17,7 @@ from conftest import xy_dataset
 from genoclass.artifact import ModelArtifact, revive_model
 from genoclass.cli import main
 from genoclass.config import ALGORITHM_NAMES, RunConfig, config_fingerprint, load_run_config
-from genoclass.dataset import load_csv, schema_from_json, schema_to_json, stratified_split, write_csv
+from genoclass.dataset import Dataset, load_csv, schema_from_json, schema_to_json, stratified_split, write_csv
 from genoclass.ensemble.boosting import GbdtConfig
 from genoclass.ensemble.forest import ForestConfig
 from genoclass.errors import (
@@ -701,6 +702,42 @@ class TestCli:
             EvaluationReport.load(path)
 
 
+class TestUnreadableCsv:
+    """Text the csv module cannot read is a data error (exit 2) naming the file, and the line where it can."""
+
+    invoke = TestCli.invoke
+    # text decodes in blocks, so only the field limit can name its line
+    CASES = [("oversized_cell", "{path}: line {line}: field larger than field limit"), ("not_utf8", "{path} is not UTF-8 text")]
+
+    @staticmethod
+    def damaged_copy(source, dest, kind, line):
+        lines = Path(source).read_bytes().split(b"\n")
+        if kind == "oversized_cell":
+            lines[line - 1] = b"x" * 140_000 + lines[line - 1]
+        else:
+            lines[line - 1] += b"\xff"
+        dest.write_bytes(b"\n".join(lines))
+        return dest
+
+    @pytest.mark.parametrize("kind, message", CASES)
+    def test_prepare_exits_2(self, corpus, tmp_path, kind, message):
+        raw = self.damaged_copy(corpus["raw"], tmp_path / "raw.csv", kind, line=6)
+        cfg_path = tmp_path / "run.json"
+        cfg = run_cfg({"raw": str(raw), "schema": corpus["schema"]}, tmp_path / "out")
+        cfg_path.write_text(json.dumps(cfg.to_json()), encoding="utf-8")
+        result = self.invoke("prepare", "--config", cfg_path)
+        assert result.exit_code == 2, result.output
+        assert "error: " + message.format(path=raw, line=6) in result.output
+
+    @pytest.mark.parametrize("line", [1, 6], ids=["header", "row"])
+    @pytest.mark.parametrize("kind, message", CASES)
+    def test_evaluate_on_a_raw_csv_exits_2(self, corpus, flow, tmp_path, kind, message, line):
+        raw = self.damaged_copy(corpus["raw"], tmp_path / "raw.csv", kind, line)
+        result = self.invoke("evaluate", "--artifact", flow.gbdt.artifact_path, "--data", raw, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert "error: " + message.format(path=raw, line=line) in result.output
+
+
 class TestStrictDocuments:
     """Values of the wrong JSON type fail with their documented exit code instead of being coerced."""
 
@@ -807,6 +844,32 @@ class TestStrictDocuments:
         with pytest.raises(PersistenceError, match=key):
             EvaluationReport.load(path)
 
+    @pytest.mark.parametrize("key, value", [("accuracy", "0.5"), ("labels", "abc"), ("algorithm", 7)])
+    def test_stored_report_value_of_the_wrong_type_exits_2(self, flow, tmp_path, key, value):
+        doc = json.loads(flow.ev_gbdt.report_path.read_text(encoding="utf-8"))
+        # as many characters as labels, so a string read as a sequence would still fit the matrix
+        assert len(doc["labels"]) == 3
+        doc[key] = value
+        path = tmp_path / flow.ev_gbdt.report_path.name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("report", path, "--out", tmp_path / "tables")
+        assert result.exit_code == 2, result.output
+        assert f"{key} must be a JSON" in result.output
+        assert not (tmp_path / "tables").exists() or not any((tmp_path / "tables").iterdir())
+        with pytest.raises(PersistenceError, match=f"{key} must be a JSON"):
+            EvaluationReport.load(path)
+
+    @pytest.mark.parametrize("points", [[[0.0, 1.0]], ["0.0", "1.0"]], ids=["nested", "strings"])
+    def test_stored_roc_points_that_are_not_flat_numbers_exit_2(self, flow, tmp_path, points):
+        doc = json.loads(flow.ev_gbdt.report_path.read_text(encoding="utf-8"))
+        curve = next(c for c in doc["roc"].values() if c is not None)
+        curve["fpr"] = points
+        path = tmp_path / flow.ev_gbdt.report_path.name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("report", path, "--out", tmp_path / "tables")
+        assert result.exit_code == 2, result.output
+        assert "JSON array of numbers" in result.output
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("name", ["age_threshold", "wbc_threshold"])
     def test_non_finite_source_threshold_exits_1(self, corpus, tmp_path, name, value):
@@ -865,7 +928,67 @@ class TestSavedBytes:
         assert any(type(fill) is int for fill in artifact["pipeline"]["fills"].values())
         assert any(type(fill) is float for fill in artifact["pipeline"]["fills"].values())
 
+    def test_evaluation_report_reloads_to_the_same_bytes(self, flow, tmp_path):
+        copy = tmp_path / "evaluation.json"
+        EvaluationReport.load(flow.ev_forest.report_path).save(copy)
+        assert copy.read_bytes() == flow.ev_forest.report_path.read_bytes()
+
     def test_minimal_config_fingerprint_is_pinned(self):
         doc = {"input": "a", "schema": "b", "target": "genetic_disorder", "output_dir": "o"}
         expected = "6c6e1c3a66d7bbba2d32d064d35a0080892fbe0c75658a11a6470d9ffeb25bfb"
         assert config_fingerprint(RunConfig.from_json(doc)) == expected
+
+
+class TestPinnedBytes:
+    """SHA-256 of what prepare and a raw-CSV evaluate write for one fixed-seed table.
+
+    The raw table has gaps in every column, so the pins cover the label drop,
+    the split, imputation, engineering, ranking and CSV rendering, and the
+    raw-CSV evaluation replays take, impute and engineer. Paths are relative
+    to the working directory, so the fingerprints inside the files are fixed.
+    """
+
+    PINNED = {
+        "genetic_disorder": {
+            TRAIN_CSV: "f1608a4f4a988ccac58c7afb00afc774eb22fbad2b336902b06f0452ef219a43",
+            TEST_CSV: "59bfdbf29ade457063076c2e1a1b11acf9edda933c204050d4e216970935f70e",
+            RANKING_CSV: "910327943fb15cf91b917c95d71ba05ef1652bb38d546d5bc880ea8ff2e97568",
+            "evaluation": "14df282823958f9deca1718919bf9021f42b8a2aad889c51b3a5ad38d089f779",
+        },
+        "disorder_subclass": {
+            TRAIN_CSV: "50bf51cb1d38de07d00a5db66dabf15b8cbb4ad417001ec4489cb646d48c4408",
+            TEST_CSV: "f4b5e9c26157287d9a0098f1bd9f20311562c21c7c23cfad35003453d0a41aaf",
+            RANKING_CSV: "4c76d20abd16eb3bada9efef7d5b30234a3ad5165553298b4a29b28d8819f0af",
+            "evaluation": "57df00df12a8ca9e8ff0bd7679e88d96c7de162ba5fc2f3b37bd0fb7d74e78b3",
+        },
+    }
+
+    @staticmethod
+    def write_gappy_raw(root):
+        ds = synthdata.planted_dataset(300, 17)
+        rng = np.random.default_rng(17)
+        missing = {c.name: rng.random(ds.n_rows) < (0.08 if c.role == "feature" else 0.04) for c in ds.columns}
+        ds = Dataset(ds.columns, {c.name: ds.values(c.name) for c in ds.columns}, missing)
+        write_csv(ds, root / "raw.csv")
+        (root / "schema.json").write_text(json.dumps(schema_to_json(ds.columns)), encoding="utf-8")
+
+    @pytest.mark.parametrize("task", ["genetic_disorder", "disorder_subclass"])
+    def test_prepare_and_raw_evaluate_bytes(self, tmp_path, monkeypatch, task):
+        monkeypatch.chdir(tmp_path)
+        self.write_gappy_raw(tmp_path)
+        cfg = RunConfig(
+            input="raw.csv",
+            schema="schema.json",
+            target=task,
+            output_dir="out",
+            top_k=12,
+            algorithm="gbdt_plain",
+            model_params=SMALL_PARAMS["gbdt_plain"],
+        )
+        run_prepare(cfg)
+        trained = run_train(cfg)
+        evaluated = run_evaluate(trained.artifact_path, "raw.csv", "eval")
+        files = {name: Path("out") / name for name in (TRAIN_CSV, TEST_CSV, RANKING_CSV)}
+        files["evaluation"] = evaluated.report_path
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+        assert digests == self.PINNED[task]
