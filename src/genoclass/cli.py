@@ -16,6 +16,7 @@ from pathlib import Path
 
 import click
 
+from .codec import make_dirs
 from .config import load_run_config
 from .errors import ConfigError, GenoclassError, StateError, ValidationError
 from .pipeline import run_evaluate, run_prepare, run_report, run_train
@@ -36,8 +37,7 @@ def _locked(out_dir: str | Path):
     Concurrent commands against one output directory would interleave file
     writes, so the second invocation fails fast instead of corrupting state.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dirs(out_dir)
     lock_path = out_dir / LOCK_NAME
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)

@@ -20,7 +20,7 @@ boolean and ``2.7`` no integer, and an array field takes only a rectangular
 JSON array of numbers. Every decoding failure is an ``ArgumentError``.
 
 Classes opt in by inheriting :class:`JsonCodec`. Every file the package
-writes, JSON or not, goes through ``atomic_write``.
+writes goes through ``atomic_write`` and every directory through ``make_dirs``.
 """
 
 from __future__ import annotations
@@ -198,6 +198,15 @@ def _scalar(hint: type, value: Any, where: str) -> Any:
 # -- files --------------------------------------------------------------------------
 
 
+def make_dirs(path: str | Path) -> Path:
+    """Create directory path and its parents if missing; an OSError is a PersistenceError naming path."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PersistenceError(f"cannot create directory {str(path)!r}: {exc.strerror or exc}") from exc
+    return Path(path)
+
+
 @contextlib.contextmanager
 def atomic_write(path: str | Path, newline: str | None = None):
     """Open path for writing UTF-8 text (``newline=""`` for csv), all or nothing.
@@ -205,6 +214,7 @@ def atomic_write(path: str | Path, newline: str | None = None):
     The text goes to a temporary file in the same directory that replaces
     path in one rename, so a crash mid-write leaves the old file or the new
     one, never a truncated mix; a failed write removes the temporary file.
+    An OSError is a PersistenceError naming path.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -212,8 +222,11 @@ def atomic_write(path: str | Path, newline: str | None = None):
         with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise PersistenceError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -6,7 +6,8 @@ missing), categorical/binary columns as ``int64`` category codes (-1 where
 missing); a boolean mask per column is the authoritative missing marker.
 The constructor copies and checks every array it is given; a transform
 shares the frozen arrays of the columns it leaves alone, so it costs only
-the columns it changes.
+the columns it changes. CSV files are read and written in blocks of
+``CSV_BLOCK_ROWS`` rows, so memory holds one block of strings besides the arrays.
 
 Schemas are explicit: no inference happens at ingest, so category encodings
 stay exactly as the schema document declares them.
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .codec import write_csv_rows
+from .codec import atomic_write
 from .errors import (
     ArgumentError,
     DataTypeError,
@@ -43,6 +46,9 @@ TASK_ROLES = {
     "genetic_disorder": "target_disorder",
     "disorder_subclass": "target_subclass",
 }
+
+#: rows that load_csv converts, and write_csv renders, per pass over each column
+CSV_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -362,9 +368,9 @@ def supervised_arrays(ds: Dataset, target: str, discrete: bool) -> tuple[np.ndar
 
 @contextlib.contextmanager
 def csv_reader(path: str | Path) -> Iterator[Iterator[list[str]]]:
-    """A csv reader over a UTF-8 file. A cell over the csv module's field limit is a DataTypeError
-    naming the line; bytes that are not UTF-8 are one naming the file, as text decodes in blocks."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    """A csv reader over a UTF-8 file, with or without a byte-order mark. A cell over the csv module's
+    field limit is a DataTypeError naming the line; bytes that are not UTF-8 are one naming the file."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             yield reader
@@ -374,6 +380,23 @@ def csv_reader(path: str | Path) -> Iterator[Iterator[list[str]]]:
             raise DataTypeError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
+def _records(reader: Iterator[list[str]], width: int, path: str | Path) -> Iterator[list[str]]:
+    """The reader's records, each checked to have ``width`` cells as it is read."""
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise SchemaError(f"{path}: line {line_no} has {len(row)} cells, expected {width}")
+        yield row
+
+
+def _is_number(token: str) -> bool:
+    """Whether a numeric cell parses: blank, or a number with or without surrounding whitespace."""
+    try:
+        float(token.strip() or "nan")
+    except ValueError:
+        return False
+    return True
+
+
 def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
     """Read a CSV file against an explicit schema.
 
@@ -381,9 +404,17 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
     set; column order follows the schema). Empty cells become missing;
     category tokens not listed in the schema become missing and are tallied
     in ``Dataset.ingest_warnings``; malformed numeric cells are errors.
-    Ignored columns are checked for presence and then dropped.
+    Ignored columns are checked for presence and then dropped. Each column of
+    a block of records converts in one pass (memory: one block plus the arrays).
+    A malformed record anywhere wins over a bad number; the first bad column
+    in schema order is named, at its first bad line.
     """
     validate_schema(schema)
+    kept = [c for c in schema if c.role != "ignore"]
+    blocks: dict[str, list[np.ndarray]] = {c.name: [] for c in kept}
+    unknown = dict.fromkeys(blocks, 0)
+    bad: dict[int, str] = {}  # index in kept of a numeric column -> the error for its first bad cell
+    n = 0
     with csv_reader(path) as reader:
         try:
             header = next(reader)
@@ -401,58 +432,49 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
                 msg.append(f"unexpected columns {sorted(seen - expected)}")
             raise SchemaError(f"{path}: header does not match schema: " + "; ".join(msg))
         position = {name: i for i, name in enumerate(header)}
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}")
-            rows.append(row)
-    if not rows:
+        codes = {c.name: {tok: k for k, tok in enumerate(c.categories) if tok != ""} for c in kept if c.discrete}
+        records = _records(reader, len(header), path)
+        while rows := list(itertools.islice(records, CSV_BLOCK_ROWS)):
+            cells = list(zip(*rows))
+            for j, col in enumerate(kept):
+                if j in bad:
+                    continue
+                tokens = cells[position[col.name]]
+                if col.discrete:
+                    found = np.fromiter(map(codes[col.name].get, tokens, itertools.repeat(-1)), np.int64, len(rows))
+                    unknown[col.name] += int(np.count_nonzero(found < 0)) - tokens.count("")
+                else:
+                    try:
+                        found = np.fromiter(map(float, [t.strip() or "nan" for t in tokens]), np.float64, len(rows))
+                    except ValueError:
+                        k = next(k for k, t in enumerate(tokens) if not _is_number(t))
+                        bad[j] = f"{path}: column {col.name!r}, line {n + k + 2}: not a number: {tokens[k]!r}"
+                        continue
+                blocks[col.name].append(found)
+            n += len(rows)
+    if not n:
         raise EmptyInputError(f"{path}: no data rows")
-
-    n = len(rows)
-    kept = [c for c in schema if c.role != "ignore"]
+    if bad:
+        raise DataTypeError(bad[min(bad)])
     values: dict[str, np.ndarray] = {}
     missing: dict[str, np.ndarray] = {}
-    warnings_count: dict[str, int] = {}
     for col in kept:
-        pos = position[col.name]
-        mask = np.zeros(n, dtype=bool)
-        if col.kind == "numeric":
-            out = np.empty(n, dtype=np.float64)
-            for i, row in enumerate(rows):
-                token = row[pos].strip()
-                if not token:
-                    mask[i] = True
-                    out[i] = np.nan
-                    continue
-                try:
-                    out[i] = float(token)
-                except ValueError:
-                    raise DataTypeError(
-                        f"{path}: column {col.name!r}, line {i + 2}: not a number: {row[pos]!r}"
-                    ) from None
-        else:
-            out = np.empty(n, dtype=np.int64)
-            codes = {tok: k for k, tok in enumerate(col.categories)}
-            unknown = 0
-            for i, row in enumerate(rows):
-                token = row[pos]
-                if token == "":
-                    mask[i] = True
-                    out[i] = -1
-                    continue
-                code = codes.get(token)
-                if code is None:
-                    unknown += 1
-                    mask[i] = True
-                    out[i] = -1
-                else:
-                    out[i] = code
-            if unknown:
-                warnings_count[col.name] = unknown
-        values[col.name] = out
-        missing[col.name] = mask
-    return Dataset(kept, values, missing, warnings_count)
+        arr = np.concatenate(blocks.pop(col.name))
+        mask = arr < 0 if col.discrete else np.isnan(arr)
+        if not col.discrete:
+            arr[mask] = np.nan  # a parsed "-nan" keeps its sign bit; a missing cell holds a plain NaN
+        arr.setflags(write=False)
+        mask.setflags(write=False)
+        values[col.name], missing[col.name] = arr, mask
+    # the arrays are new and every code is in range by construction, so the constructor's checks are skipped
+    return Dataset.__new__(Dataset)._adopt(kept, values, missing, n, {k: v for k, v in unknown.items() if v})
+
+
+def _csv_field(text: str, alone: bool) -> str:
+    """text as the default csv dialect writes it: as a row's only field when alone, else among others."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text] if alone else ["", text])
+    return buf.getvalue()[0 if alone else 1 : -2]  # without the leading delimiter and the "\r\n"
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
@@ -460,17 +482,27 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
 
     Missing cells become empty strings; numeric cells use shortest
     round-trip formatting, so load_csv on the result reproduces the dataset
-    cell-identically. The file is replaced atomically.
+    cell-identically. The bytes are ``csv.writer``'s; each block of rows renders
+    a column at a time and is written at once. The file is replaced atomically.
     """
-    cols = []
-    for col in ds.columns:
-        # one pass over Python scalars: tolist() spares a numpy scalar per cell
-        cells = zip(ds.values(col.name).tolist(), ds.missing_mask(col.name).tolist())
-        if col.kind == "numeric":
-            cols.append(["" if gap else repr(v) for v, gap in cells])
-        else:
-            cols.append(["" if gap else col.categories[v] for v, gap in cells])
-    write_csv_rows(path, ds.column_names, zip(*cols))
+    alone = len(ds.columns) == 1
+    gap = _csv_field("", alone)
+    # a missing code is -1, so the gap appended last renders it
+    fields = {c.name: [_csv_field(t, alone) for t in c.categories] + [gap] for c in ds.columns if c.discrete}
+    with atomic_write(path, newline="") as fh:
+        csv.writer(fh).writerow(ds.column_names)
+        for lo in range(0, ds.n_rows, CSV_BLOCK_ROWS):
+            cols = []
+            for col in ds.columns:
+                vals = ds.values(col.name)[lo : lo + CSV_BLOCK_ROWS].tolist()
+                if col.discrete:
+                    cols.append(list(map(fields[col.name].__getitem__, vals)))
+                    continue
+                cells = list(map(float.__repr__, vals))
+                for k in np.flatnonzero(ds.missing_mask(col.name)[lo : lo + CSV_BLOCK_ROWS]).tolist():
+                    cells[k] = gap
+                cols.append(cells)
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
 
 
 # -- imputation ----------------------------------------------------------------

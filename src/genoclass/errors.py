@@ -59,4 +59,4 @@ class EvaluationError(GenoclassError):
 
 
 class PersistenceError(GenoclassError):
-    """A stored artifact cannot be loaded (version mismatch, corruption)."""
+    """A stored file cannot be loaded or written (version mismatch, corruption, bad path)."""

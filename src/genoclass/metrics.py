@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import JsonCodec, atomic_write, decode, encode, read_json, write_csv_rows, write_json
+from .codec import JsonCodec, atomic_write, decode, encode, make_dirs, read_json, write_csv_rows, write_json
 from .errors import ArgumentError, DegenerateDataError, EvaluationError, PersistenceError
 
 
@@ -342,8 +342,7 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path, form
     tasks = sorted(by_task)
     algorithms = sorted({rep.algorithm for rep in reports})
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dirs(out_dir)
     written: list[Path] = []
 
     accuracy: dict[tuple[str, str], float] = {(r.algorithm, r.task): r.metrics.accuracy for r in reports}

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifact import ModelArtifact, revive_model
-from .codec import JsonCodec, decode, read_json, write_json
+from .codec import JsonCodec, decode, make_dirs, read_json, write_json
 from .config import RunConfig, config_fingerprint
 from .dataset import (
     TASK_ROLES,
@@ -210,8 +210,7 @@ def run_prepare(cfg: RunConfig) -> PrepareResult:
     ranking = rank_features(train, target, bins=cfg.bins)
     selected = select_top_k(ranking, cfg.top_k)
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dirs(cfg.output_dir)
     write_csv(train, out_dir / TRAIN_CSV)
     write_csv(test, out_dir / TEST_CSV)
     ranking.to_csv(out_dir / RANKING_CSV)
@@ -409,12 +408,10 @@ def run_evaluate(artifact_path: str | Path, data_path: str | Path, out_dir: str 
         config_hash=artifact.config_hash,
     )
 
-    out = Path(out_dir) if out_dir is not None else artifact_path.parent
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dirs(out_dir if out_dir is not None else artifact_path.parent)
     report_path = out / f"evaluation_{artifact.algorithm}_{artifact.task}.json"
     report.save(report_path)
-    tables_dir = out / f"report_{artifact.algorithm}_{artifact.task}"
-    tables_dir.mkdir(parents=True, exist_ok=True)
+    tables_dir = make_dirs(out / f"report_{artifact.algorithm}_{artifact.task}")
     render_report([report], tables_dir)
     return EvalResult(report_path, tables_dir, artifact.algorithm, artifact.task, ds.n_rows, report.metrics.accuracy)
 
@@ -424,7 +421,6 @@ def run_report(report_paths: Sequence[str | Path], out_dir: str | Path) -> list[
     if not report_paths:
         raise ArgumentError("need at least one evaluation report")
     reports = [EvaluationReport.load(p) for p in report_paths]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dirs(out_dir)
     render_report(reports, out)
     return reports

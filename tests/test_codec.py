@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -486,7 +487,8 @@ WRITERS = {
 
 @pytest.mark.parametrize("name", list(WRITERS))
 def test_failed_rename_keeps_the_old_file(tmp_path, monkeypatch, name):
-    """A write that fails at its last step leaves the old file whole and no temporary file."""
+    """A write that fails at its last step leaves the old file whole and no temporary file,
+    and fails as a PersistenceError naming the file."""
     path = tmp_path / name
     path.write_text("old contents", encoding="utf-8")
 
@@ -494,7 +496,7 @@ def test_failed_rename_keeps_the_old_file(tmp_path, monkeypatch, name):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(PersistenceError, match=re.escape(f"cannot write {str(path)!r}: disk full")):
         WRITERS[name](path)
     assert path.read_text(encoding="utf-8") == "old contents"
     assert [p.name for p in tmp_path.iterdir()] == [name]

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from genoclass import dataset as dataset_module
 from genoclass import (
     ArgumentError,
     ColumnSchema,
     DataTypeError,
     Dataset,
     EmptyInputError,
+    GenoclassError,
     ImputationError,
     SchemaError,
     StratificationError,
@@ -28,6 +32,8 @@ from genoclass import (
 )
 
 from conftest import BINARY, make_dataset, make_schema
+from genoclass.codec import write_csv_rows
+from genoclass.dataset import CSV_BLOCK_ROWS, csv_reader
 
 
 class TestColumnSchema:
@@ -224,6 +230,253 @@ class TestLoadCsv:
         kept = [c for c in make_schema(CSV_SCHEMA) if c.role != "ignore"]
         again = load_csv(out, kept)
         assert again == ds
+
+
+def reference_load_csv(path, schema):
+    """The per-cell reader load_csv replaced: every record is read, then each column is converted cell by cell."""
+    validate_schema(schema)
+    with csv_reader(path) as reader:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError(f"{path}: file is empty") from None
+        expected = {c.name for c in schema}
+        seen = set(header)
+        if len(seen) != len(header):
+            raise SchemaError(f"{path}: duplicate header names")
+        if seen != expected:
+            msg = []
+            if expected - seen:
+                msg.append(f"missing columns {sorted(expected - seen)}")
+            if seen - expected:
+                msg.append(f"unexpected columns {sorted(seen - expected)}")
+            raise SchemaError(f"{path}: header does not match schema: " + "; ".join(msg))
+        position = {name: i for i, name in enumerate(header)}
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise SchemaError(f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}")
+            rows.append(row)
+    if not rows:
+        raise EmptyInputError(f"{path}: no data rows")
+
+    n = len(rows)
+    kept = [c for c in schema if c.role != "ignore"]
+    values, missing, warnings_count = {}, {}, {}
+    for col in kept:
+        pos = position[col.name]
+        mask = np.zeros(n, dtype=bool)
+        if col.kind == "numeric":
+            out = np.empty(n, dtype=np.float64)
+            for i, row in enumerate(rows):
+                token = row[pos].strip()
+                if not token:
+                    mask[i] = True
+                    out[i] = np.nan
+                    continue
+                try:
+                    out[i] = float(token)
+                except ValueError:
+                    raise DataTypeError(
+                        f"{path}: column {col.name!r}, line {i + 2}: not a number: {row[pos]!r}"
+                    ) from None
+        else:
+            out = np.empty(n, dtype=np.int64)
+            codes = {tok: k for k, tok in enumerate(col.categories)}
+            unknown = 0
+            for i, row in enumerate(rows):
+                token = row[pos]
+                if token == "":
+                    mask[i] = True
+                    out[i] = -1
+                    continue
+                code = codes.get(token)
+                if code is None:
+                    unknown += 1
+                    mask[i] = True
+                    out[i] = -1
+                else:
+                    out[i] = code
+            if unknown:
+                warnings_count[col.name] = unknown
+        values[col.name] = out
+        missing[col.name] = mask
+    return Dataset(kept, values, missing, warnings_count)
+
+
+def reference_write_csv(ds, path):
+    """The per-cell writer write_csv replaced: csv.writer over every row."""
+    cols = []
+    for col in ds.columns:
+        cells = zip(ds.values(col.name).tolist(), ds.missing_mask(col.name).tolist())
+        if col.kind == "numeric":
+            cols.append(["" if gap else repr(v) for v, gap in cells])
+        else:
+            cols.append(["" if gap else col.categories[v] for v, gap in cells])
+    write_csv_rows(path, ds.column_names, zip(*cols))
+
+
+#: block sizes the blocked reader and writer are checked at: every record its own block, blocks that
+#: split a table unevenly, and the default
+BLOCK_SIZES = (1, 2, 3, CSV_BLOCK_ROWS)
+
+#: category tokens with the characters csv quotes, surrounding spaces and the empty token
+TOKENS = ("a", "b", "x,y", 'q"t', " s", "t ", "l\nm", "r\rs", "")
+GOOD_NUMBERS = ("0", "1.5", " 2 ", "-3e2", "\t4", "5\n", "nan", "-nan", "NaN", "inf", "-inf", "", "  ", "1e999")
+BAD_NUMBERS = ("x", "1,5", "1 2", "2..", "nan!", "0x10")
+
+
+def outcome(load, path, schema):
+    """What a reader returns, bit for bit, or the type and message of what it raises."""
+    try:
+        ds = load(path, schema)
+    except GenoclassError as exc:
+        return type(exc), str(exc)
+    cells = [(ds.values(n).dtype, ds.values(n).tobytes(), ds.missing_mask(n).tobytes()) for n in ds.column_names]
+    return ds.column_names, ds.n_rows, cells, ds.ingest_warnings
+
+
+@st.composite
+def csv_cases(draw):
+    """A schema and the records of a CSV for it: random column kinds and order, gaps, unknown tokens,
+    quoted commas and newlines, and, in some cases, bad numbers and short or long records."""
+    tokens = st.lists(st.sampled_from(TOKENS), min_size=2, max_size=4, unique=True)
+    schema = [
+        ColumnSchema("d", "categorical", "target_disorder", draw(tokens)),
+        ColumnSchema("s", "binary", "target_subclass", draw(st.lists(st.sampled_from(TOKENS), min_size=2, max_size=2, unique=True))),
+    ]
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(["numeric", "categorical", "ignore"]), max_size=4))):
+        if kind == "ignore":
+            schema.append(ColumnSchema(f"c{j}", "categorical", "ignore"))
+        else:
+            schema.append(ColumnSchema(f"c{j}", kind, categories=draw(tokens) if kind == "categorical" else ()))
+    schema = draw(st.permutations(schema))
+    header = [c.name for c in draw(st.permutations(schema))]
+    numbers = GOOD_NUMBERS + (BAD_NUMBERS if draw(st.booleans()) else ())
+    shifts = (0,) * 12 + ((-1, 1) if draw(st.booleans()) else ())
+    free_text = st.text(alphabet=' a,"\r\n', max_size=4)
+    records = []
+    for _ in range(draw(st.integers(0, 9))):
+        row = []
+        for name in header:
+            col = next(c for c in schema if c.name == name)
+            if col.role == "ignore":
+                row.append(draw(free_text))
+            elif col.kind == "numeric":
+                row.append(draw(st.sampled_from(numbers)))
+            else:
+                row.append(draw(st.sampled_from(col.categories + ("", "zz", " a"))))
+        shift = draw(st.sampled_from(shifts))
+        records.append(row[:shift] if shift < 0 else row + ["extra"] * shift)
+    return schema, header, records
+
+
+def write_records(path, header, records):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *records])
+    return path
+
+
+@st.composite
+def written_datasets(draw):
+    """Tables of one to four columns, with gaps, non-finite numbers and tokens csv must quote."""
+    tokens = st.lists(st.sampled_from(TOKENS[:-1]), min_size=2, max_size=4, unique=True)
+    n = draw(st.integers(0, 9))
+    columns, values, missing = [], {}, {}
+    for j in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["numeric", "categorical"]))
+        col = ColumnSchema(f"c{j}", kind, categories=draw(tokens) if kind == "categorical" else ())
+        if kind == "numeric":
+            values[col.name] = np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=np.float64)
+        else:
+            values[col.name] = np.array(draw(st.lists(st.integers(0, len(col.categories) - 1), min_size=n, max_size=n)), dtype=np.int64)
+        missing[col.name] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        columns.append(col)
+    return Dataset(columns, values, missing)
+
+
+class TestBlockedCsv:
+    """load_csv and write_csv against the per-cell reader and writer they replaced, at several block sizes."""
+
+    @given(csv_cases())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reader_matches_the_per_cell_reader(self, tmp_path, case):
+        schema, header, records = case
+        path = write_records(tmp_path / "data.csv", header, records)
+        expected = outcome(reference_load_csv, path, schema)
+        for rows in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataset_module, "CSV_BLOCK_ROWS", rows)
+                assert outcome(load_csv, path, schema) == expected
+
+    AB_SCHEMA = [("a", "numeric"), ("b", "numeric"), ("d", "categorical", "target_disorder", ("x", "y")), ("s", "binary", "target_subclass", BINARY)]
+
+    def load_in_blocks_of_two(self, path):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset_module, "CSV_BLOCK_ROWS", 2)
+            return load_csv(path, make_schema(self.AB_SCHEMA))
+
+    def test_malformed_record_wins_over_an_earlier_bad_number(self, tmp_path):
+        rows = [["1", "1", "x", "No"], ["oops", "1", "x", "No"], ["1", "1", "x", "No"], ["1", "1", "x", "No"], ["1", "1", "x"]]
+        path = write_records(tmp_path / "data.csv", ["a", "b", "d", "s"], rows)
+        with pytest.raises(SchemaError, match="line 6 has 3 cells"):
+            self.load_in_blocks_of_two(path)
+
+    def test_first_column_in_schema_order_wins_over_an_earlier_line(self, tmp_path):
+        rows = [["1", "1", "x", "No"], ["1", "bad_b", "x", "No"], ["1", "1", "x", "No"], ["1", "1", "x", "No"], ["bad_a", "1", "x", "No"]]
+        path = write_records(tmp_path / "data.csv", ["a", "b", "d", "s"], rows)
+        with pytest.raises(DataTypeError, match="column 'a', line 6: not a number: 'bad_a'"):
+            self.load_in_blocks_of_two(path)
+
+    def test_malformed_record_wins_over_a_later_unreadable_cell(self, tmp_path):
+        rows = [["1", "1", "x", "No"], ["1", "1", "x"], ["1", "z" * 140_000, "x", "No"]]
+        path = write_records(tmp_path / "data.csv", ["a", "b", "d", "s"], rows)
+        with pytest.raises(SchemaError, match="line 3 has 3 cells"):
+            load_csv(path, make_schema(self.AB_SCHEMA))
+
+    def test_loaded_arrays_are_frozen_and_missing_numbers_are_plain_nan(self, tmp_path):
+        path = write_records(tmp_path / "data.csv", ["a", "b", "d", "s"], [["-nan", "", "x", "No"], ["2", "nan", "zz", "Yes"]])
+        ds = self.load_in_blocks_of_two(path)
+        for name in ds.column_names:
+            assert not ds.values(name).flags.writeable and not ds.missing_mask(name).flags.writeable
+        assert ds.values("a")[:1].tobytes() == np.array([np.nan]).tobytes()
+        np.testing.assert_array_equal(ds.missing_mask("b"), [True, True])
+        assert ds.ingest_warnings == {"d": 1}
+
+    def check_writer(self, ds, tmp_path):
+        reference = tmp_path / "reference.csv"
+        reference_write_csv(ds, reference)
+        for rows in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataset_module, "CSV_BLOCK_ROWS", rows)
+                write_csv(ds, tmp_path / "blocked.csv")
+            assert (tmp_path / "blocked.csv").read_bytes() == reference.read_bytes()
+        # load_csv needs rows and both target roles; give the roles to two discrete columns where a table has them
+        discrete = [c.name for c in ds.columns if c.discrete]
+        if len(discrete) >= 2 and ds.n_rows:
+            roles = dict(zip(discrete, ("target_disorder", "target_subclass")))
+            schema = [ColumnSchema(c.name, c.kind, roles.get(c.name, "feature"), c.categories) for c in ds.columns]
+            again = load_csv(tmp_path / "blocked.csv", schema)
+            assert again == Dataset(schema, {n: ds.values(n) for n in ds.column_names}, {n: ds.missing_mask(n) for n in ds.column_names})
+
+    @given(written_datasets())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_writer_matches_csv_writer(self, tmp_path, ds):
+        self.check_writer(ds, tmp_path)
+
+    def test_one_column_table_with_gaps(self, tmp_path):
+        for kind, cats, cells in (("numeric", (), [1.0, 2.0, 3.0]), ("categorical", ("", "a"), [0, 1, 1])):
+            ds = Dataset([ColumnSchema("c", kind, categories=cats)], {"c": np.array(cells)}, {"c": np.array([False, True, False])})
+            self.check_writer(ds, tmp_path)
+            assert (tmp_path / "blocked.csv").read_text(encoding="utf-8").splitlines()[2] == '""'
+
+    def test_table_longer_than_a_block(self, tmp_path):
+        n = 3 * CSV_BLOCK_ROWS + 5
+        rng = np.random.default_rng(3)
+        columns = [ColumnSchema("x", "numeric"), ColumnSchema("d", "categorical", "target_disorder", TOKENS[:-1]), ColumnSchema("s", "binary", "target_subclass", ("l\nm", " s"))]
+        values = {"x": rng.normal(size=n), "d": rng.integers(0, len(TOKENS) - 1, n), "s": rng.integers(0, 2, n)}
+        missing = {name: rng.random(n) < 0.1 for name in values}
+        self.check_writer(Dataset(columns, values, missing), tmp_path)
 
 
 class TestDatasetOps:

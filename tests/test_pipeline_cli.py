@@ -588,6 +588,20 @@ class TestCli:
         assert not (out / ".genoclass.lock").exists()
         assert self.invoke("prepare", "--config", cfg_path).exit_code == 0
 
+    @pytest.mark.parametrize("command", ["prepare", "evaluate"])
+    def test_output_directory_under_a_file_exits_2(self, corpus, flow, tmp_path, command):
+        blocker = tmp_path / "afile"
+        blocker.write_text("", encoding="utf-8")
+        if command == "prepare":
+            out = blocker / "out"
+            result = self.invoke("prepare", "--config", self.write_config(corpus, tmp_path, out))
+        else:
+            out = blocker / "sub"
+            result = self.invoke("evaluate", "--artifact", flow.gbdt.artifact_path, "--data", flow.out / TEST_CSV, "--out", out)
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: cannot create directory {str(out)!r}"), result.output
+        assert "Traceback" not in result.output
+
     def test_env_redirects_output_dir(self, corpus, tmp_path):
         ignored = tmp_path / "ignored"
         redirected = tmp_path / "redirected"
@@ -736,6 +750,28 @@ class TestUnreadableCsv:
         result = self.invoke("evaluate", "--artifact", flow.gbdt.artifact_path, "--data", raw, "--out", tmp_path / "eval")
         assert result.exit_code == 2, result.output
         assert "error: " + message.format(path=raw, line=line) in result.output
+
+
+class TestByteOrderMark:
+    """A CSV that starts with a UTF-8 byte-order mark reads as the same file without one."""
+
+    @staticmethod
+    def bom_copy(source, dest):
+        dest.write_bytes(b"\xef\xbb\xbf" + Path(source).read_bytes())
+        return dest
+
+    def test_prepare_writes_the_same_files(self, corpus, flow, tmp_path):
+        raw = self.bom_copy(corpus["raw"], tmp_path / "raw.csv")
+        run_prepare(replace(flow.cfg, input=str(raw), output_dir=str(tmp_path / "out")))
+        for name in (TRAIN_CSV, TEST_CSV, RANKING_CSV):
+            assert (tmp_path / "out" / name).read_bytes() == (flow.out / name).read_bytes()
+
+    def test_evaluate_on_a_raw_csv_scores_the_same_rows(self, corpus, flow, tmp_path):
+        raw = self.bom_copy(corpus["raw"], tmp_path / "raw.csv")
+        plain = run_evaluate(flow.gbdt.artifact_path, corpus["raw"], tmp_path / "plain")
+        marked = run_evaluate(flow.gbdt.artifact_path, raw, tmp_path / "marked")
+        assert marked.rows == plain.rows
+        assert marked.report_path.read_bytes() == plain.report_path.read_bytes()
 
 
 class TestStrictDocuments:
