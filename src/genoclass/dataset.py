@@ -19,7 +19,6 @@ import contextlib
 import csv
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .codec import atomic_write
+from .codec import atomic_write, decode, read_json
 from .errors import (
     ArgumentError,
     DataTypeError,
@@ -126,27 +125,17 @@ def validate_schema(columns: Sequence[ColumnSchema]) -> None:
 
 
 def schema_from_json(source: str | Path | Sequence[Mapping]) -> list[ColumnSchema]:
-    """Load a schema document (path to JSON, or an already-parsed list)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+    """Load a schema document (path to JSON, or an already-parsed list); a
+    malformed entry is a SchemaError naming its position."""
+    doc = read_json(source, "schema file") if isinstance(source, (str, Path)) else source
     if not isinstance(doc, list):
         raise SchemaError("schema document must be a JSON list of column objects")
     columns = []
-    for entry in doc:
-        unknown = set(entry) - {"name", "kind", "role", "categories"}
-        if unknown:
-            raise SchemaError(f"schema entry {entry.get('name')!r}: unknown keys {sorted(unknown)}")
-        columns.append(
-            ColumnSchema(
-                name=entry["name"],
-                kind=entry["kind"],
-                role=entry.get("role", "feature"),
-                categories=tuple(entry.get("categories", ())),
-            )
-        )
+    for i, entry in enumerate(doc):
+        try:
+            columns.append(decode(ColumnSchema, entry, partial=True, name="column"))
+        except ArgumentError as exc:
+            raise SchemaError(f"schema entry {i}: {exc}") from exc
     validate_schema(columns)
     return columns
 

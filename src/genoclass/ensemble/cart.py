@@ -11,17 +11,23 @@ subset, drawn for the whole level in one call on the tree's generator.
 Gains within ``TIE_RTOL`` of the best tie, broken toward the lowest feature,
 then the lowest threshold. Rows route left when value <= threshold.
 
-Rows carry their node id. An unsampled level reads its rows' bins from one
-offset bin matrix (``offset_bins``), which a fit builds once. A level scored
-in one call over every bin keeps its histograms (``level_histograms``), so
-the next level counts only the smaller child of each split and takes its
-sibling as parent minus child: count planes stay exact integers, statistic
-sums change by rounding, which ``TIE_RTOL`` absorbs. The kept histograms are
-those of at most ``NODES_PER_CALL`` nodes, B bins per plane. A wider level,
-or a call whose histograms over every bin would outnumber its (row, feature)
-pairs and so keeps only the bins its rows have (``compact_bins``), builds its
-histograms directly, as does every ``mtry`` level: its nodes search
-different features, so no parent histogram covers them.
+Rows carry their node id, and one search (``_level_splits``) scores every
+greedy level, sampled or not. An unsampled level of at most
+``NODES_PER_CALL`` nodes whose histograms over every bin do not outnumber
+its (row, feature) pairs is scored in one call. It reads its rows' bins from
+one offset bin matrix (``offset_bins``), which a fit builds once, and keeps
+its histograms (``level_histograms``), so the next level counts only the
+smaller child of each split and takes its sibling as parent minus child:
+count planes stay exact integers, statistic sums change by rounding, which
+``TIE_RTOL`` absorbs. Every other level is scored in chunks of
+``NODES_PER_CALL`` nodes, each chunk's rows in ascending order, keyed by
+their offset bins or, in an ``mtry`` tree, by the bins of their node's drawn
+features, laid out over the union of the chunk's draws. A chunk keeps only
+the bins its rows have when histograms over every bin would outnumber its
+(row, feature) pairs (``compact_bins``). Chunks keep no histograms: kept
+ones cover at most ``NODES_PER_CALL`` nodes over every bin, and an ``mtry``
+level's nodes search different features, so no parent histogram covers
+them.
 
 Every tree, greedy or oblivious, is one ``Tree`` of parallel per-node
 arrays, and ``apply`` is the one descent: it maps rows to leaf ids level by
@@ -279,35 +285,20 @@ def _pick(hist: np.ndarray, offsets: np.ndarray, last, slot: np.ndarray, value: 
     return found
 
 
-def _best_splits(codes, values, S, groups: list[np.ndarray], features: np.ndarray, msl: int) -> list:
-    """Best split (see _pick) of each row group of an mtry level, or None.
+def _level_splits(codes, bins, values, S, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, drawn, msl: int):
+    """Best split (see _pick) of each node of a level, rows keyed by their node
+    id node, and the level's histograms when it was scored in one call over
+    every bin (else None), for its children to subtract from.
 
-    features (groups x F) holds each group's candidate features in ascending
-    order; a call's bins cover the union of its groups' features."""
-    found: list = []
-    for lo in range(0, len(groups), NODES_PER_CALL):
-        chunk, drawn = groups[lo : lo + NODES_PER_CALL], features[lo : lo + NODES_PER_CALL]
-        sizes = np.array([g.size for g in chunk])
-        used = np.where(np.bincount(drawn.ravel(), minlength=len(values)) > 0, [v.size for v in values], 0)
-        offsets = np.cumsum([0, *used])
-        rows = np.concatenate([np.take(codes[g], f, axis=1) + offsets[f] for g, f in zip(chunk, drawn)])
-        value = np.concatenate([v[:size] for v, size in zip(values, used)])
-        key, offsets, slot, value = compact_bins(rows, offsets, value, len(chunk))
-        key += np.repeat(np.arange(len(chunk)) * slot.size, sizes)[:, None]
-        hist = histograms(key, S[np.concatenate(chunk)], len(chunk), slot.size)
-        # a node's last bin is that of its own last feature
-        found += _pick(hist, offsets, offsets[drawn[:, -1] + 1] - 1, slot, value, values, sizes, msl)
-    return found
-
-
-def _level_splits(bins, values, S, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, msl: int):
-    """Best split (see _pick) of each node of an unsampled level, rows keyed by
-    their node id node, and the level's histograms when it was scored in one
-    call over every bin (else None), for its children to subtract from."""
+    drawn is None when every node searches every feature, its rows' bins read
+    from bins; else it holds each node's drawn features in ascending order, the
+    rows' bins gathered from codes, and a call's bins cover the union of its
+    nodes' features."""
     offsets, value = feature_offsets(values), np.concatenate(values)
-    if nodes.size <= NODES_PER_CALL and size[nodes].sum() * bins.shape[1] >= nodes.size * offsets[-1]:
+    widths = np.diff(offsets)
+    if drawn is None and nodes.size <= NODES_PER_CALL and size[nodes].sum() * bins.shape[1] >= nodes.size * offsets[-1]:
         hist = level_histograms(bins, S, node, nodes, size, kept, offsets[-1])
-        slot = np.repeat(np.arange(len(values)), np.diff(offsets))
+        slot = np.repeat(np.arange(len(values)), widths)
         # scoring sums the statistic planes in place, so the kept histograms are a copy
         return _pick(hist.copy(), offsets, -1, slot, value, values, size[nodes], msl), hist
     found: list = []
@@ -316,10 +307,22 @@ def _level_splits(bins, values, S, node: np.ndarray, nodes: np.ndarray, size: np
         at = np.full(size.size, -1)
         at[part] = np.arange(part.size)
         rows = np.flatnonzero(at[node] >= 0)
-        key, part_offsets, slot, part_value = compact_bins(bins[rows], offsets, value, part.size)
-        key += (at[node[rows]] * slot.size)[:, None]
+        owner = at[node[rows]]
+        if drawn is None:
+            key, layout, layout_value = bins[rows], offsets, value
+        else:
+            part_drawn = drawn[lo : lo + NODES_PER_CALL]
+            union = np.bincount(part_drawn.ravel(), minlength=len(values)) > 0
+            layout = np.cumsum([0, *np.where(union, widths, 0)])
+            layout_value = value[np.repeat(union, widths)]
+            features = part_drawn[owner]
+            key = codes[rows[:, None], features] + layout[features]
+        key, layout, slot, layout_value = compact_bins(key, layout, layout_value, part.size)
+        key += (owner * slot.size)[:, None]
         hist = histograms(key, S[rows], part.size, slot.size)
-        found += _pick(hist, part_offsets, -1, slot, part_value, values, size[part], msl)
+        # a node's last bin is that of its own last feature
+        last = -1 if drawn is None else layout[part_drawn[:, -1] + 1] - 1
+        found += _pick(hist, layout, last, slot, layout_value, values, size[part], msl)
     return found, None
 
 
@@ -328,14 +331,6 @@ def _varies(S: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
     some = np.zeros(n_nodes, dtype=np.int64)
     some[node] = np.arange(node.size)  # one row of each node, whichever
     return np.bincount(node, weights=(S != S[some[node]]).any(axis=1), minlength=n_nodes) > 0
-
-
-def _groups(node: np.ndarray, nodes: np.ndarray, size: np.ndarray) -> list[np.ndarray]:
-    """The rows of each of nodes, ascending, in nodes' order."""
-    pos = np.full(size.size, -1)
-    pos[nodes] = np.arange(nodes.size)
-    rows = np.flatnonzero(pos[node] >= 0)
-    return np.split(rows[np.argsort(pos[node[rows]], kind="stable")], np.cumsum(size[nodes]))[:-1]
 
 
 def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, params: TreeParams, bins: np.ndarray | None = None) -> tuple[Tree, np.ndarray]:
@@ -375,13 +370,11 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, pa
         live = grows[_varies(S, node, n_nodes)[grows]] if grows.size else grows
         if not live.size:
             break
-        hist = None
+        drawn = None
         if sampled:
             # an mtry tree draws the features of all the level's growing nodes in one call, in node order
-            drawn = np.sort(np.argsort(rng.random((grows.size, d)), axis=1)[:, : params.mtry], axis=1)
-            found = _best_splits(codes, values, S, _groups(node, live, size), drawn[np.isin(grows, live)], params.min_samples_leaf)
-        else:
-            found, hist = _level_splits(bins, values, S, node, live, size, kept, params.min_samples_leaf)
+            drawn = np.sort(np.argsort(rng.random((grows.size, d)), axis=1)[:, : params.mtry], axis=1)[np.isin(grows, live)]
+        found, hist = _level_splits(codes, bins, values, S, node, live, size, kept, drawn, params.min_samples_leaf)
         split = np.array([f is not None and f[0] > GAIN_EPS for f in found], dtype=bool)
         chosen = [f for f, go in zip(found, split) if go]
         first = len(splits)

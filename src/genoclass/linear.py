@@ -359,7 +359,9 @@ class SvmConfig(JsonCodec):
     C: float = 1.0
     kernel: KernelSpec = field(default_factory=KernelSpec)
     tol: float = 1e-3
-    max_passes: int = 200
+    # SMO converges linearly at a rate set by the kernel's conditioning, not
+    # by n: 14 rows on three nearly collinear points need 248 passes
+    max_passes: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -311,7 +311,7 @@ def _bold_winners(values: list[float]) -> list[str]:
     return [f"**{_fmt2(v)}**" if v == best else _fmt2(v) for v in values]
 
 
-def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path, formats: Sequence[str] = ("markdown", "csv")) -> list[Path]:
+def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path) -> list[Path]:
     """Write comparison tables and ROC point files for a set of evaluations.
 
     Produces one overall-accuracy table (algorithms x tasks), per-task
@@ -321,9 +321,6 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path, form
     """
     if not reports:
         raise EvaluationError("nothing to render: no evaluation reports given")
-    for fmt in formats:
-        if fmt not in ("markdown", "csv"):
-            raise ArgumentError(f"unknown report format {fmt!r}")
     seen: set[tuple[str, str]] = set()
     for rep in reports:
         key = (rep.algorithm, rep.task)
@@ -347,77 +344,75 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path, form
 
     accuracy: dict[tuple[str, str], float] = {(r.algorithm, r.task): r.metrics.accuracy for r in reports}
 
-    if "csv" in formats:
-        path = out_dir / "overall_accuracy.csv"
-        write_csv_rows(path, ["algorithm"] + tasks, (
-            [algo] + [repr(accuracy[(algo, t)]) if (algo, t) in accuracy else "" for t in tasks] for algo in algorithms
-        ))
+    path = out_dir / "overall_accuracy.csv"
+    write_csv_rows(path, ["algorithm"] + tasks, (
+        [algo] + [repr(accuracy[(algo, t)]) if (algo, t) in accuracy else "" for t in tasks] for algo in algorithms
+    ))
+    written.append(path)
+
+    for task in tasks:
+        path = out_dir / f"metrics_{_slug(task)}.csv"
+        rows = []
+        for rep in sorted(by_task[task], key=lambda r: r.algorithm):
+            m = rep.metrics
+            for i, label in enumerate(rep.labels):
+                curve = rep.roc.get(label)
+                auc = "" if curve is None else repr(curve.auc)
+                rows.append([rep.algorithm, label, repr(m.precision[i]), repr(m.recall[i]), repr(m.f1[i]), auc])
+            rows.append([rep.algorithm, "macro", repr(m.macro_precision), repr(m.macro_recall), repr(m.macro_f1), ""])
+        write_csv_rows(path, ["algorithm", "class", "precision", "recall", "f1", "auc"], rows)
         written.append(path)
 
-        for task in tasks:
-            path = out_dir / f"metrics_{_slug(task)}.csv"
-            rows = []
-            for rep in sorted(by_task[task], key=lambda r: r.algorithm):
-                m = rep.metrics
-                for i, label in enumerate(rep.labels):
-                    curve = rep.roc.get(label)
-                    auc = "" if curve is None else repr(curve.auc)
-                    rows.append([rep.algorithm, label, repr(m.precision[i]), repr(m.recall[i]), repr(m.f1[i]), auc])
-                rows.append([rep.algorithm, "macro", repr(m.macro_precision), repr(m.macro_recall), repr(m.macro_f1), ""])
-            write_csv_rows(path, ["algorithm", "class", "precision", "recall", "f1", "auc"], rows)
+    for rep in reports:
+        for label, curve in rep.roc.items():
+            if curve is None:
+                continue
+            path = out_dir / f"roc_{_slug(rep.algorithm)}_{_slug(label)}.csv"
+            write_csv_rows(path, ["fpr", "tpr"], ([repr(x), repr(y)] for x, y in zip(curve.fpr, curve.tpr)))
             written.append(path)
 
-        for rep in reports:
-            for label, curve in rep.roc.items():
-                if curve is None:
-                    continue
-                path = out_dir / f"roc_{_slug(rep.algorithm)}_{_slug(label)}.csv"
-                write_csv_rows(path, ["fpr", "tpr"], ([repr(x), repr(y)] for x, y in zip(curve.fpr, curve.tpr)))
-                written.append(path)
-
-    if "markdown" in formats:
-        lines: list[str] = ["# Evaluation report", "", "## Overall accuracy", ""]
-        lines.append("| Algorithm | " + " | ".join(tasks) + " |")
-        lines.append("|" + "---|" * (len(tasks) + 1))
-        task_best = {
-            t: max(accuracy[(a, t)] for a in algorithms if (a, t) in accuracy) for t in tasks
-        }
-        for algo in algorithms:
-            cells = []
-            for t in tasks:
-                if (algo, t) not in accuracy:
-                    cells.append("")
-                    continue
-                v = accuracy[(algo, t)]
-                cells.append(f"**{_fmt2(v)}**" if v == task_best[t] else _fmt2(v))
-            lines.append("| " + " | ".join([algo] + cells) + " |")
-        for task in tasks:
-            group = sorted(by_task[task], key=lambda r: r.algorithm)
-            labels = group[0].labels
-            for metric in ("precision", "recall", "f1"):
-                lines += ["", f"## {metric.capitalize()} by class: {task}", ""]
-                lines.append("| Algorithm | " + " | ".join(labels) + " |")
-                lines.append("|" + "---|" * (len(labels) + 1))
-                columns = {
-                    label: [getattr(rep.metrics, metric)[i] for rep in group]
-                    for i, label in enumerate(labels)
-                }
-                rendered = {label: _bold_winners(vals) for label, vals in columns.items()}
-                for row_i, rep in enumerate(group):
-                    cells = [rendered[label][row_i] for label in labels]
-                    lines.append("| " + " | ".join([rep.algorithm] + cells) + " |")
-            lines += ["", f"## AUC by class: {task}", ""]
+    lines: list[str] = ["# Evaluation report", "", "## Overall accuracy", ""]
+    lines.append("| Algorithm | " + " | ".join(tasks) + " |")
+    lines.append("|" + "---|" * (len(tasks) + 1))
+    task_best = {
+        t: max(accuracy[(a, t)] for a in algorithms if (a, t) in accuracy) for t in tasks
+    }
+    for algo in algorithms:
+        cells = []
+        for t in tasks:
+            if (algo, t) not in accuracy:
+                cells.append("")
+                continue
+            v = accuracy[(algo, t)]
+            cells.append(f"**{_fmt2(v)}**" if v == task_best[t] else _fmt2(v))
+        lines.append("| " + " | ".join([algo] + cells) + " |")
+    for task in tasks:
+        group = sorted(by_task[task], key=lambda r: r.algorithm)
+        labels = group[0].labels
+        for metric in ("precision", "recall", "f1"):
+            lines += ["", f"## {metric.capitalize()} by class: {task}", ""]
             lines.append("| Algorithm | " + " | ".join(labels) + " |")
             lines.append("|" + "---|" * (len(labels) + 1))
-            for rep in group:
-                cells = []
-                for label in labels:
-                    curve = rep.roc.get(label)
-                    cells.append("n/a" if curve is None else _fmt2(curve.auc))
+            columns = {
+                label: [getattr(rep.metrics, metric)[i] for rep in group]
+                for i, label in enumerate(labels)
+            }
+            rendered = {label: _bold_winners(vals) for label, vals in columns.items()}
+            for row_i, rep in enumerate(group):
+                cells = [rendered[label][row_i] for label in labels]
                 lines.append("| " + " | ".join([rep.algorithm] + cells) + " |")
-        path = out_dir / "report.md"
-        with atomic_write(path) as fh:
-            fh.write("\n".join(lines) + "\n")
-        written.append(path)
+        lines += ["", f"## AUC by class: {task}", ""]
+        lines.append("| Algorithm | " + " | ".join(labels) + " |")
+        lines.append("|" + "---|" * (len(labels) + 1))
+        for rep in group:
+            cells = []
+            for label in labels:
+                curve = rep.roc.get(label)
+                cells.append("n/a" if curve is None else _fmt2(curve.auc))
+            lines.append("| " + " | ".join([rep.algorithm] + cells) + " |")
+    path = out_dir / "report.md"
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+    written.append(path)
 
     return written

@@ -349,15 +349,15 @@ class TestGrowthPath:
         msl = data.draw(st.integers(1, 3))
         params = TreeParams("gini", data.draw(st.none() | st.integers(1, 4)), msl, data.draw(st.integers(1, d - 1)), data.draw(st.integers(0, 2**32 - 1)), k)
         calls = []
-        search = cart._best_splits
+        search = cart._level_splits
 
-        def recording(codes, values, S, groups, features, msl):
-            found = search(codes, values, S, groups, features, msl)
-            calls.append((groups, np.array(features), found))
-            return found
+        def recording(codes, bins, values, S, node, nodes, size, kept, drawn, msl):
+            found, hist = search(codes, bins, values, S, node, nodes, size, kept, drawn, msl)
+            calls.append(([np.flatnonzero(node == v) for v in nodes], np.array(drawn), found))
+            return found, hist
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cart, "_best_splits", recording)
+            patch.setattr(cart, "_level_splits", recording)
             tree = fit_tree(X, y, params)
         onehot = np.eye(k)[y]
         splits = 0
@@ -432,8 +432,8 @@ class TestHistogramReuse:
         calls, reused = [], []
         search, build = cart._level_splits, cart.level_histograms
 
-        def recording(bins, values, S, node, nodes, size, kept, msl):
-            found, hist = search(bins, values, S, node, nodes, size, kept, msl)
+        def recording(codes, bins, values, S, node, nodes, size, kept, drawn, msl):
+            found, hist = search(codes, bins, values, S, node, nodes, size, kept, drawn, msl)
             calls.append((node.copy(), nodes, hist is not None, found))
             return found, hist
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,7 +458,7 @@ def save(obj, path):
         ("out.json", failing_pipeline, save),
         ("out.json", failing_report, save),
         ("ranking.csv", failing_ranking, lambda ranking, path: ranking.to_csv(path)),
-        ("overall_accuracy.csv", failing_tables, lambda report, path: render_report([report], path.parent, formats=("csv",))),
+        ("overall_accuracy.csv", failing_tables, lambda report, path: render_report([report], path.parent)),
     ],
     ids=["failing_artifact", "failing_pipeline", "failing_report", "failing_ranking", "failing_tables"],
 )
@@ -480,8 +481,8 @@ WRITERS = {
     "model.json": lambda path: dataclasses.replace(failing_artifact(), model_doc={"a": 1}).save(path),
     "data.csv": lambda path: write_csv(small_dataset(), path),
     "ranking.csv": lambda path: FeatureRanking((("a", 1.0),)).to_csv(path),
-    "overall_accuracy.csv": lambda path: render_report([small_report()], path.parent, formats=("csv",)),
-    "report.md": lambda path: render_report([small_report()], path.parent, formats=("markdown",)),
+    "overall_accuracy.csv": lambda path: render_report([small_report()], path.parent),
+    "report.md": lambda path: render_report([small_report()], path.parent),
 }
 
 
@@ -491,15 +492,20 @@ def test_failed_rename_keeps_the_old_file(tmp_path, monkeypatch, name):
     and fails as a PersistenceError naming the file."""
     path = tmp_path / name
     path.write_text("old contents", encoding="utf-8")
+    rename, renamed = os.replace, []
 
     def refuse(src, dst):
-        raise OSError("disk full")
+        # only path's rename fails, so a writer of several files fails on this one
+        if Path(dst) == path:
+            raise OSError("disk full")
+        rename(src, dst)
+        renamed.append(Path(dst).name)
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(PersistenceError, match=re.escape(f"cannot write {str(path)!r}: disk full")):
         WRITERS[name](path)
     assert path.read_text(encoding="utf-8") == "old contents"
-    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, *renamed])
 
 
 def test_saved_bytes_match_the_canonical_dump(tmp_path):

@@ -126,7 +126,7 @@ class TestSchemaDocument:
     def test_json_unknown_keys(self):
         doc = schema_to_json(self._full())
         doc[0]["dtype"] = "float"
-        with pytest.raises(SchemaError, match="unknown keys"):
+        with pytest.raises(SchemaError, match="unknown column keys \\['dtype'\\]"):
             schema_from_json(doc)
 
     def test_json_from_file(self, tmp_path):

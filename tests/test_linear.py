@@ -484,6 +484,22 @@ class TestSvm:
             SvmConfig(max_passes=0)
 
 
+def assert_smo_solution(X, y, config):
+    """A converged SMO solve meets the dual constraints and every KKT condition within tol."""
+    gamma = config.kernel.resolve_gamma(X.shape[1])
+    coef, b, converged = _smo_solve(KernelRows(config.kernel, gamma, X), y, config)
+    assert converged
+    beta = y * coef
+    assert (beta >= 0.0).all() and (beta <= config.C).all()
+    assert abs(coef.sum()) <= 1e-9
+    margin = y * (kernel_eval(config.kernel, X, X, gamma) @ coef + b)
+    tol = config.tol + 1e-9  # the margins are recomputed, not the solver's running residuals
+    assert (margin[beta == 0.0] >= 1.0 - tol).all()
+    assert (margin[beta == config.C] <= 1.0 + tol).all()
+    free = (beta > 0.0) & (beta < config.C)
+    assert (np.abs(margin[free] - 1.0) <= tol).all()
+
+
 class TestSmoSolver:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -494,18 +510,14 @@ class TestSmoSolver:
         y = np.where(data.draw(hnp.arrays(np.bool_, n)), 1.0, -1.0)
         y[:2] = (1.0, -1.0)
         config = SvmConfig(C=data.draw(st.floats(0.1, 10.0)), kernel=KernelSpec(data.draw(st.sampled_from(["linear", "rbf"]))))
-        gamma = config.kernel.resolve_gamma(d)
-        coef, b, converged = _smo_solve(KernelRows(config.kernel, gamma, X), y, config)
-        assert converged
-        beta = y * coef
-        assert (beta >= 0.0).all() and (beta <= config.C).all()
-        assert abs(coef.sum()) <= 1e-9
-        margin = y * (kernel_eval(config.kernel, X, X, gamma) @ coef + b)
-        tol = config.tol + 1e-9  # the margins are recomputed, not the solver's running residuals
-        assert (margin[beta == 0.0] >= 1.0 - tol).all()
-        assert (margin[beta == config.C] <= 1.0 + tol).all()
-        free = (beta > 0.0) & (beta < config.C)
-        assert (np.abs(margin[free] - 1.0) <= tol).all()
+        assert_smo_solution(X, y, config)
+
+    def test_ill_conditioned_small_problem_converges_by_default(self):
+        # three nearly collinear distinct points, two with rows of both labels:
+        # the free pairs zig-zag, and the solve takes 248 passes of 14 steps
+        X = np.array([[2.875, -2.0], [3.0, 3.0], [3.0, 0.0]] + [[3.0, 3.0]] * 10 + [[3.0, 0.0]])
+        y = np.array([1.0, -1.0] + [1.0] * 11 + [-1.0])
+        assert_smo_solution(X, y, SvmConfig(C=2.0, kernel=KernelSpec("linear")))
 
     def test_model_does_not_depend_on_the_kernel_cache_size(self, monkeypatch):
         rng = np.random.default_rng(113)

@@ -602,6 +602,27 @@ class TestCli:
         assert result.output.startswith(f"error: cannot create directory {str(out)!r}"), result.output
         assert "Traceback" not in result.output
 
+    # the entry each malformed schema adds to a good one (None: the file is not JSON), and its error
+    BAD_SCHEMAS = {
+        "not_json": (None, "is not valid JSON"),
+        "entry_not_an_object": ("numeric", "column must be a JSON object"),
+        "entry_without_name": ({"kind": "numeric"}, "column is missing required keys ['name']"),
+        "categories_not_a_list": ({"name": "x", "kind": "categorical", "categories": 5}, "categories must be a JSON array"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_SCHEMAS))
+    def test_malformed_schema_exits_2(self, corpus, tmp_path, case):
+        entry, message = self.BAD_SCHEMAS[case]
+        schema = tmp_path / "schema.json"
+        doc = json.loads(Path(corpus["schema"]).read_text(encoding="utf-8"))
+        schema.write_text("[{not json" if entry is None else json.dumps([*doc, entry]), encoding="utf-8")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(run_cfg({"raw": corpus["raw"], "schema": str(schema)}, tmp_path / "out").to_json()), encoding="utf-8")
+        result = self.invoke("prepare", "--config", cfg_path)
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and message in result.output, result.output
+        assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+
     def test_env_redirects_output_dir(self, corpus, tmp_path):
         ignored = tmp_path / "ignored"
         redirected = tmp_path / "redirected"
@@ -1028,3 +1049,54 @@ class TestPinnedBytes:
         files["evaluation"] = evaluated.report_path
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
         assert digests == self.PINNED[task]
+
+    # 600 rows whose labels are 80% redrawn at random grow bushy trees: some
+    # forest level has more than NODES_PER_CALL nodes, so it is scored in
+    # several calls, and every GOSS level is scored from compacted bins
+    TREE_PARAMS = {
+        "random_forest": {"trees": 3},
+        "gbdt_plain": {"rounds": 3, "max_depth": 5},
+        "gbdt_goss": {"rounds": 3, "max_depth": 3},
+        "gbdt_oblivious": {"rounds": 3, "max_depth": 3},
+    }
+
+    PINNED_TREES = {
+        ("random_forest", "genetic_disorder"): ("68ea639860f7215900dc944264c31a32cb1427d2240e9760ab7900c521e56e0d", "1d29a6deffd90aa1b99ce8212ddc129a3f54648f745a29e44789aee4c4dbdfb9"),
+        ("random_forest", "disorder_subclass"): ("8da040c7a53d1e29fa14655221baacb34d05483e2dfbfb492b244e108ebaa9a7", "4b9c5ea7747ab9bedf97893c817e4a2aa091d51c862205641b43bfe884dc1381"),
+        ("gbdt_plain", "genetic_disorder"): ("e9d1be235ec2811a7ad6fb4849adc789c06196b153f4883f7cf69705e3c0ae1f", "e3837886e2bf1b23af0ba88b2d5c182c93c73565f76a503e2c86814be4678a76"),
+        ("gbdt_plain", "disorder_subclass"): ("775fc6c815b77f11dc0386827e5e8394990d501e63e5e6ce0da7db62d7baee23", "80c44723f1c3faa89495ab947cf88fdcc39afb8cc511e111fe6e2eec81ca2ce4"),
+        ("gbdt_goss", "genetic_disorder"): ("064e5dcf9513ea3399e5094bbc8d4146c027e9002672e1fd7efdc76c762784bf", "a06a23d73912b4a68507a95cca6eec96324e6c771314d9f1742539cc9975fb4f"),
+        ("gbdt_goss", "disorder_subclass"): ("88ce59e7482427d51b2477977c4ac47adff2889a83e90b3f2ccad535489992d1", "ca1be6390cfe6e26e95b71b106ddcb7a1de7ac70bb6527beb40662df17602524"),
+        ("gbdt_oblivious", "genetic_disorder"): ("29a5aa7ee9dcab8e293b3dcc8db26f2ab7a13068687ebb946768bb7b8a14e502", "8f1b6ea261d6b8c9850b19839522bbde0841f8d4b79f28c0b9886789f94f2aed"),
+        ("gbdt_oblivious", "disorder_subclass"): ("50c0417603d623e14a04052ae3f63fe6b2f30d74a08fcc1e79da47a76b805985", "e41bc573055ddcae470fbc8df71be176fd369cafa33259b2600132d50a2d6889"),
+    }
+
+    @staticmethod
+    def write_noisy_raw(root):
+        ds = synthdata.planted_dataset(600, 23)
+        rng = np.random.default_rng(23)
+        k = np.where(rng.random(ds.n_rows) < 0.8, rng.integers(0, 9, size=ds.n_rows), ds.values("Disorder Subclass"))
+        values = {c.name: ds.values(c.name) for c in ds.columns}
+        values.update({"Genetic Disorder": k // 3, "Disorder Subclass": k})
+        write_csv(Dataset(ds.columns, values), root / "raw.csv")
+        (root / "schema.json").write_text(json.dumps(schema_to_json(ds.columns)), encoding="utf-8")
+
+    @pytest.mark.parametrize("task", ["genetic_disorder", "disorder_subclass"])
+    @pytest.mark.parametrize("algorithm", list(TREE_PARAMS))
+    def test_tree_artifact_and_evaluation_bytes(self, tmp_path, monkeypatch, algorithm, task):
+        monkeypatch.chdir(tmp_path)
+        self.write_noisy_raw(tmp_path)
+        cfg = RunConfig(
+            input="raw.csv",
+            schema="schema.json",
+            target=task,
+            output_dir="out",
+            top_k=12,
+            algorithm=algorithm,
+            model_params=self.TREE_PARAMS[algorithm],
+        )
+        run_prepare(cfg)
+        trained = run_train(cfg)
+        evaluated = run_evaluate(trained.artifact_path, Path("out") / TEST_CSV, "eval")
+        digests = tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in (trained.artifact_path, evaluated.report_path))
+        assert digests == self.PINNED_TREES[algorithm, task]
