@@ -4,7 +4,8 @@ An artifact bundles the fitted model parameters with the preprocessing
 record that produced its training matrix, so evaluation on raw rows can
 replay exactly the same transformations. The format carries an explicit
 version number; files written by a different version are rejected rather
-than migrated.
+than migrated. Format 4 stores trees leaves-only (``cart.Tree``), boosting
+as one tree per round, and the file as compact JSON.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .codec import JsonCodec, decode, read_json, write_json
 from .errors import ArgumentError, PersistenceError
 from .registry import ALGORITHMS
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class ModelArtifact(JsonCodec):
             raise PersistenceError(f"artifact document is malformed: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
-        write_json(path, self.to_json())
+        write_json(path, self.to_json(), compact=True)
 
     @staticmethod
     def load(path: str | Path) -> "ModelArtifact":

@@ -9,6 +9,7 @@ editing config files; an explicit ``--out`` flag still wins over it.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import sys
 from contextlib import contextmanager
@@ -18,7 +19,7 @@ import click
 
 from .codec import make_dirs
 from .config import load_run_config
-from .errors import ConfigError, GenoclassError, StateError, ValidationError
+from .errors import ConfigError, GenoclassError, PersistenceError, StateError, ValidationError
 from .pipeline import run_evaluate, run_prepare, run_report, run_train
 
 ENV_OUTPUT_DIR = "GENOCLASS_OUTPUT_DIR"
@@ -32,29 +33,25 @@ def _env_output_dir() -> str | None:
 
 @contextmanager
 def _locked(out_dir: str | Path):
-    """Hold an exclusive lock file in out_dir while a command runs.
+    """Hold an exclusive lock on out_dir's lock file while a command runs.
 
     Concurrent commands against one output directory would interleave file
     writes, so the second invocation fails fast instead of corrupting state.
+    The lock is an ``flock`` on the file, which the kernel drops when the
+    command ends, however it ends, so a killed command leaves the file but
+    not the lock.
     """
     out_dir = make_dirs(out_dir)
-    lock_path = out_dir / LOCK_NAME
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise StateError(
-            f"output directory {str(out_dir)!r} is locked by another command; "
-            f"delete {LOCK_NAME} if that command is gone"
-        ) from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
-        yield
-    finally:
+        lock = open(out_dir / LOCK_NAME, "a")
+    except OSError as exc:
+        raise PersistenceError(f"cannot open {str(out_dir / LOCK_NAME)!r}: {exc.strerror or exc}") from exc
+    with lock:
         try:
-            os.unlink(lock_path)
-        except OSError:
-            pass
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StateError(f"output directory {str(out_dir)!r} is locked by another command") from None
+        yield
 
 
 def _run(action) -> None:

@@ -19,8 +19,9 @@ must already have its field's JSON type (``_scalar``), so ``"false"`` is no
 boolean and ``2.7`` no integer, and an array field takes only a rectangular
 JSON array of numbers. Every decoding failure is an ``ArgumentError``.
 
-Classes opt in by inheriting :class:`JsonCodec`. Every file the package
-writes goes through ``atomic_write`` and every directory through ``make_dirs``.
+Classes opt in by inheriting :class:`JsonCodec`, and may override its
+``to_json`` and ``from_json`` (``cart.Tree``), which nesting then uses. Every
+file goes through ``atomic_write`` and every directory through ``make_dirs``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class JsonCodec:
     """Mixin giving a dataclass ``to_json``/``from_json`` through the codec."""
 
     def to_json(self) -> dict:
-        return encode(self)
+        return _encode_section(self, _layout(type(self)))
 
     @classmethod
     def from_json(cls, doc: dict):
@@ -86,6 +87,8 @@ def _layout(cls: type) -> dict:
 
 def encode(obj: Any) -> Any:
     """JSON-ready form of obj: dicts, lists and Python scalars only."""
+    if isinstance(obj, JsonCodec):
+        return obj.to_json()
     if dataclasses.is_dataclass(obj):
         return _encode_section(obj, _layout(type(obj)))
     if isinstance(obj, np.ndarray):
@@ -162,7 +165,8 @@ def _decode_value(hint: Any, value: Any, partial: bool, where: str) -> Any:
         items = [_decode_value(args[0], v, partial, where) for v in value]
         return tuple(items) if origin is tuple else items
     if issubclass(hint, JsonCodec):
-        return decode(hint, value, partial, where)
+        overridden = hint.from_json.__func__ is not JsonCodec.from_json.__func__
+        return hint.from_json(value) if overridden else decode(hint, value, partial, where)
     if hint is np.ndarray:
         try:
             array = np.asarray(value) if isinstance(value, list) else None
@@ -238,11 +242,11 @@ def write_csv_rows(path: str | Path, header: Sequence, rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def write_json(path: str | Path, doc: Any, end: str = "") -> None:
-    """Write doc as sorted, one-space-indented JSON followed by ``end``, atomically."""
+def write_json(path: str | Path, doc: Any, end: str = "", compact: bool = False) -> None:
+    """Write doc as sorted JSON followed by ``end``, atomically: one-space-indented,
+    or compact (no whitespace) through json's C encoder, which indentation bypasses."""
     with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write(end)
+        fh.write(json.dumps(doc, sort_keys=True, indent=None if compact else 1, separators=(",", ":") if compact else None) + end)
 
 
 def read_json(path: str | Path, what: str) -> Any:

@@ -434,11 +434,15 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
                     unknown[col.name] += int(np.count_nonzero(found < 0)) - tokens.count("")
                 else:
                     try:
-                        found = np.fromiter(map(float, [t.strip() or "nan" for t in tokens]), np.float64, len(rows))
+                        # float takes surrounding whitespace; a whitespace-only cell needs the strip
+                        found = np.fromiter(map(float, [t or "nan" for t in tokens]), np.float64, len(rows))
                     except ValueError:
-                        k = next(k for k, t in enumerate(tokens) if not _is_number(t))
-                        bad[j] = f"{path}: column {col.name!r}, line {n + k + 2}: not a number: {tokens[k]!r}"
-                        continue
+                        try:
+                            found = np.fromiter(map(float, [t.strip() or "nan" for t in tokens]), np.float64, len(rows))
+                        except ValueError:
+                            k = next(k for k, t in enumerate(tokens) if not _is_number(t))
+                            bad[j] = f"{path}: column {col.name!r}, line {n + k + 2}: not a number: {tokens[k]!r}"
+                            continue
                 blocks[col.name].append(found)
             n += len(rows)
     if not n:

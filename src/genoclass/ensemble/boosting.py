@@ -1,25 +1,17 @@
-"""Gradient-boosted regression trees: plain, GOSS-sampled, and oblivious variants.
+"""Gradient-boosted trees: plain, GOSS-sampled, and oblivious variants.
 
-Each round fits one regression tree per class to the pseudo-residuals
-r = -dL/df (squared loss: y - f; multiclass log-loss: onehot - softmax(f)),
-then replaces every leaf value with a one-step Newton update
+Each round grows one tree for every class, as CatBoost's MultiClass loss
+does: splits maximize the score summed over the columns of the residuals
+r = -dL/df (squared: y - f; multiclass log-loss: onehot - softmax(f)), and
+each leaf holds one Newton step per column over the full data it routes,
 
-    leaf = learning_rate * sum(residuals) / sum(hessians)
+    leaf[c] = learning_rate * sum(residuals[:, c]) / sum(hessians[:, c])
 
-computed over the full training data routed to that leaf (the step size is
-absorbed into the stored leaf values). Plain and oblivious trees grow on
-every row and hand back each row's leaf for both this refit and the score
-update; a GOSS tree, grown on a sample, gets them from one ``cart.apply``
-descent. Features are rank-coded, and their offset bin matrix built, once
-per fit, and every structure search runs the histogram kernel of ``cart``,
-reusing a level's histograms for the next as ``cart`` describes.
-Plain and GOSS trees grow level by level with the variance criterion:
-plain on every row's residuals, GOSS on one gradient-magnitude-based row
-sample per round, with the random remainder's residuals weighted by
-(1 - a) / b, so each node's split maximizes goss_gain over its rows. The
-oblivious variant gives each level one shared (feature, threshold) test
-maximizing the score summed over the level's cells, stored as a complete
-``cart.Tree`` in heap order, so every variant predicts through one path.
+Every structure search runs ``cart``'s histogram kernel on codes built once
+per fit. Plain trees grow on every row; GOSS trees on one gradient-magnitude
+row sample per round, the remainder weighted by (1 - a) / b (goss_gain), and
+the full data descends them once; oblivious trees share one (feature,
+threshold) test per level, stored as a complete ``cart.Tree`` in heap order.
 """
 
 from __future__ import annotations
@@ -32,10 +24,13 @@ import numpy as np
 from ..codec import JsonCodec
 from ..dataset import Dataset, supervised_arrays
 from ..errors import ArgumentError, ConvergenceError
-from .cart import GAIN_EPS, NODES_PER_CALL, TIE_RTOL, Tree, TreeParams, apply, feature_offsets, feature_rows, grow_tree, level_histograms, offset_bins, predict_tree, rank_codes, split_scores, tree_from_splits
+from .cart import GAIN_EPS, NODES_PER_CALL, TIE_RTOL, Tree, TreeParams, apply, feature_offsets, feature_rows, grow_tree, leaf_sums, level_histograms, offset_bins, predict_tree, rank_codes, split_scores, tree_from_splits
 
 LOSSES = ("squared", "multiclass_logloss")
 VARIANTS = ("plain", "goss", "oblivious")
+
+#: deepest oblivious tree (CatBoost's limit): a complete tree has 2^(d + 1) - 1 nodes of k values
+MAX_OBLIVIOUS_DEPTH = 16
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -55,7 +50,7 @@ class GbdtConfig(JsonCodec):
         rounds: boosting iterations N; 0 is legal and leaves only the
             constant initial score.
         learning_rate: shrinkage in (0, 1] applied to every leaf value.
-        max_depth: per-tree depth limit.
+        max_depth: per-tree depth limit, at most MAX_OBLIVIOUS_DEPTH if oblivious.
         min_samples_leaf: smallest leaf size for plain/goss structure search.
         variant: "plain", "goss", or "oblivious".
         a: GOSS top-gradient fraction in (0, 1].
@@ -84,6 +79,8 @@ class GbdtConfig(JsonCodec):
             raise ArgumentError("learning rate must be in (0, 1]")
         if self.max_depth < 0:
             raise ArgumentError("max_depth must be >= 0")
+        if self.variant == "oblivious" and self.max_depth > MAX_OBLIVIOUS_DEPTH:
+            raise ArgumentError(f"max_depth of an oblivious tree must be <= {MAX_OBLIVIOUS_DEPTH}")
         if self.min_samples_leaf < 1:
             raise ArgumentError("min_samples_leaf must be >= 1")
         if not (0.0 < self.a <= 1.0):
@@ -104,12 +101,10 @@ class GossSample:
     weight: float
 
     def __post_init__(self) -> None:
-        top = np.asarray(self.top_idx, dtype=np.int64)
-        rand = np.asarray(self.rand_idx, dtype=np.int64)
-        top.setflags(write=False)
-        rand.setflags(write=False)
-        object.__setattr__(self, "top_idx", top)
-        object.__setattr__(self, "rand_idx", rand)
+        for name in ("top_idx", "rand_idx"):
+            ids = np.asarray(getattr(self, name), dtype=np.int64)
+            ids.setflags(write=False)
+            object.__setattr__(self, name, ids)
 
     @property
     def indices(self) -> np.ndarray:
@@ -118,10 +113,7 @@ class GossSample:
     @property
     def row_weights(self) -> np.ndarray:
         """Amplification per sampled row: 1 for the kept set, (1-a)/b for the sampled rest."""
-        return np.concatenate([
-            np.ones(self.top_idx.size),
-            np.full(self.rand_idx.size, self.weight),
-        ])
+        return np.concatenate([np.ones(self.top_idx.size), np.full(self.rand_idx.size, self.weight)])
 
 
 def _ceil_count(x: float) -> int:
@@ -152,11 +144,7 @@ def goss_sample(gradients: np.ndarray, a: float, b: float, seed: int) -> GossSam
     top = np.sort(order[:n_top])
     rest = order[n_top:]
     n_rand = _ceil_count(b * rest.size) if (b > 0.0 and rest.size) else 0
-    if n_rand:
-        rng = np.random.default_rng(seed)
-        rand = np.sort(rng.choice(rest, size=n_rand, replace=False))
-    else:
-        rand = np.empty(0, dtype=np.int64)
+    rand = np.sort(np.random.default_rng(seed).choice(rest, size=n_rand, replace=False)) if n_rand else np.empty(0, dtype=np.int64)
     weight = 0.0 if b == 0.0 else (1.0 - a) / b
     return GossSample(top_idx=top, rand_idx=rand, weight=weight)
 
@@ -178,18 +166,13 @@ def goss_gain(feature_values: np.ndarray, gradients: np.ndarray, d: float, sampl
         raise ArgumentError("sample is empty")
     if idx.max() >= v.size or idx.min() < 0:
         raise ArgumentError("sample indices fall outside the data")
-    w = sample.row_weights
-    left = v[idx] <= d
-    n = idx.size
-    wg = w * g[idx]
+    left, wg = v[idx] <= d, sample.row_weights * g[idx]
     total = 0.0
     for side in (left, ~left):
-        count = int(side.sum())
-        if count == 0:
-            continue
-        s = float(wg[side].sum())
-        total += s * s / count
-    return total / n
+        if side.any():
+            s = float(wg[side].sum())
+            total += s * s / int(side.sum())
+    return total / idx.size
 
 
 # -- model ---------------------------------------------------------------------------
@@ -197,35 +180,33 @@ def goss_gain(feature_values: np.ndarray, gradients: np.ndarray, d: float, sampl
 
 @dataclass
 class GbdtModel(JsonCodec):
-    """Fitted boosting ensemble: constant initial scores plus per-round class trees.
+    """Fitted boosting ensemble: constant initial scores plus one tree per round.
 
-    Stored leaf values already include the learning-rate scaling, so raw
-    scores are f0 plus a plain sum over trees. ``class_labels`` is empty for
-    squared-loss (regression) models.
+    Leaves hold one score per score column, already scaled by the learning
+    rate, so raw scores are f0 plus a plain sum over trees. ``class_labels``
+    is empty for squared-loss (regression) models.
     """
 
     feature_names: tuple[str, ...]
     class_labels: tuple[str, ...]
     f0: np.ndarray
-    trees: list[list[Tree]]
+    trees: list[Tree]
     loss_history: tuple[float, ...]
     config: GbdtConfig = field(default_factory=GbdtConfig)
 
     def __post_init__(self) -> None:
-        """A classifier has one score column per class label, and every round
-        one tree of (n_nodes,) leaf scores per score column; raises ArgumentError."""
+        """One score column per class label, and (n_nodes, columns) values per tree; raises ArgumentError."""
         if self.class_labels and self.f0.size != len(self.class_labels):
             raise ArgumentError(f"f0 holds {self.f0.size} initial scores for {len(self.class_labels)} class labels")
-        if any(len(r) != self.f0.size or any(tree.value.ndim != 1 for tree in r) for r in self.trees):
-            raise ArgumentError(f"each boosting round must hold {self.f0.size} trees of (n_nodes,) values")
+        if any(tree.value.shape != (tree.feature.size, self.f0.size) for tree in self.trees):
+            raise ArgumentError(f"boosting tree values must have shape (n_nodes, {self.f0.size})")
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         """Accumulated additive scores, shape (n, classes) (classes = 1 for regression)."""
         X = feature_rows(X, len(self.feature_names))
         out = np.tile(self.f0, (X.shape[0], 1))
-        for round_trees in self.trees:
-            for c, tree in enumerate(round_trees):
-                out[:, c] += predict_tree(tree, X)
+        for tree in self.trees:
+            out += predict_tree(tree, X)
         return out
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
@@ -247,34 +228,35 @@ class GbdtModel(JsonCodec):
 
 
 def _refit_leaves(tree: Tree, leaf: np.ndarray, g: np.ndarray, h: np.ndarray, lr: float) -> None:
-    """Set leaf values to learning-rate-scaled Newton steps over the full data.
+    """Set each leaf's k values to learning-rate-scaled Newton steps over the full data.
 
-    leaf holds each training row's leaf id (from growth or ``cart.apply``);
-    each leaf sums its rows in ascending row order. Leaves no full-data row
-    reaches (possible for oblivious cells) score 0, as does a leaf whose
-    hessian mass vanishes; internal rows, which no row ends at, stay 0.
+    leaf holds each row's leaf id, g and h the n x k residuals and hessians,
+    summed per leaf in row order. A leaf column whose hessian mass vanishes
+    scores 0, as do leaves no row reaches (oblivious cells) and internal rows.
     """
-    counts = np.bincount(leaf, minlength=tree.value.shape[0])
-    order, end = np.argsort(leaf, kind="stable"), np.cumsum(counts)
-    tree.value[:] = 0.0
-    for node in np.flatnonzero(counts):
-        rows = order[end[node] - counts[node] : end[node]]
-        h_sum = float(h[rows].sum())
-        tree.value[node] = 0.0 if h_sum <= 1e-12 else lr * float(g[rows].sum()) / h_sum
+    n_nodes = tree.value.shape[0]
+    h_sum = leaf_sums(leaf, h, n_nodes)
+    tiny = h_sum <= 1e-12
+    h_sum[tiny] = 1.0
+    np.divide(lr * leaf_sums(leaf, g, n_nodes), h_sum, out=tree.value)
+    tree.value[tiny] = 0.0
 
 
-def _fit_oblivious_structure(codes: np.ndarray, bins: np.ndarray, values: tuple[np.ndarray, ...], g: np.ndarray, max_depth: int) -> tuple[Tree, np.ndarray]:
-    """Choose one shared (feature, threshold) per level maximizing the summed score.
+def _fit_oblivious_structure(codes: np.ndarray, bins: np.ndarray, values: tuple[np.ndarray, ...], S: np.ndarray, max_depth: int) -> tuple[Tree, np.ndarray]:
+    """Choose one shared (feature, threshold) per level maximizing the score
+    summed over the level's cells and the columns of the rows' n x k
+    statistic matrix S (a vector is one column).
 
     Candidates are the union over the level's cells of midpoints between
     adjacent distinct values in the cell; each scores as the cut of the codes
     it falls at (a cell it leaves whole adds its unsplit score), and a cut
     several midpoints reach keeps the lowest. Stops when nothing improves.
     Rows are keyed by their cell id (bins are the codes' ``offset_bins``),
-    and a level scored in one call keeps its cells' histograms, so the next
-    counts only the smaller half of each cell. Returns the tree and each
-    row's leaf id.
+    and a level scored in one call, unless the last, keeps its cells'
+    histograms, so the next counts only the smaller half of each cell.
+    Returns the tree, with (n_nodes, k) zero values, and each row's leaf id.
     """
+    S = np.asarray(S, dtype=np.float64).reshape(codes.shape[0], -1)
     offsets, value = feature_offsets(values), np.concatenate(values)
     slot = np.repeat(np.arange(len(values)), np.diff(offsets))
     key = slot + 1j * value  # complex order is (feature, value): one search finds a value's bin in its feature
@@ -285,11 +267,13 @@ def _fit_oblivious_structure(codes: np.ndarray, bins: np.ndarray, values: tuple[
         size = np.bincount(cell, minlength=2**depth)
         live = np.flatnonzero(size)
         score, threshold, parent = np.zeros(value.size), np.full(value.size, np.inf), 0.0
+        # a level scored in one call keeps its histograms for the next, if there is one
+        keep = live.size <= NODES_PER_CALL and depth + 1 < max_depth
         for lo in range(0, live.size, NODES_PER_CALL):
             part = live[lo : lo + NODES_PER_CALL]
-            hist = level_histograms(bins, g[:, None], cell, part, size, kept if part.size == live.size else None, value.size)
-            # scoring sums the statistic planes in place; a level scored in one call keeps a copy
-            count, _, cell_score, cell_parent = split_scores(hist.copy() if part.size == live.size else hist, offsets)
+            hist = level_histograms(bins, S, cell, part, size, kept if part.size == live.size else None, value.size)
+            # scoring sums the statistic planes in place, so kept histograms are a copy
+            count, _, cell_score, cell_parent = split_scores(hist.copy() if keep else hist, offsets)
             score += cell_score.sum(axis=0)
             parent += cell_parent.sum()
             at_cell, at = np.nonzero(count)
@@ -309,13 +293,13 @@ def _fit_oblivious_structure(codes: np.ndarray, bins: np.ndarray, values: tuple[
         at = int(np.argmax(score >= best - TIE_RTOL * best))
         f, t = int(slot[at]), float(threshold[at])
         levels.append((f, t))
-        kept = (2 * live, hist) if live.size <= NODES_PER_CALL else None
+        kept = (2 * live, hist) if keep else None
         cell = 2 * cell + (codes[:, f] > int(np.searchsorted(values[f], t, side="right")) - 1)
 
     # the complete tree in heap order: node i, on level floor(log2(i + 1)), has children 2i + 1 and 2i + 2
     n_nodes = 2 ** (len(levels) + 1) - 1
     splits = [(i, *levels[(i + 1).bit_length() - 1], 2 * i + 1) for i in range(n_nodes // 2)]
-    return tree_from_splits(n_nodes, splits, np.zeros(n_nodes)), cell + n_nodes // 2
+    return tree_from_splits(n_nodes, splits, np.zeros((n_nodes, S.shape[1]))), cell + n_nodes // 2
 
 
 # -- fitting -------------------------------------------------------------------------
@@ -358,7 +342,7 @@ def loss_gradients(loss: str, y: np.ndarray, F: np.ndarray) -> tuple[np.ndarray,
 
 
 def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
-    """Boost regression trees against the configured loss.
+    """Boost one tree per round, with a score per class in each leaf, against the configured loss.
 
     The initial score minimizes the loss over constants (squared: the target
     mean; log-loss: per-class log priors, so zero rounds predict the training
@@ -369,48 +353,38 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
     X, y, labels, feature_names = supervised_arrays(ds, target, discrete=discrete)
     n = X.shape[0]
     if discrete:
-        k = len(labels)
-        priors = np.eye(k)[y].mean(axis=0)
+        priors = np.eye(len(labels))[y].mean(axis=0)
         with np.errstate(divide="ignore"):
             f0 = np.log(priors)
     else:
-        k = 1
         f0 = np.array([float(y.mean())])
 
-    params = TreeParams(criterion="variance", max_depth=config.max_depth, min_samples_leaf=config.min_samples_leaf)
+    params = TreeParams(max_depth=config.max_depth, min_samples_leaf=config.min_samples_leaf)
     codes, values = rank_codes(X)
     bins = offset_bins(codes, values)
     F = np.tile(f0, (n, 1))
     history = [loss_value(config.loss, y, F)]
-    trees: list[list[Tree]] = []
+    trees: list[Tree] = []
     master = np.random.default_rng(config.seed)
 
     for round_no in range(config.rounds):
         residuals, hessians = loss_gradients(config.loss, y, F)
         if not np.isfinite(residuals).all():
             raise ConvergenceError(f"non-finite pseudo-residuals at round {round_no}")
-
-        if config.variant == "goss":
+        if config.variant == "plain":
+            tree, leaf = grow_tree(codes, values, residuals, params, bins)
+        elif config.variant == "goss":
             magnitude = np.sqrt((residuals * residuals).sum(axis=1))
             sample = goss_sample(magnitude, config.a, config.b, seed=int(master.integers(2**32)))
-            idx, weights = sample.indices, sample.row_weights
-            sample_codes, sample_bins = codes[idx], bins[idx]
-
-        round_trees: list[Tree] = []
-        for c in range(k):
-            g = residuals[:, c]
-            if config.variant == "plain":
-                tree, leaf = grow_tree(codes, values, g, params, bins)
-            elif config.variant == "goss":
-                # grown on the sample, so the full data descends the tree
-                tree = grow_tree(sample_codes, values, weights * g[idx], params, sample_bins)[0]
-                leaf = apply(tree, X)
-            else:
-                tree, leaf = _fit_oblivious_structure(codes, bins, values, g, config.max_depth)
-            _refit_leaves(tree, leaf, g, hessians[:, c], config.learning_rate)
-            round_trees.append(tree)
-            F[:, c] += tree.value[leaf]
-        trees.append(round_trees)
+            idx = sample.indices
+            # grown on the sample, so the full data descends the tree
+            tree = grow_tree(codes[idx], values, sample.row_weights[:, None] * residuals[idx], params, bins[idx])[0]
+            leaf = apply(tree, X)
+        else:
+            tree, leaf = _fit_oblivious_structure(codes, bins, values, residuals, config.max_depth)
+        _refit_leaves(tree, leaf, residuals, hessians, config.learning_rate)
+        trees.append(tree)
+        F += tree.value[leaf]
         history.append(loss_value(config.loss, y, F))
 
     return GbdtModel(

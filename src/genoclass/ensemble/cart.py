@@ -1,33 +1,26 @@
-"""CART base learner: greedy binary trees for regression and classification.
+"""CART base learner: greedy binary trees over a per-row statistic matrix.
 
 A fit rank-codes each feature once; the split kernel (``split_scores``)
-then scores every cut from ``np.bincount`` histograms (``histograms``) of a
-per-row statistic matrix over the codes, sorting nothing. One target column
-gives the squared-error reduction, one-hot class columns the Gini impurity
-reduction. Thresholds are midpoints between adjacent distinct values in the
-node. Every tree grows level by level, one kernel call per ``NODES_PER_CALL``
-nodes, each node searching all features or, in an ``mtry`` tree, its own
-subset, drawn for the whole level in one call on the tree's generator.
-Gains within ``TIE_RTOL`` of the best tie, broken toward the lowest feature,
-then the lowest threshold. Rows route left when value <= threshold.
+scores every cut from ``np.bincount`` histograms (``histograms``) of the
+caller's n x k statistic matrix S over the codes, sorting nothing, summing
+the score over S's columns: a target column gives the squared-error
+reduction, one-hot class columns the Gini reduction, boosting's k residual
+columns one tree for every class. Thresholds are midpoints between adjacent
+distinct values in the node. Every tree grows level by level, one kernel
+call per ``NODES_PER_CALL`` nodes, each node searching all features or, in
+an ``mtry`` tree, its own subset, drawn for the whole level in one call on
+the tree's generator. Gains within ``TIE_RTOL`` of the best tie, broken
+toward the lowest feature, then the lowest threshold. Rows route left when
+value <= threshold.
 
 Rows carry their node id, and one search (``_level_splits``) scores every
-greedy level, sampled or not. An unsampled level of at most
-``NODES_PER_CALL`` nodes whose histograms over every bin do not outnumber
-its (row, feature) pairs is scored in one call. It reads its rows' bins from
-one offset bin matrix (``offset_bins``), which a fit builds once, and keeps
-its histograms (``level_histograms``), so the next level counts only the
-smaller child of each split and takes its sibling as parent minus child:
-count planes stay exact integers, statistic sums change by rounding, which
-``TIE_RTOL`` absorbs. Every other level is scored in chunks of
-``NODES_PER_CALL`` nodes, each chunk's rows in ascending order, keyed by
-their offset bins or, in an ``mtry`` tree, by the bins of their node's drawn
-features, laid out over the union of the chunk's draws. A chunk keeps only
-the bins its rows have when histograms over every bin would outnumber its
-(row, feature) pairs (``compact_bins``). Chunks keep no histograms: kept
-ones cover at most ``NODES_PER_CALL`` nodes over every bin, and an ``mtry``
-level's nodes search different features, so no parent histogram covers
-them.
+greedy level: in one call over every bin from the fit's ``offset_bins``
+when the level is small, keeping its histograms so the next level counts
+only the smaller child of each split and subtracts (``level_histograms``;
+counts stay exact, sums change by rounding, which ``TIE_RTOL`` absorbs),
+else in chunks of ``NODES_PER_CALL`` nodes over their own bins
+(``compact_bins``), which keep none: an ``mtry`` level's nodes search
+different features, so no parent histogram covers them.
 
 Every tree, greedy or oblivious, is one ``Tree`` of parallel per-node
 arrays, and ``apply`` is the one descent: it maps rows to leaf ids level by
@@ -36,12 +29,12 @@ level, and prediction reads the leaf rows of ``Tree.value``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from ..codec import JsonCodec
+from ..codec import JsonCodec, decode, encode
 from ..errors import ArgumentError
 
 CRITERIA = ("variance", "gini")
@@ -62,12 +55,13 @@ NODES_PER_CALL = 16
 class Tree(JsonCodec):
     """One tree as parallel per-node arrays; node 0 is the root.
 
-    ``feature``, ``left`` and ``right`` are int64, -1 at leaves; a row goes
-    to ``left`` when its value of ``feature`` is <= ``threshold``. ``value``
-    has shape (n_nodes,) (regression mean or boosting leaf score) or
-    (n_nodes, k) (class counts); internal rows are zero. Every child id is
-    greater than its parent's, so a descent ends within n_nodes steps.
-    Raises ArgumentError for arrays that break these rules.
+    ``feature``, ``left`` and ``right`` (always ``left + 1``) are int64, -1
+    at leaves; a row goes left when its ``feature`` value is <= ``threshold``.
+    ``value`` is (n_nodes,) leaf means or (n_nodes, k) class counts or
+    per-class boosting scores, zero at internal nodes. Child ids exceed their
+    parent's, so a descent ends; other arrays raise ArgumentError. Stored
+    leaves-only (``to_json``): ``feature`` and ``threshold`` of internal
+    nodes, ``value`` of leaves (JSON integers if all are counts), all ``left``.
     """
 
     feature: np.ndarray
@@ -91,9 +85,34 @@ class Tree(JsonCodec):
         internal = self.left != -1
         if ((self.right != -1) != internal).any() or ((self.feature >= 0) != internal).any():
             raise ArgumentError("a tree node must be a leaf (both children -1) or split on a feature")
-        children = np.stack([self.left, self.right])[:, internal]
-        if ((children <= np.flatnonzero(internal)) | (children >= n)).any():
-            raise ArgumentError(f"tree child ids must lie between their parent's id and {n}")
+        left, right = self.left[internal], self.right[internal]
+        if ((left <= np.flatnonzero(internal)) | (right >= n)).any() or (right != left + 1).any():
+            raise ArgumentError(f"tree child ids must lie between their parent's id and {n}, the right one left + 1")
+
+    def to_json(self) -> dict:
+        internal, value = self.left >= 0, self.value[self.left < 0]
+        counts = not np.signbit(value).any() and (value < 2**53).all() and (value == np.trunc(value)).all()
+        return encode(_StoredTree(self.feature[internal], self.threshold[internal], self.left, value.astype(np.int64) if counts else value))
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "Tree":
+        stored = decode(_StoredTree, doc, name="tree")
+        internal = stored.left != -1
+        n, leaves = stored.left.size, int(np.count_nonzero(~internal))
+        shapes = (stored.left.ndim, stored.feature.shape, stored.threshold.shape, stored.value.shape[:1], stored.value.ndim < 3)
+        if shapes != (1, (n - leaves,), (n - leaves,), (leaves,), True):
+            raise ArgumentError(f"a stored tree must hold a feature and threshold per internal node ({n - leaves}) and a value per leaf ({leaves})")
+        feature, threshold, value = np.full(n, -1.0), np.zeros(n), np.zeros((n, *stored.value.shape[1:]))
+        feature[internal], threshold[internal], value[~internal] = stored.feature, stored.threshold, stored.value
+        return cls(feature, threshold, stored.left, np.where(internal, stored.left + 1, -1), value)
+
+
+@dataclass(frozen=True)
+class _StoredTree:
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -285,10 +304,10 @@ def _pick(hist: np.ndarray, offsets: np.ndarray, last, slot: np.ndarray, value: 
     return found
 
 
-def _level_splits(codes, bins, values, S, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, drawn, msl: int):
+def _level_splits(codes, bins, values, S, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, drawn, msl: int, keep: bool):
     """Best split (see _pick) of each node of a level, rows keyed by their node
-    id node, and the level's histograms when it was scored in one call over
-    every bin (else None), for its children to subtract from.
+    id node, and, if keep asks, the level's histograms when it was scored in
+    one call over every bin (else None, sparing a copy of its k + 1 planes).
 
     drawn is None when every node searches every feature, its rows' bins read
     from bins; else it holds each node's drawn features in ascending order, the
@@ -300,7 +319,7 @@ def _level_splits(codes, bins, values, S, node: np.ndarray, nodes: np.ndarray, s
         hist = level_histograms(bins, S, node, nodes, size, kept, offsets[-1])
         slot = np.repeat(np.arange(len(values)), widths)
         # scoring sums the statistic planes in place, so the kept histograms are a copy
-        return _pick(hist.copy(), offsets, -1, slot, value, values, size[nodes], msl), hist
+        return _pick(hist.copy() if keep else hist, offsets, -1, slot, value, values, size[nodes], msl), hist if keep else None
     found: list = []
     for lo in range(0, nodes.size, NODES_PER_CALL):
         part = nodes[lo : lo + NODES_PER_CALL]
@@ -333,27 +352,13 @@ def _varies(S: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
     return np.bincount(node, weights=(S != S[some[node]]).any(axis=1), minlength=n_nodes) > 0
 
 
-def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, params: TreeParams, bins: np.ndarray | None = None) -> tuple[Tree, np.ndarray]:
-    """fit_tree on rank codes and values from rank_codes (codes may be a row
-    subset); returns the tree and each row's leaf id. An unsampled tree may
-    be handed the codes' offset_bins, so a fit builds them once."""
+def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], S: np.ndarray, params: TreeParams, bins: np.ndarray | None = None) -> tuple[Tree, np.ndarray]:
+    """Grow a tree on rank codes and values from rank_codes (maybe a row subset) and the
+    rows' n x k statistic matrix S (a vector is one column), ignoring params.criterion;
+    returns it, valued with each node's column sums of S, and each row's leaf id. An
+    unsampled tree may be handed the codes' offset_bins, so a fit builds them once."""
     n, d = codes.shape
-    y_len = np.asarray(y).reshape(-1).shape[0]
-    if y_len != n:
-        raise ArgumentError(f"y has {y_len} entries, expected {n}")
-    if params.criterion == "gini":
-        classes = np.asarray(y, dtype=np.int64).reshape(-1)
-        if classes.min() < 0:
-            raise ArgumentError("class codes must be non-negative")
-        k = params.n_classes if params.n_classes is not None else int(classes.max()) + 1
-        if classes.max() >= k:
-            raise ArgumentError(f"class code {int(classes.max())} outside [0, {k})")
-        S = np.eye(k)[classes]
-    else:
-        S = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-        if not np.isfinite(S).all():
-            raise ArgumentError("targets contain non-finite values")
-
+    S = np.asarray(S, dtype=np.float64).reshape(n, -1)
     sampled = params.mtry is not None and params.mtry < d
     if not sampled and bins is None:
         bins = offset_bins(codes, values)
@@ -374,7 +379,8 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, pa
         if sampled:
             # an mtry tree draws the features of all the level's growing nodes in one call, in node order
             drawn = np.sort(np.argsort(rng.random((grows.size, d)), axis=1)[:, : params.mtry], axis=1)[np.isin(grows, live)]
-        found, hist = _level_splits(codes, bins, values, S, node, live, size, kept, drawn, params.min_samples_leaf)
+        # the histograms are kept only if the next level may split
+        found, hist = _level_splits(codes, bins, values, S, node, live, size, kept, drawn, params.min_samples_leaf, limit is None or depth + 1 < limit)
         split = np.array([f is not None and f[0] > GAIN_EPS for f in found], dtype=bool)
         chosen = [f for f, go in zip(found, split) if go]
         first = len(splits)
@@ -390,13 +396,12 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray, pa
         node[moving] = child[j] + (codes[moving, feature[j]] > cut[j])
         level, depth = np.stack([child + 1, child], axis=1).ravel(), depth + 1
     n_nodes = 2 * len(splits) + 1
-    size = np.bincount(node, minlength=n_nodes)
-    if params.criterion == "gini":
-        value = np.bincount(node * k + classes, minlength=n_nodes * k).reshape(n_nodes, k).astype(np.float64)
-    else:
-        # each leaf's mean target; internal nodes hold no rows and stay 0
-        value = np.bincount(node, weights=S[:, 0], minlength=n_nodes) / np.maximum(size, 1)
-    return tree_from_splits(n_nodes, [(v, f, t, 2 * j + 1) for j, (v, f, t) in enumerate(splits)], value), node
+    return tree_from_splits(n_nodes, [(v, f, t, 2 * j + 1) for j, (v, f, t) in enumerate(splits)], leaf_sums(node, S, n_nodes)), node
+
+
+def leaf_sums(leaf: np.ndarray, S: np.ndarray, n_nodes: int) -> np.ndarray:
+    """(n_nodes, k) column sums of S (n x k) over each node's rows, in row order; leaf is each row's node id."""
+    return np.stack([np.bincount(leaf, weights=column, minlength=n_nodes) for column in S.T], axis=1)
 
 
 def tree_from_splits(n_nodes: int, splits: list[tuple[int, int, float, int]], value: np.ndarray) -> Tree:
@@ -418,11 +423,25 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) ->
         y: length-n real targets (variance) or integer class codes (gini).
         params: growth limits; see TreeParams.
 
-    Growth stops at max_depth, when a split cannot respect
-    min_samples_leaf, or when no candidate improves the criterion.
+    The criterion picks S and the leaf payload (target column and means, or
+    one-hot classes and counts). Growth stops at max_depth, when a split
+    cannot respect min_samples_leaf, or when no candidate improves it.
     """
     codes, values = rank_codes(X)
-    return grow_tree(codes, values, y, params)[0]
+    if np.size(y) != codes.shape[0]:
+        raise ArgumentError(f"y has {np.size(y)} entries, expected {codes.shape[0]}")
+    if params.criterion == "gini":
+        classes = np.asarray(y, dtype=np.int64).reshape(-1)
+        k = params.n_classes if params.n_classes is not None else int(classes.max()) + 1
+        if classes.min() < 0 or classes.max() >= k:
+            raise ArgumentError(f"class codes must be non-negative, none outside [0, {k})")
+        return grow_tree(codes, values, np.eye(k)[classes], params)[0]
+    S = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    if not np.isfinite(S).all():
+        raise ArgumentError("targets contain non-finite values")
+    tree, node = grow_tree(codes, values, S, params)
+    # each leaf's mean target; internal nodes hold no rows and stay 0
+    return replace(tree, value=tree.value[:, 0] / np.maximum(np.bincount(node, minlength=tree.feature.size), 1))
 
 
 def feature_rows(X: np.ndarray, width: int | None = None) -> np.ndarray:
@@ -451,7 +470,7 @@ def apply(tree: Tree, X: np.ndarray) -> np.ndarray:
         if not rows.size:
             return node
         at = node[rows]
-        node[rows] = np.where(X[rows, tree.feature[at]] <= tree.threshold[at], tree.left[at], tree.right[at])
+        node[rows] = tree.left[at] + ~(X[rows, tree.feature[at]] <= tree.threshold[at])
 
 
 def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Random forest of CART trees plus margin/strength/correlation diagnostics.
 
-Each tree (a flat ``cart.Tree`` of class counts) trains on a bootstrap
-resample (of rank codes computed once per fit), searching mtry features
-drawn per node, and casts one vote (its leaf's plurality class) per row; the
-forest predicts the vote-fraction argmax.
+Each tree grows on one-hot class columns, so its leaves hold class counts,
+over a bootstrap resample (of rank codes computed once per fit), searching
+mtry features drawn per node, and casts one vote (its leaf's plurality
+class) per row; the forest predicts the vote-fraction argmax.
 Diagnostics summarize the ensemble by the margin
 
     mg(x, y) = votes_for(y)/B - max_{j != y} votes_for(j)/B
@@ -101,8 +101,9 @@ def fit_random_forest(ds: Dataset, target: str, config: ForestConfig = ForestCon
     X, y, labels, feature_names = supervised_arrays(ds, target, discrete=True)
     n = X.shape[0]
     mtry = config.mtry if config.mtry is not None else max(1, int(math.sqrt(X.shape[1])))
-    params = TreeParams("gini", config.max_depth, config.min_samples_leaf, mtry, n_classes=len(labels))
+    params = TreeParams("gini", config.max_depth, config.min_samples_leaf, mtry)
     codes, values = rank_codes(X)
+    onehot = np.eye(len(labels))[y]
     master = np.random.default_rng(config.seed)
     trees: list[Tree] = []
     seeds: list[int] = []
@@ -111,7 +112,7 @@ def fit_random_forest(ds: Dataset, target: str, config: ForestConfig = ForestCon
         seeds.append(tree_seed)
         tree_rng = np.random.default_rng(tree_seed)
         rows = tree_rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        trees.append(grow_tree(codes[rows], values, y[rows], replace(params, seed=int(tree_rng.integers(2**32))))[0])
+        trees.append(grow_tree(codes[rows], values, onehot[rows], replace(params, seed=int(tree_rng.integers(2**32))))[0])
     return ForestModel(
         feature_names=tuple(feature_names),
         class_labels=labels,

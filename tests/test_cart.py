@@ -1,5 +1,7 @@
 """Tests for single greedy CART trees."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,10 +257,41 @@ class TestSerialization:
         clone = Tree.from_json(root.to_json())
         np.testing.assert_array_equal(predict_tree(root, X), predict_tree(clone, X))
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_leaves_only_round_trip_is_exact(self, data):
+        """Greedy and oblivious trees, with 1-D and 2-D leaf values, come back bit for bit through JSON text."""
+        from genoclass.ensemble import boosting
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n, d = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 3))
+        X = rng.integers(0, data.draw(st.integers(1, 6)), size=(n, d)).astype(np.float64)
+        kind = data.draw(st.sampled_from(["variance", "gini", "oblivious"]))
+        if kind == "oblivious":
+            codes, values = cart.rank_codes(X)
+            k = data.draw(st.integers(1, 3))
+            tree = boosting._fit_oblivious_structure(codes, cart.offset_bins(codes, values), values, rng.normal(size=(n, k)), data.draw(st.integers(0, 3)))[0]
+            tree.value[tree.left < 0] = rng.normal(size=(int((tree.left < 0).sum()), k))
+        elif kind == "gini":
+            tree = fit_tree(X, rng.integers(0, 3, size=n), TreeParams(criterion="gini", n_classes=3))
+        else:
+            tree = fit_tree(X, np.round(rng.normal(size=n), data.draw(st.integers(0, 3))), TreeParams(max_depth=data.draw(st.none() | st.integers(0, 4))))
+        doc = tree.to_json()
+        assert len(doc["feature"]) == len(doc["threshold"]) == int((tree.left >= 0).sum())
+        assert len(doc["value"]) == int((tree.left < 0).sum())
+        if kind == "gini":
+            assert all(type(c) is int for row in doc["value"] for c in row)
+        clone = Tree.from_json(json.loads(json.dumps(doc)))
+        for name in ("feature", "threshold", "left", "right", "value"):
+            a, b = getattr(tree, name), getattr(clone, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
     def test_leaf_document_shape(self):
         doc = Tree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([1.5])).to_json()
-        assert doc == {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [1.5]}
+        assert doc == {"feature": [], "threshold": [], "left": [-1], "value": [1.5]}
         assert is_leaf(Tree.from_json(doc))
+        # leaves-only: internal nodes keep their test, leaves their value; counts are integers
+        assert stump(2.5, (3.0, 0.0)).to_json() == {"feature": [0], "threshold": [2.5], "left": [1, -1, -1], "value": [3, 0]}
 
 
 def walk(tree: Tree, x: np.ndarray) -> int:
@@ -302,13 +335,13 @@ class TestTreeValidation:
         ],
     )
     def test_malformed_arrays_rejected(self, field, value, match):
-        doc = {**stump().to_json(), field: value}
+        arrays = {**vars(stump()), field: value}
         with pytest.raises(ArgumentError, match=match):
-            Tree(**{k: np.asarray(v) for k, v in doc.items()})
+            Tree(**{k: np.asarray(v) for k, v in arrays.items()})
 
     def test_child_before_its_parent_rejected(self):
         # node 1 points back at node 0: a descent would never end
-        doc = {"feature": [0, 0, -1], "threshold": [1.0, 2.0, 0.0], "left": [1, 0, -1], "right": [2, 2, -1], "value": [0.0, 0.0, 1.0]}
+        doc = {"feature": [0, 0], "threshold": [1.0, 2.0], "left": [1, 0, -1], "value": [1.0]}
         with pytest.raises(ArgumentError, match="between"):
             Tree.from_json(doc)
 
@@ -351,8 +384,8 @@ class TestGrowthPath:
         calls = []
         search = cart._level_splits
 
-        def recording(codes, bins, values, S, node, nodes, size, kept, drawn, msl):
-            found, hist = search(codes, bins, values, S, node, nodes, size, kept, drawn, msl)
+        def recording(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep):
+            found, hist = search(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep)
             calls.append(([np.flatnonzero(node == v) for v in nodes], np.array(drawn), found))
             return found, hist
 
@@ -432,9 +465,12 @@ class TestHistogramReuse:
         calls, reused = [], []
         search, build = cart._level_splits, cart.level_histograms
 
-        def recording(codes, bins, values, S, node, nodes, size, kept, drawn, msl):
-            found, hist = search(codes, bins, values, S, node, nodes, size, kept, drawn, msl)
-            calls.append((node.copy(), nodes, hist is not None, found))
+        def recording(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep):
+            before = len(reused)
+            found, hist = search(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep)
+            # scored whole: the level built its histograms over every bin; the deepest keeps none
+            calls.append((node.copy(), nodes, len(reused) > before, found))
+            assert (hist is not None) == (len(reused) > before and keep)
             return found, hist
 
         def building(bins, S, node, nodes, size, kept, n_bins):

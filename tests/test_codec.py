@@ -195,7 +195,7 @@ def gbdt_models(draw):
         feature_names=draw(names),
         class_labels=draw(st.just(()) | labels(k)),
         f0=draw(vectors(k)),
-        trees=draw(st.lists(st.lists(trees(lambda n: matrices(n, 1).map(np.ravel)), min_size=k, max_size=k), max_size=3)),
+        trees=draw(st.lists(trees(lambda n: matrices(n, k)), max_size=3)),
         loss_history=tuple(draw(st.lists(reals, max_size=5))),
         config=draw(gbdt_configs),
     )
@@ -211,7 +211,8 @@ CODEC_CLASSES = {
     SvmSubmodel: svm_submodels(),
     SvmModel: svm_models(),
     ForestConfig: forest_configs,
-    Tree: trees(vectors),
+    # 1-D and 2-D leaf values, and class counts, which are stored as JSON integers
+    Tree: trees(vectors) | st.integers(1, 3).flatmap(lambda k: trees(lambda n: matrices(n, k) | hnp.arrays(np.float64, (n, k), elements=st.integers(0, 2**53 - 1).map(float)))),
     ForestModel: forest_models(),
     GbdtConfig: gbdt_configs,
     GbdtModel: gbdt_models(),
@@ -515,7 +516,8 @@ def test_saved_bytes_match_the_canonical_dump(tmp_path):
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
     artifact = dataclasses.replace(failing_artifact(), model_doc={"a": 1})
     artifact.save(tmp_path / "model.json")
-    expected = json.dumps(artifact.to_json(), sort_keys=True, indent=1)
+    # artifacts are written compactly, without whitespace
+    expected = json.dumps(artifact.to_json(), sort_keys=True, separators=(",", ":"))
     assert (tmp_path / "model.json").read_text(encoding="utf-8") == expected
 
 
@@ -605,14 +607,16 @@ class TestModelsCheckTheirTreesWhenBuilt:
         with pytest.raises(ArgumentError, match="values must have shape"):
             ForestModel(("x",), ("a", "b", "c"), [stump(value)], (0,))
 
-    def test_gbdt_round_must_hold_a_tree_per_class(self):
-        with pytest.raises(ArgumentError, match="must hold 3 trees"):
-            GbdtModel(("x",), ("a", "b", "c"), np.zeros(3), [[stump(np.zeros(3))]], (0.0,))
+    def test_gbdt_tree_values_need_a_column_per_class(self):
+        # one tree per round, its leaves scoring every class
+        for value in (np.zeros(3), np.zeros((3, 2))):
+            with pytest.raises(ArgumentError, match=r"values must have shape \(n_nodes, 3\)"):
+                GbdtModel(("x",), ("a", "b", "c"), np.zeros(3), [stump(value)], (0.0,))
 
     def test_gbdt_initial_scores_must_match_the_labels(self):
         with pytest.raises(ArgumentError, match="1 initial scores for 3 class labels"):
-            GbdtModel(("x",), ("a", "b", "c"), np.zeros(1), [[stump(np.zeros(3))]], (0.0,))
+            GbdtModel(("x",), ("a", "b", "c"), np.zeros(1), [stump(np.zeros((3, 3)))], (0.0,))
 
     def test_regression_gbdt_has_no_labels_to_match(self):
-        model = GbdtModel(("x",), (), np.zeros(1), [[stump([0.0, -1.0, 1.0])]], (0.0,), GbdtConfig(loss="squared"))
+        model = GbdtModel(("x",), (), np.zeros(1), [stump([[0.0], [-1.0], [1.0]])], (0.0,), GbdtConfig(loss="squared"))
         np.testing.assert_array_equal(model.predict_value(np.array([[0.0], [1.0]])), [-1.0, 1.0])

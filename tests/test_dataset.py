@@ -409,6 +409,26 @@ class TestBlockedCsv:
                 mp.setattr(dataset_module, "CSV_BLOCK_ROWS", rows)
                 assert outcome(load_csv, path, schema) == expected
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_numeric_cells_parse_as_stripped_cells_do(self, tmp_path, data):
+        """Padded, blank, whitespace-only and malformed numeric cells give the arrays and errors of the
+        strip-every-cell rule, whichever block holds them."""
+        pad = st.text(alphabet=" \t\x0b\x0c\x1c\u00a0\u2003", max_size=2)
+        core = st.sampled_from(("0", "1.5", "-3e2", "nan", "-inf", "1e999", "1_0", "", "x", "1 2", "2..", "0x10"))
+        cell = st.tuples(pad, core, pad).map("".join)
+        bad = data.draw(st.booleans())
+        records = data.draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=7))
+        if not bad:
+            records = [r for r in records if all(not c.strip() or dataset_module._is_number(c) for c in r)] or [("1", "")]
+        path = write_records(tmp_path / "data.csv", ["a", "b", "d", "s"], [[a, b, "x", "No"] for a, b in records])
+        schema = make_schema(self.AB_SCHEMA)
+        expected = outcome(reference_load_csv, path, schema)
+        for rows in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataset_module, "CSV_BLOCK_ROWS", rows)
+                assert outcome(load_csv, path, schema) == expected
+
     AB_SCHEMA = [("a", "numeric"), ("b", "numeric"), ("d", "categorical", "target_disorder", ("x", "y")), ("s", "binary", "target_subclass", BINARY)]
 
     def load_in_blocks_of_two(self, path):

@@ -1,9 +1,15 @@
 """End-to-end tests for the run config, pipeline stages, artifacts, and CLI."""
 
 import csv
+import fcntl
 import hashlib
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,10 +18,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import genoclass
 import synthdata
 from conftest import xy_dataset
 from genoclass.artifact import ModelArtifact, revive_model
-from genoclass.cli import main
+from genoclass.cli import LOCK_NAME, main
 from genoclass.config import ALGORITHM_NAMES, RunConfig, config_fingerprint, load_run_config
 from genoclass.dataset import Dataset, load_csv, schema_from_json, schema_to_json, stratified_split, write_csv
 from genoclass.ensemble.boosting import GbdtConfig
@@ -575,18 +582,52 @@ class TestCli:
     def test_held_lock_exits_2(self, corpus, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".genoclass.lock").write_text("123\n", encoding="utf-8")
         cfg_path = self.write_config(corpus, tmp_path, out)
-        result = self.invoke("prepare", "--config", cfg_path)
+        # another open file description of the lock file holds the flock, as another process would
+        with open(out / LOCK_NAME, "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            result = self.invoke("prepare", "--config", cfg_path)
         assert result.exit_code == 2
         assert "locked by another command" in result.output
+        assert not (out / PIPELINE_JSON).exists()
 
     def test_lock_released_after_success(self, corpus, tmp_path):
         out = tmp_path / "out"
         cfg_path = self.write_config(corpus, tmp_path, out)
         assert self.invoke("prepare", "--config", cfg_path).exit_code == 0
-        assert not (out / ".genoclass.lock").exists()
         assert self.invoke("prepare", "--config", cfg_path).exit_code == 0
+
+    def test_killed_train_leaves_the_directory_usable(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = self.write_config(corpus, tmp_path, out)
+        assert self.invoke("prepare", "--config", cfg_path).exit_code == 0
+        held = tmp_path / "held"
+        # a train whose fit stalls once the command holds the lock, so the kill lands at a known point
+        stalled = (
+            "import pathlib, sys, time\n"
+            "from genoclass import cli\n"
+            "def stall(cfg):\n"
+            "    pathlib.Path(sys.argv[2]).touch()\n"
+            "    time.sleep(300)\n"
+            "cli.run_train = stall\n"
+            "cli.main(['train', '--config', sys.argv[1]])\n"
+        )
+        src = str(Path(genoclass.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), "GENOCLASS_OUTPUT_DIR": ""}
+        proc = subprocess.Popen([sys.executable, "-c", stalled, str(cfg_path), str(held)], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while not held.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert held.exists(), "the stalled train never took the lock"
+            assert "locked by another command" in self.invoke("train", "--config", cfg_path).output
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        assert (out / LOCK_NAME).exists()
+        rerun = self.invoke("train", "--config", cfg_path)
+        assert rerun.exit_code == 0, rerun.output
 
     @pytest.mark.parametrize("command", ["prepare", "evaluate"])
     def test_output_directory_under_a_file_exits_2(self, corpus, flow, tmp_path, command):
@@ -663,12 +704,15 @@ class TestCli:
             "forest_child_out_of_range",
             "forest_child_before_parent",
             "forest_arrays_of_unequal_length",
+            "forest_leaf_without_a_value",
+            "gbdt_leaf_with_an_extra_value",
+            "gbdt_internal_node_without_a_feature",
         ],
     )
     def test_malformed_model_document_exits_2(self, flow, tmp_path, damage):
         source = flow.forest if damage.startswith("forest_") else flow.gbdt
         doc = json.loads(source.artifact_path.read_text(encoding="utf-8"))
-        tree = doc["model"]["trees"][0] if damage.startswith("forest_") else None
+        tree = doc["model"]["trees"][0]
         if damage == "gbdt_without_f0":
             del doc["model"]["f0"]
         elif damage == "gbdt_unknown_key":
@@ -684,6 +728,12 @@ class TestCli:
             # the root's left child points back at the root: a descent would never end
             assert tree["left"][0] > 0
             tree["left"][0] = 0
+        elif damage == "forest_leaf_without_a_value":
+            tree["value"].pop()
+        elif damage == "gbdt_leaf_with_an_extra_value":
+            tree["value"].append(tree["value"][-1])
+        elif damage == "gbdt_internal_node_without_a_feature":
+            tree["feature"].pop()
         else:
             tree["threshold"].pop()
         broken = tmp_path / source.artifact_path.name
@@ -694,7 +744,7 @@ class TestCli:
         with pytest.raises(PersistenceError, match="malformed"):
             revive_model(ModelArtifact.load(broken))
 
-    @pytest.mark.parametrize("damage", ["forest_one_value_column", "forest_extra_class_column", "gbdt_value_matrix", "gbdt_round_without_a_tree"])
+    @pytest.mark.parametrize("damage", ["forest_one_value_column", "forest_extra_class_column", "gbdt_value_matrix", "gbdt_one_value_column"])
     def test_tree_values_of_the_wrong_shape_exit_2(self, flow, tmp_path, damage):
         source = flow.forest if damage.startswith("forest_") else flow.gbdt
         doc = json.loads(source.artifact_path.read_text(encoding="utf-8"))
@@ -704,9 +754,10 @@ class TestCli:
         elif damage == "forest_extra_class_column":
             trees[-1]["value"] = [[*row, 0.0] for row in trees[-1]["value"]]
         elif damage == "gbdt_value_matrix":
-            trees[0][0]["value"] = [[v] for v in trees[0][0]["value"]]
+            # one column more than the model has classes
+            trees[0]["value"] = [[*row, 0.0] for row in trees[0]["value"]]
         else:
-            trees[-1].pop()
+            trees[-1]["value"] = [row[0] for row in trees[-1]["value"]]
         broken = tmp_path / source.artifact_path.name
         broken.write_text(json.dumps(doc), encoding="utf-8")
         result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
@@ -714,6 +765,17 @@ class TestCli:
         assert "model document is malformed" in result.output
         with pytest.raises(PersistenceError, match="values"):
             revive_model(ModelArtifact.load(broken))
+
+    def test_format_3_artifact_exits_2(self, flow, tmp_path):
+        # format 4 stores trees leaves-only and one boosting tree per round; older files are rejected, not migrated
+        doc = json.loads(flow.gbdt.artifact_path.read_text(encoding="utf-8"))
+        doc["format_version"] = 3
+        old = tmp_path / flow.gbdt.artifact_path.name
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("evaluate", "--artifact", old, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert "version 3 is not supported (expected 4)" in result.output
+        assert "Traceback" not in result.output
 
     def test_format_2_artifact_exits_2(self, flow, tmp_path):
         # format 3 stores an SVM as one shared support set; older files are rejected, not migrated
@@ -836,6 +898,19 @@ class TestStrictDocuments:
         assert result.exit_code == 1, result.output
         assert "trees must be a JSON integer" in result.output
 
+    @pytest.mark.parametrize("depth, code", [(16, 0), (17, 1), (40, 1)])
+    def test_oblivious_depth_is_bounded(self, flow, tmp_path, depth, code):
+        # a complete oblivious tree of depth d has 2^(d + 1) - 1 nodes of k values each
+        doc = replace(flow.cfg, algorithm="gbdt_oblivious", output_dir=str(tmp_path / "out"), model_params={"rounds": 1, "max_depth": depth}).to_json()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        shutil.copytree(flow.out, tmp_path / "out")
+        result = self.invoke("train", "--config", path)
+        assert result.exit_code == code, result.output
+        assert "Traceback" not in result.output
+        if code:
+            assert result.output.startswith("error: ") and "max_depth of an oblivious tree must be <= 16" in result.output
+
     def test_non_finite_model_param_exits_1(self, flow, tmp_path):
         doc = replace(flow.cfg, algorithm="logistic", model_params={"learning_rate": float("nan")}).to_json()
         path = tmp_path / "run.json"
@@ -897,7 +972,7 @@ class TestStrictDocuments:
         result = self.invoke("report", path, "--out", tmp_path / "tables")
         assert result.exit_code == 2, result.output
         assert "malformed" in result.output
-        assert not (tmp_path / "tables").exists() or not any((tmp_path / "tables").iterdir())
+        assert not (tmp_path / "tables").exists() or not any(p.name != LOCK_NAME for p in (tmp_path / "tables").iterdir())
         with pytest.raises(PersistenceError, match=key):
             EvaluationReport.load(path)
 
@@ -912,7 +987,7 @@ class TestStrictDocuments:
         result = self.invoke("report", path, "--out", tmp_path / "tables")
         assert result.exit_code == 2, result.output
         assert f"{key} must be a JSON" in result.output
-        assert not (tmp_path / "tables").exists() or not any((tmp_path / "tables").iterdir())
+        assert not (tmp_path / "tables").exists() or not any(p.name != LOCK_NAME for p in (tmp_path / "tables").iterdir())
         with pytest.raises(PersistenceError, match=f"{key} must be a JSON"):
             EvaluationReport.load(path)
 
@@ -1010,13 +1085,13 @@ class TestPinnedBytes:
             TRAIN_CSV: "f1608a4f4a988ccac58c7afb00afc774eb22fbad2b336902b06f0452ef219a43",
             TEST_CSV: "59bfdbf29ade457063076c2e1a1b11acf9edda933c204050d4e216970935f70e",
             RANKING_CSV: "910327943fb15cf91b917c95d71ba05ef1652bb38d546d5bc880ea8ff2e97568",
-            "evaluation": "14df282823958f9deca1718919bf9021f42b8a2aad889c51b3a5ad38d089f779",
+            "evaluation": "6763c5de26b3482e79b1445e693bbe8fede4c16728ce54f4ebf4bef94ccca15c",
         },
         "disorder_subclass": {
             TRAIN_CSV: "50bf51cb1d38de07d00a5db66dabf15b8cbb4ad417001ec4489cb646d48c4408",
             TEST_CSV: "f4b5e9c26157287d9a0098f1bd9f20311562c21c7c23cfad35003453d0a41aaf",
             RANKING_CSV: "4c76d20abd16eb3bada9efef7d5b30234a3ad5165553298b4a29b28d8819f0af",
-            "evaluation": "57df00df12a8ca9e8ff0bd7679e88d96c7de162ba5fc2f3b37bd0fb7d74e78b3",
+            "evaluation": "c1ebbf32dd0af5b26e961199d692ab51b9751196fda7cc1928a0affeb1aa6063",
         },
     }
 
@@ -1061,14 +1136,14 @@ class TestPinnedBytes:
     }
 
     PINNED_TREES = {
-        ("random_forest", "genetic_disorder"): ("68ea639860f7215900dc944264c31a32cb1427d2240e9760ab7900c521e56e0d", "1d29a6deffd90aa1b99ce8212ddc129a3f54648f745a29e44789aee4c4dbdfb9"),
-        ("random_forest", "disorder_subclass"): ("8da040c7a53d1e29fa14655221baacb34d05483e2dfbfb492b244e108ebaa9a7", "4b9c5ea7747ab9bedf97893c817e4a2aa091d51c862205641b43bfe884dc1381"),
-        ("gbdt_plain", "genetic_disorder"): ("e9d1be235ec2811a7ad6fb4849adc789c06196b153f4883f7cf69705e3c0ae1f", "e3837886e2bf1b23af0ba88b2d5c182c93c73565f76a503e2c86814be4678a76"),
-        ("gbdt_plain", "disorder_subclass"): ("775fc6c815b77f11dc0386827e5e8394990d501e63e5e6ce0da7db62d7baee23", "80c44723f1c3faa89495ab947cf88fdcc39afb8cc511e111fe6e2eec81ca2ce4"),
-        ("gbdt_goss", "genetic_disorder"): ("064e5dcf9513ea3399e5094bbc8d4146c027e9002672e1fd7efdc76c762784bf", "a06a23d73912b4a68507a95cca6eec96324e6c771314d9f1742539cc9975fb4f"),
-        ("gbdt_goss", "disorder_subclass"): ("88ce59e7482427d51b2477977c4ac47adff2889a83e90b3f2ccad535489992d1", "ca1be6390cfe6e26e95b71b106ddcb7a1de7ac70bb6527beb40662df17602524"),
-        ("gbdt_oblivious", "genetic_disorder"): ("29a5aa7ee9dcab8e293b3dcc8db26f2ab7a13068687ebb946768bb7b8a14e502", "8f1b6ea261d6b8c9850b19839522bbde0841f8d4b79f28c0b9886789f94f2aed"),
-        ("gbdt_oblivious", "disorder_subclass"): ("50c0417603d623e14a04052ae3f63fe6b2f30d74a08fcc1e79da47a76b805985", "e41bc573055ddcae470fbc8df71be176fd369cafa33259b2600132d50a2d6889"),
+        ("random_forest", "genetic_disorder"): ("b09c34bfe9e1b8aac21e4f8a976242454186d3633060b08d92757f019996af43", "1d29a6deffd90aa1b99ce8212ddc129a3f54648f745a29e44789aee4c4dbdfb9"),
+        ("random_forest", "disorder_subclass"): ("524feb95b87eeebb32f7c6169f80613045eab05b4f43cb31bf16adc98ffc7f31", "4b9c5ea7747ab9bedf97893c817e4a2aa091d51c862205641b43bfe884dc1381"),
+        ("gbdt_plain", "genetic_disorder"): ("53714ede1cfbfb1ea4f8eca921b09b74aee7d975b1ed0693c1aa9e72062b87bf", "7e64452c95d64a7e38587426308b78ae73480e6e24477814a5573f22b1b78528"),
+        ("gbdt_plain", "disorder_subclass"): ("a424fcb509cd34cbed55d414ff1e6f548798d838f247fa50405496e6d659a370", "b9cf73685582805e37d152d54c648abda0b081e53b4552b635312c1138bb2ac3"),
+        ("gbdt_goss", "genetic_disorder"): ("edc78d7f6cf2ef3c32283a1a0ffc3a48de2eb65db60c338f02d1df7d8bfaa0e0", "fba41f910e7d84c91ca3ab2388e420cc64dc7172747a15d427a304e3a10ade00"),
+        ("gbdt_goss", "disorder_subclass"): ("54b9f85ada7eacc3d2b33cef5536f27cf70d3b41ab5066bd121ca8cc091ee4c3", "e598ab07ad229ff7b56986b4a5bded5be569b9f31b3001c1945e6077981f1a66"),
+        ("gbdt_oblivious", "genetic_disorder"): ("3b63868b145fbf7a1736363662339afb3f7bde1123d51742d4ca7fca59e85d04", "b62e3ced207d3494036e1c44fa93f031d8ae52c34f5763c0ea39ff3bb56e7791"),
+        ("gbdt_oblivious", "disorder_subclass"): ("ce60fbec07d0a2b01a277b011377f166a5e035e421b8b8d47fd19db874755a0c", "7c8289b921c69fb0bc088f9b1346a57146a6691a91a9b8e91b8a877cc9311b01"),
     }
 
     @staticmethod

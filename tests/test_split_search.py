@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import make_dataset
-from genoclass.ensemble.boosting import GbdtConfig, fit_gbdt, goss_gain, goss_sample
+from conftest import make_dataset, xy_dataset
+from genoclass.ensemble.boosting import GbdtConfig, fit_gbdt, goss_gain, goss_sample, loss_gradients
 from genoclass.ensemble.cart import GAIN_EPS, TreeParams, fit_tree
 
 TOL = 1e-9
@@ -18,7 +18,8 @@ def brute_gain(x: np.ndarray, y: np.ndarray, t: float, criterion: str) -> float:
 
     def cost(part: np.ndarray) -> float:
         if criterion == "variance":
-            return float(((part - part.mean()) ** 2).sum())
+            # summed over the columns of a statistic matrix
+            return float(((part - part.mean(axis=0)) ** 2).sum())
         counts = np.bincount(part)
         return part.size - float((counts * counts).sum()) / part.size
 
@@ -83,7 +84,7 @@ class TestGossRootSplit:
         cols = [("x0", "numeric"), ("x1", "numeric"), ("x2", "numeric"), ("y", "numeric")]
         ds = make_dataset(cols, {"x0": X[:, 0], "x1": X[:, 1], "x2": X[:, 2], "y": y})
         cfg = GbdtConfig(loss="squared", rounds=1, max_depth=1, variant="goss", a=0.2, b=0.3, seed=seed)
-        tree = fit_gbdt(ds, "y", cfg).trees[0][0]
+        tree = fit_gbdt(ds, "y", cfg).trees[0]
         assert tree.left[0] >= 0
 
         # round 0's residuals and sample, drawn as fit_gbdt draws them
@@ -132,11 +133,12 @@ def level_tests_of(tree) -> list[tuple[int, float]]:
 
 
 def level_score(cells: list[np.ndarray], x: np.ndarray, g: np.ndarray, t: float) -> float:
+    """sum over cells, sides and the columns of g (a vector is one column) of (column sum)^2 / rows."""
     total = 0.0
     for rows in cells:
         for side in (x[rows] <= t, x[rows] > t):
             if side.any():
-                total += float(g[rows][side].sum()) ** 2 / side.sum()
+                total += float((g[rows][side].sum(axis=0) ** 2).sum()) / side.sum()
     return total
 
 
@@ -156,7 +158,7 @@ def oblivious_fit(X: np.ndarray, y: np.ndarray, depth: int):
     cols = [(f"x{j}", "numeric") for j in range(X.shape[1])] + [("y", "numeric")]
     ds = make_dataset(cols, {**{f"x{j}": X[:, j] for j in range(X.shape[1])}, "y": y})
     cfg = GbdtConfig(loss="squared", rounds=1, max_depth=depth, variant="oblivious")
-    return fit_gbdt(ds, "y", cfg).trees[0][0]
+    return fit_gbdt(ds, "y", cfg).trees[0]
 
 
 @pytest.mark.parametrize("criterion", ["variance", "gini"])
@@ -194,7 +196,7 @@ class TestGossTreeProperties:
         cols = [(f"x{j}", "numeric") for j in range(3)] + [("y", "numeric")]
         ds = make_dataset(cols, {**{f"x{j}": X[:, j] for j in range(3)}, "y": y})
         cfg = GbdtConfig(loss="squared", rounds=1, max_depth=depth, min_samples_leaf=msl, variant="goss", a=0.3, b=0.5, seed=seed)
-        tree = fit_gbdt(ds, "y", cfg).trees[0][0]
+        tree = fit_gbdt(ds, "y", cfg).trees[0]
 
         # round 0's residuals and sample, drawn as fit_gbdt draws them
         g = y - float(y.mean())
@@ -233,3 +235,46 @@ class TestObliviousLevelProperties:
         slope = data.draw(st.sampled_from([-3.0, -1.0, -0.5, 2.0]))
         X = np.column_stack([X, slope * X[:, j] + 1.0])
         assert all(f != X.shape[1] - 1 for f, _ in level_tests_of(oblivious_fit(X, y, depth)))
+
+
+class TestMulticlassTreeProperties:
+    """One tree per round serves every class: its splits maximize the gain summed over the k residual columns."""
+
+    @staticmethod
+    def first_round(data, variant):
+        k = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(8, 50))
+        X = data.draw(hnp.arrays(np.float64, (n, 3), elements=st.integers(0, 3).map(float)))
+        y = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        msl, depth = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        cfg = GbdtConfig(rounds=1, max_depth=depth, min_samples_leaf=msl, variant=variant)
+        model = fit_gbdt(xy_dataset(X, y, n_classes=k), "y", cfg)
+        # round 0's residuals, from the class-prior scores every row starts at
+        residuals = loss_gradients(cfg.loss, y, np.tile(model.f0, (n, 1)))[0]
+        return X, residuals, msl, depth, model.trees[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_plain_node_holds_the_best_summed_split(self, data):
+        X, S, msl, depth, tree = self.first_round(data, "plain")
+        assert tree.value.shape == (tree.feature.size, S.shape[1])
+        assert_greedy_tree(tree, X, S, "variance", msl, depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_oblivious_level_holds_the_best_summed_test(self, data):
+        X, S, _, depth, tree = self.first_round(data, "oblivious")
+        assert tree.value.shape == (tree.feature.size, S.shape[1])
+        levels, cells = level_tests_of(tree), [np.arange(X.shape[0])]
+        for level in range(depth):
+            pool = {(f, t) for f in range(X.shape[1]) for cell in cells for t in midpoints(X[cell, f])}
+            scores = {c: level_score(cells, X[:, c[0]], S, c[1]) for c in pool}
+            parent = level_score(cells, np.zeros(X.shape[0]), S, 0.0)
+            best = max(scores.values(), default=None)
+            if level == len(levels):
+                assert best is None or best - parent <= GAIN_EPS + TOL * max(1.0, best)
+                return
+            f, t = levels[level]
+            assert (f, t) in pool
+            assert scores[f, t] >= best - TOL * max(1.0, best)
+            cells = [side for cell in cells for side in (cell[X[cell, f] <= t], cell[X[cell, f] > t])]
