@@ -63,6 +63,10 @@ def _run(action) -> None:
     except GenoclassError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    except MemoryError as exc:
+        # the last resort against a job too large for the machine: an error line, not a traceback
+        click.echo(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", err=True)
+        sys.exit(2)
 
 
 @click.group()

@@ -7,11 +7,12 @@ each leaf holds one Newton step per column over the full data it routes,
 
     leaf[c] = learning_rate * sum(residuals[:, c]) / sum(hessians[:, c])
 
-Every structure search runs ``cart``'s histogram kernel on codes built once
-per fit. Plain trees grow on every row; GOSS trees on one gradient-magnitude
-row sample per round, the remainder weighted by (1 - a) / b (goss_gain), and
-the full data descends them once; oblivious trees share one (feature,
-threshold) test per level, stored as a complete ``cart.Tree`` in heap order.
+Every structure search runs ``cart``'s kernels on bin codes built once per
+fit. Plain trees grow on every row, their growth's leaf sums of the residuals
+kept as the steps' numerators; GOSS trees on one gradient-magnitude row sample
+per round, the remainder weighted by (1 - a) / b (goss_gain), and the full
+data descends them once; oblivious trees share one cut between adjacent bins
+per level, stored as a complete ``cart.Tree`` in heap order.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ import numpy as np
 from ..codec import JsonCodec
 from ..dataset import Dataset, supervised_arrays
 from ..errors import ArgumentError, ConvergenceError
-from .cart import GAIN_EPS, NODES_PER_CALL, TIE_RTOL, Tree, TreeParams, apply, feature_offsets, feature_rows, grow_tree, leaf_sums, level_histograms, offset_bins, predict_tree, rank_codes, split_scores, tree_from_splits
+from .cart import GAIN_EPS, TIE_RTOL, Tree, TreeParams, apply, feature_offsets, feature_rows, grow_tree, leaf_sums, level_histograms, offset_bins, predict_tree, rank_codes, split_scores, tree_from_splits
 
 LOSSES = ("squared", "multiclass_logloss")
 VARIANTS = ("plain", "goss", "oblivious")
 
 #: deepest oblivious tree (CatBoost's limit): a complete tree has 2^(d + 1) - 1 nodes of k values
 MAX_OBLIVIOUS_DEPTH = 16
+
+#: most cells one oblivious kernel call scores, and most a level keeps histograms of for the next
+NODES_PER_CALL = 16
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -227,18 +231,18 @@ class GbdtModel(JsonCodec):
 # -- structure search ----------------------------------------------------------------
 
 
-def _refit_leaves(tree: Tree, leaf: np.ndarray, g: np.ndarray, h: np.ndarray, lr: float) -> None:
-    """Set each leaf's k values to learning-rate-scaled Newton steps over the full data.
+def _refit_leaves(tree: Tree, leaf: np.ndarray, h: np.ndarray, lr: float) -> None:
+    """Turn each leaf's k residual sums over the full data (the tree's values) into
+    learning-rate-scaled Newton steps lr * sum(g) / sum(h).
 
-    leaf holds each row's leaf id, g and h the n x k residuals and hessians,
-    summed per leaf in row order. A leaf column whose hessian mass vanishes
-    scores 0, as do leaves no row reaches (oblivious cells) and internal rows.
+    leaf holds each row's leaf id, h the n x k hessians, summed per leaf in row
+    order. A leaf column whose hessian mass vanishes scores 0, as do leaves no
+    row reaches (oblivious cells) and internal rows.
     """
-    n_nodes = tree.value.shape[0]
-    h_sum = leaf_sums(leaf, h, n_nodes)
+    h_sum = leaf_sums(leaf, h, tree.value.shape[0])
     tiny = h_sum <= 1e-12
     h_sum[tiny] = 1.0
-    np.divide(lr * leaf_sums(leaf, g, n_nodes), h_sum, out=tree.value)
+    np.divide(lr * tree.value, h_sum, out=tree.value)
     tree.value[tiny] = 0.0
 
 
@@ -247,59 +251,52 @@ def _fit_oblivious_structure(codes: np.ndarray, bins: np.ndarray, values: tuple[
     summed over the level's cells and the columns of the rows' n x k
     statistic matrix S (a vector is one column).
 
-    Candidates are the union over the level's cells of midpoints between
-    adjacent distinct values in the cell; each scores as the cut of the codes
-    it falls at (a cell it leaves whole adds its unsplit score), and a cut
-    several midpoints reach keeps the lowest. Stops when nothing improves.
-    Rows are keyed by their cell id (bins are the codes' ``offset_bins``),
-    and a level scored in one call, unless the last, keeps its cells'
-    histograms, so the next counts only the smaller half of each cell.
-    Returns the tree, with (n_nodes, k) zero values, and each row's leaf id.
+    Candidates are the cuts between adjacent bins that separate some cell's
+    rows (a cell a cut leaves whole adds its unsplit score), each threshold
+    between its two bins' values, so it routes every row as the codes do.
+    Stops when nothing improves. Rows are keyed by their cell id (bins are
+    the codes' ``offset_bins``), and a level scored in one call, unless the
+    last, keeps its cells' histograms, so the next counts only the smaller
+    half of each cell. Returns the tree, valued with each node's column sums
+    of S, and each row's leaf id.
     """
     S = np.asarray(S, dtype=np.float64).reshape(codes.shape[0], -1)
-    offsets, value = feature_offsets(values), np.concatenate(values)
+    offsets, (lo, hi) = feature_offsets(values), np.concatenate(values, axis=1)
     slot = np.repeat(np.arange(len(values)), np.diff(offsets))
-    key = slot + 1j * value  # complex order is (feature, value): one search finds a value's bin in its feature
+    # the cut after bin a: the midpoint to the next bin, or a's largest value where it rounds up
+    mid = (hi[:-1] + lo[1:]) / 2.0
+    threshold = np.where(mid < lo[1:], mid, hi[:-1])
     cell = np.zeros(codes.shape[0], dtype=np.int64)  # cell c splits into cells 2c (left) and 2c + 1
     levels: list[tuple[int, float]] = []
     kept = None
     for depth in range(max_depth):
         size = np.bincount(cell, minlength=2**depth)
         live = np.flatnonzero(size)
-        score, threshold, parent = np.zeros(value.size), np.full(value.size, np.inf), 0.0
+        score, parent, valid = np.zeros(slot.size), 0.0, np.zeros(slot.size, dtype=bool)
         # a level scored in one call keeps its histograms for the next, if there is one
         keep = live.size <= NODES_PER_CALL and depth + 1 < max_depth
-        for lo in range(0, live.size, NODES_PER_CALL):
-            part = live[lo : lo + NODES_PER_CALL]
-            hist = level_histograms(bins, S, cell, part, size, kept if part.size == live.size else None, value.size)
+        for first in range(0, live.size, NODES_PER_CALL):
+            part = live[first : first + NODES_PER_CALL]
+            hist = level_histograms(bins, S, cell, part, size, kept if part.size == live.size else None, slot.size)
             # scoring sums the statistic planes in place, so kept histograms are a copy
-            count, _, cell_score, cell_parent = split_scores(hist.copy() if keep else hist, offsets)
+            _, n_l, cell_score, cell_parent = split_scores(hist.copy() if keep else hist, offsets)
             score += cell_score.sum(axis=0)
             parent += cell_parent.sum()
-            at_cell, at = np.nonzero(count)
-            pair = (at_cell[:-1] == at_cell[1:]) & (slot[at[:-1]] == slot[at[1:]])
-            a, b = at[:-1][pair], at[1:][pair]
-            mids = (value[a] + value[b]) / 2.0
-            # a midpoint lands on a, or on b if it rounds up to b's value; between a and b
-            # lie the values the cell lacks, searched for in (feature, value) order
-            to = a + (mids >= value[b])
-            gap = np.flatnonzero(b > a + 1)
-            to[gap] = np.searchsorted(key, slot[a[gap]] + 1j * mids[gap], side="right") - 1
-            np.minimum.at(threshold, to, mids)
-        score[np.isinf(threshold)] = -np.inf
+            valid |= ((n_l > 0) & (n_l < size[part, None])).any(axis=0)
+        score[~valid] = -np.inf
         best = score.max(initial=-np.inf)
         if not best - parent > GAIN_EPS:
             break
         at = int(np.argmax(score >= best - TIE_RTOL * best))
-        f, t = int(slot[at]), float(threshold[at])
-        levels.append((f, t))
+        f = int(slot[at])
+        levels.append((f, float(threshold[at])))
         kept = (2 * live, hist) if keep else None
-        cell = 2 * cell + (codes[:, f] > int(np.searchsorted(values[f], t, side="right")) - 1)
+        cell = 2 * cell + (codes[:, f] > at - offsets[f])
 
     # the complete tree in heap order: node i, on level floor(log2(i + 1)), has children 2i + 1 and 2i + 2
     n_nodes = 2 ** (len(levels) + 1) - 1
     splits = [(i, *levels[(i + 1).bit_length() - 1], 2 * i + 1) for i in range(n_nodes // 2)]
-    return tree_from_splits(n_nodes, splits, np.zeros((n_nodes, S.shape[1]))), cell + n_nodes // 2
+    return tree_from_splits(n_nodes, splits, leaf_sums(cell + n_nodes // 2, S, n_nodes)), cell + n_nodes // 2
 
 
 # -- fitting -------------------------------------------------------------------------
@@ -377,12 +374,13 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
             magnitude = np.sqrt((residuals * residuals).sum(axis=1))
             sample = goss_sample(magnitude, config.a, config.b, seed=int(master.integers(2**32)))
             idx = sample.indices
-            # grown on the sample, so the full data descends the tree
+            # grown on the sample, so the full data descends the tree and is summed in its leaves
             tree = grow_tree(codes[idx], values, sample.row_weights[:, None] * residuals[idx], params, bins[idx])[0]
             leaf = apply(tree, X)
+            tree.value[:] = leaf_sums(leaf, residuals, tree.value.shape[0])
         else:
             tree, leaf = _fit_oblivious_structure(codes, bins, values, residuals, config.max_depth)
-        _refit_leaves(tree, leaf, residuals, hessians, config.learning_rate)
+        _refit_leaves(tree, leaf, hessians, config.learning_rate)
         trees.append(tree)
         F += tree.value[leaf]
         history.append(loss_value(config.loss, y, F))

@@ -1,26 +1,26 @@
 """CART base learner: greedy binary trees over a per-row statistic matrix.
 
-A fit rank-codes each feature once; the split kernel (``split_scores``)
-scores every cut from ``np.bincount`` histograms (``histograms``) of the
-caller's n x k statistic matrix S over the codes, sorting nothing, summing
-the score over S's columns: a target column gives the squared-error
-reduction, one-hot class columns the Gini reduction, boosting's k residual
-columns one tree for every class. Thresholds are midpoints between adjacent
-distinct values in the node. Every tree grows level by level, one kernel
-call per ``NODES_PER_CALL`` nodes, each node searching all features or, in
-an ``mtry`` tree, its own subset, drawn for the whole level in one call on
-the tree's generator. Gains within ``TIE_RTOL`` of the best tie, broken
-toward the lowest feature, then the lowest threshold. Rows route left when
-value <= threshold.
+A fit bins each feature once (``rank_codes``: a bin per distinct value, or
+``MAX_BINS`` quantile bins past that many). The split kernels score every cut
+between bins from per-(node, bin) sums of the caller's n x k statistic
+matrix S, sorting no rows, summing the score over S's columns: a target
+column gives the squared-error reduction, one-hot class columns the Gini
+reduction, boosting's k residual columns one tree for every class. A
+threshold lies halfway between the largest value below the cut and the
+smallest of the next bin the node has, so it routes rows as their codes do.
+Rows route left when value <= threshold. Gains within ``TIE_RTOL`` of the
+best tie, broken toward the lowest feature, then the lowest threshold.
 
-Rows carry their node id, and one search (``_level_splits``) scores every
-greedy level: in one call over every bin from the fit's ``offset_bins``
-when the level is small, keeping its histograms so the next level counts
-only the smaller child of each split and subtracts (``level_histograms``;
-counts stay exact, sums change by rounding, which ``TIE_RTOL`` absorbs),
-else in chunks of ``NODES_PER_CALL`` nodes over their own bins
-(``compact_bins``), which keep none: an ``mtry`` level's nodes search
-different features, so no parent histogram covers them.
+Every tree grows level by level, one kernel call per level, each node
+searching all features or, in an ``mtry`` tree, its own subset, drawn for the
+whole level in one call on the tree's generator. Rows carry their node id. An
+unsampled level whose histograms over every bin would not outsize its (row,
+feature) pairs is scored dense (``split_scores``) and keeps its histograms,
+so the next level counts only the smaller child of each split and subtracts
+(``level_histograms``; counts stay exact, sums change by rounding, which
+``TIE_RTOL`` absorbs). Any other level is scored over only the (node,
+feature, bin) cells its rows have (``present_cells``), so its cost follows
+its rows. One vectorized ``_pick`` takes each node's best cut from either.
 
 Every tree, greedy or oblivious, is one ``Tree`` of parallel per-node
 arrays, and ``apply`` is the one descent: it maps rows to leaf ids level by
@@ -46,9 +46,8 @@ GAIN_EPS = 1e-12
 #: scale counts the children, as boosting residuals can sum to a zero parent
 TIE_RTOL = 1e-9
 
-#: most nodes one kernel call scores, and most a level keeps histograms of for the
-#: next level; this bounds memory on wide levels
-NODES_PER_CALL = 16
+#: most bins a feature is cut into, as LightGBM's max_bin
+MAX_BINS = 255
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,10 @@ class TreeParams:
 
 
 def rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Rank codes of X (int32, n x d) and each feature's sorted distinct values; X must be finite."""
+    """Bin codes of X (int32, n x d) and each feature's bins' smallest and largest
+    values (a 2 x bins array); X must be finite. A feature with at most MAX_BINS
+    distinct values has a bin per value; one with more is cut at row quantiles
+    into at most MAX_BINS bins of consecutive values."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ArgumentError("X must be a 2-D matrix")
@@ -158,17 +160,22 @@ def rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         raise ArgumentError("cannot fit a tree on zero rows")
     if not np.isfinite(X).all():
         raise ArgumentError("feature matrix contains non-finite values")
-    pairs = [np.unique(X[:, f], return_inverse=True) for f in range(X.shape[1])]
-    codes = np.empty(X.shape, dtype=np.int32)
-    for f, (_, inverse) in enumerate(pairs):
-        codes[:, f] = inverse.reshape(-1)
-    return codes, tuple(values for values, _ in pairs)
+    codes, values = np.empty(X.shape, dtype=np.int32), []
+    for f in range(X.shape[1]):
+        distinct, inverse, count = np.unique(X[:, f], return_inverse=True, return_counts=True)
+        # past MAX_BINS values, each goes to the quantile its first row's rank falls in
+        quantile = (np.cumsum(count) - count) * MAX_BINS // X.shape[0]
+        group = np.unique(quantile, return_inverse=True)[1].reshape(-1) if distinct.size > MAX_BINS else np.arange(distinct.size)
+        codes[:, f] = group[inverse.reshape(-1)]
+        first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+        values.append(np.stack([distinct[first], np.maximum.reduceat(distinct, first)]))
+    return codes, tuple(values)
 
 
 def feature_offsets(values: Sequence[np.ndarray]) -> np.ndarray:
-    """First bin of each feature, then the bin count: feature f's bins, one per
-    distinct value in value order, run from offsets[f] to offsets[f + 1] - 1."""
-    return np.cumsum([0, *(v.size for v in values)])
+    """First bin of each feature, then the bin count: feature f's bins, in value
+    order, run from offsets[f] to offsets[f + 1] - 1."""
+    return np.cumsum([0, *(v.shape[-1] for v in values)])
 
 
 def offset_bins(codes: np.ndarray, values: Sequence[np.ndarray]) -> np.ndarray:
@@ -188,20 +195,33 @@ def histograms(key: np.ndarray, S: np.ndarray, n_nodes: int, n_bins: int) -> np.
     return hist
 
 
-def split_scores(hist: np.ndarray, offsets: np.ndarray, last=-1):
-    """The split kernel: score every cut of every (node, feature) from histograms.
+def _score(left: list, n_l: np.ndarray, total: list, n) -> np.ndarray:
+    """sum_j L_j^2/n_l + R_j^2/n_r of cuts with left sums left (a plane per column of S),
+    left counts n_l, and node sums total and rows n (broadcast); an empty side scores 0
+    (R up to rounding). The first plane of left is scratch once read."""
+    sq_l, sq_r, scratch = np.square(left[0]), np.subtract(total[0], left[0]), left[0]
+    np.square(sq_r, out=sq_r)
+    for j in range(1, len(left)):
+        sq_l += np.square(left[j], out=scratch)
+        np.subtract(total[j], left[j], out=scratch)
+        sq_r += np.square(scratch, out=scratch)
+    sq_l /= np.maximum(n_l, 1, out=scratch)
+    np.subtract(n, n_l, out=scratch)
+    sq_r /= np.maximum(scratch, 1, out=scratch)
+    sq_l += sq_r
+    return sq_l
 
-    hist holds the histogram planes of ``histograms``, built or derived by
-    subtraction; the kernel sums its statistic planes in place. A feature's
-    bins are consecutive in value order, from offsets[f] to offsets[f + 1] -
-    1 (see feature_offsets), and last (per node or for all) is the last bin
-    of a node's last feature. Returns n_nodes x B arrays count, n_left (rows
-    in, and at or below, the bin) and score = sum_j L_j^2/n_l + R_j^2/n_r for
-    the cut after the bin (L, R the side sums of S; an empty side scores 0),
-    and each node's unsplit score sum_j T_j^2/n, its last bin's score.
+
+def split_scores(hist: np.ndarray, offsets: np.ndarray):
+    """The dense split kernel: score every cut of every (node, feature) from the
+    histogram planes of ``histograms`` (built or derived by subtraction; it sums
+    the statistic planes in place), bins laid out as feature_offsets says.
+    Returns n_nodes x B arrays count, n_left (rows in, and at or below, the bin)
+    and score (see _score) for the cut after the bin, and each node's unsplit
+    score sum_j T_j^2/n, its last bin's.
     """
     # in place where it can be, as large temporaries cost page faults
-    count, nodes, sizes = hist[-1], np.arange(hist.shape[1]), np.diff(offsets)
+    count, sizes = hist[-1], np.diff(offsets)
     left = [*np.cumsum(hist[:-1], axis=2, out=hist[:-1]), np.cumsum(count, axis=1)]
     for plane in left:
         # restart the sums at each feature's first bin
@@ -209,35 +229,29 @@ def split_scores(hist: np.ndarray, offsets: np.ndarray, last=-1):
         before[:, offsets[:-1] == 0] = 0.0
         plane -= np.repeat(before, sizes, axis=1)
     # a node's last bin closes its last feature: its left side is the whole node
-    n_l, total = left[-1], [plane[nodes, last, None] for plane in left]
-    # the first statistic plane is scratch once read
-    sq_l, sq_r = np.square(left[0]), np.subtract(total[0], left[0])
-    np.square(sq_r, out=sq_r)
-    scratch = left[0]
-    for j in range(1, len(left) - 1):
-        sq_l += np.square(left[j], out=scratch)
-        np.subtract(total[j], left[j], out=scratch)
-        sq_r += np.square(scratch, out=scratch)
-    # an empty side's sums are 0 (R up to rounding, summed by another feature or by subtraction)
-    sq_l /= np.maximum(n_l, 1, out=scratch)
-    np.subtract(total[-1], n_l, out=scratch)
-    sq_r /= np.maximum(scratch, 1, out=scratch)
-    sq_l += sq_r
-    return count, n_l, sq_l, sq_l[nodes, last]
+    total = [plane[:, [-1]] for plane in left]
+    score = _score(left[:-1], left[-1], total[:-1], total[-1])
+    return count, left[-1], score, score[:, -1]
 
 
-def compact_bins(bins: np.ndarray, offsets: np.ndarray, value: np.ndarray, n_nodes: int):
-    """Kernel bins of rows with bins (m x F) in the layout of offsets (see
-    feature_offsets), whose bins hold value, with the kernel layout's
-    offsets and each kernel bin's feature and value. When n_nodes histograms
-    over every bin would outsize the (row, feature) pairs, only the bins the
-    rows have are kept, so histograms scale with the rows."""
-    slot = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    if bins.size >= n_nodes * offsets[-1]:
-        return bins, offsets, slot, value
-    present = np.bincount(bins.ravel(), minlength=offsets[-1]) > 0
-    used = np.flatnonzero(present)
-    return (np.cumsum(present) - 1)[bins], np.searchsorted(used, offsets), slot[used], value[used]
+def present_cells(key: np.ndarray, S: np.ndarray, offsets: np.ndarray):
+    """The present-cell split kernel: score the cut after every (node, bin) cell that
+    rows with keys key (m x F: node times B plus bin, nodes from 0) have, bins laid
+    out as offsets says. Sums S's columns per sort-uniqued cell in row order, prefix
+    sums restarting at each (node, feature). Returns the cells' node and bin, in
+    order, their n_left and score as split_scores gives them, and each node's
+    unsplit score."""
+    cell, inverse = np.unique(key, return_inverse=True)
+    planes = histograms(inverse.reshape(key.shape), S, 1, cell.size)[:, 0]
+    node, at = np.divmod(cell, offsets[-1])
+    feature = np.searchsorted(offsets, at, side="right")
+    start = np.flatnonzero(np.r_[True, (node[1:] != node[:-1]) | (feature[1:] != feature[:-1])])
+    left = np.cumsum(planes, axis=1)
+    left -= np.repeat(np.c_[np.zeros(len(left)), left[:, start[1:] - 1]], np.diff(np.r_[start, cell.size]), axis=1)
+    # a node's last cell closes its last feature: its left side is the whole node
+    end = np.r_[np.flatnonzero(node[1:] != node[:-1]), cell.size - 1]
+    score = _score(left[:-1], left[-1], left[:-1, end][:, node], left[-1, end][node])
+    return node, at, left[-1], score, score[end]
 
 
 def level_histograms(bins: np.ndarray, S: np.ndarray, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, n_bins: int) -> np.ndarray:
@@ -266,10 +280,7 @@ def level_histograms(bins: np.ndarray, S: np.ndarray, node: np.ndarray, nodes: n
         slot[spare] = n_slots + np.arange(spare.size)
         n_slots += spare.size
     rows = np.flatnonzero(slot[node] >= 0)
-    if rows.size == node.size:
-        key, stats = bins, S
-    else:
-        key, stats = bins[rows], S[rows]
+    key, stats = (bins, S) if rows.size == node.size else (bins[rows], S[rows])
     if n_slots > 1:
         key = key + (slot[node[rows]] * n_bins)[:, None]
     hist = histograms(key, stats, n_slots, n_bins)
@@ -279,70 +290,52 @@ def level_histograms(bins: np.ndarray, S: np.ndarray, node: np.ndarray, nodes: n
     return hist[:, : nodes.size]
 
 
-def _pick(hist: np.ndarray, offsets: np.ndarray, last, slot: np.ndarray, value: np.ndarray, values: Sequence[np.ndarray], sizes: np.ndarray, msl: int) -> list:
-    """Best (gain, feature, threshold, cut code) of each node scored from its
-    histograms (see split_scores), or None; bins have features slot
-    and values value, sizes holds the nodes' rows. A valid cut separates
-    values present in the node, msl rows or more on each side."""
-    count, n_l, score, parent = split_scores(hist, offsets, last)
-    gain = score
-    gain -= parent[:, None]
+def _pick(cell_node, cell_bin, n_l, score, parent, sizes: np.ndarray, msl: int, values: Sequence[np.ndarray]):
+    """Each node's gain (-inf if no cut is valid), feature, threshold and cut code of
+    its best cut, from its scored cells (as present_cells returns them); sizes holds
+    the nodes' rows. A valid cut leaves msl rows or more on each side; ties go to
+    the first cell: the lowest feature, then the lowest threshold."""
+    offsets, (lo, hi) = feature_offsets(values), np.concatenate(values, axis=1)
+    slot = np.repeat(np.arange(len(values)), np.diff(offsets))
+    gain, half = score - parent[cell_node], sizes[cell_node] / 2.0
     # msl <= n_l <= size - msl, in exact half-integer arithmetic
-    half = sizes[:, None] / 2.0
-    valid = (count > 0) & (np.abs(n_l - half) <= half - msl)
-    # an invalid cut gains -inf: the minimum with +inf keeps a gain, with -inf drops it (no branches on the mask)
-    np.minimum(gain, (valid - 0.5) * np.inf, out=gain)
-    best = gain.max(axis=1)
-    at = np.flatnonzero(best > -np.inf)
-    p = np.argmax(gain[at] >= (best[at] - TIE_RTOL * (best[at] + parent[at]))[:, None], axis=1)
-    found: list = [None] * sizes.size
-    for i, b in zip(at, p):
-        # rows remain above a valid cut, so the next nonempty bin is the same feature's
-        t = (value[b] + value[b + 1 + np.argmax(count[i, b + 1 :] > 0)]) / 2.0
-        f = int(slot[b])
-        found[i] = (float(best[i]), f, float(t), int(np.searchsorted(values[f], t, side="right")) - 1)
-    return found
+    gain[np.abs(n_l - half) > half - msl] = -np.inf
+    first = np.flatnonzero(np.r_[True, cell_node[1:] != cell_node[:-1]])
+    best = np.maximum.reduceat(gain, first)
+    found = best > -np.inf
+    tol = np.where(found, best, 0.0)
+    tol -= TIE_RTOL * (tol + parent)
+    i = np.minimum.reduceat(np.where(gain >= tol[cell_node], np.arange(gain.size), gain.size), first)[found]
+    # rows remain above a valid cut, so the next present cell is the same feature's
+    a, b = cell_bin[i], cell_bin[i + 1]
+    mid = (hi[a] + lo[b]) / 2.0
+    feature, threshold, cut = np.full(sizes.size, -1), np.zeros(sizes.size), np.zeros(sizes.size, dtype=np.int64)
+    # a midpoint that rounds up to b's smallest value becomes a's largest, so the threshold routes rows as the codes do
+    feature[found], threshold[found], cut[found] = slot[a], np.where(mid < lo[b], mid, hi[a]), a - offsets[slot[a]]
+    return best, feature, threshold, cut
 
 
 def _level_splits(codes, bins, values, S, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, drawn, msl: int, keep: bool):
-    """Best split (see _pick) of each node of a level, rows keyed by their node
-    id node, and, if keep asks, the level's histograms when it was scored in
-    one call over every bin (else None, sparing a copy of its k + 1 planes).
-
-    drawn is None when every node searches every feature, its rows' bins read
-    from bins; else it holds each node's drawn features in ascending order, the
-    rows' bins gathered from codes, and a call's bins cover the union of its
-    nodes' features."""
-    offsets, value = feature_offsets(values), np.concatenate(values)
-    widths = np.diff(offsets)
-    if drawn is None and nodes.size <= NODES_PER_CALL and size[nodes].sum() * bins.shape[1] >= nodes.size * offsets[-1]:
+    """Best splits (see _pick) of the nodes of a level, rows keyed by their node id
+    node, and, if keep asks, the level's histograms when it was scored dense (else
+    None, sparing a copy of its k + 1 planes). drawn is None when every node searches
+    every feature, its rows' bins read from bins; else it holds each node's drawn
+    features, the rows' bins gathered from codes."""
+    offsets = feature_offsets(values)
+    if drawn is None and size[nodes].sum() * bins.shape[1] >= nodes.size * offsets[-1]:
         hist = level_histograms(bins, S, node, nodes, size, kept, offsets[-1])
-        slot = np.repeat(np.arange(len(values)), widths)
         # scoring sums the statistic planes in place, so the kept histograms are a copy
-        return _pick(hist.copy() if keep else hist, offsets, -1, slot, value, values, size[nodes], msl), hist if keep else None
-    found: list = []
-    for lo in range(0, nodes.size, NODES_PER_CALL):
-        part = nodes[lo : lo + NODES_PER_CALL]
-        at = np.full(size.size, -1)
-        at[part] = np.arange(part.size)
-        rows = np.flatnonzero(at[node] >= 0)
-        owner = at[node[rows]]
-        if drawn is None:
-            key, layout, layout_value = bins[rows], offsets, value
-        else:
-            part_drawn = drawn[lo : lo + NODES_PER_CALL]
-            union = np.bincount(part_drawn.ravel(), minlength=len(values)) > 0
-            layout = np.cumsum([0, *np.where(union, widths, 0)])
-            layout_value = value[np.repeat(union, widths)]
-            features = part_drawn[owner]
-            key = codes[rows[:, None], features] + layout[features]
-        key, layout, slot, layout_value = compact_bins(key, layout, layout_value, part.size)
-        key += (owner * slot.size)[:, None]
-        hist = histograms(key, S[rows], part.size, slot.size)
-        # a node's last bin is that of its own last feature
-        last = -1 if drawn is None else layout[part_drawn[:, -1] + 1] - 1
-        found += _pick(hist, layout, last, slot, layout_value, values, size[part], msl)
-    return found, None
+        count, n_l, score, parent = split_scores(hist.copy() if keep else hist, offsets)
+        cell_node, cell_bin = np.nonzero(count)
+        return _pick(cell_node, cell_bin, n_l[cell_node, cell_bin], score[cell_node, cell_bin], parent, size[nodes], msl, values), hist if keep else None
+    owner = np.full(size.size, -1)
+    owner[nodes] = np.arange(nodes.size)
+    rows = np.flatnonzero(owner[node] >= 0)
+    owner = owner[node[rows]]
+    key = bins[rows] if drawn is None else codes[rows[:, None], drawn[owner]] + offsets[drawn[owner]]
+    key += (owner * offsets[-1])[:, None]
+    cells = present_cells(key, S[rows], offsets)
+    return _pick(*cells, size[nodes], msl, values), None
 
 
 def _varies(S: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -366,7 +359,7 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], S: np.ndarray, pa
     limit, min_rows = params.max_depth, max(2, 2 * params.min_samples_leaf)
     # each row's node id; split j's children get ids 2j + 1 (left) and 2j + 2
     node = np.zeros(n, dtype=np.int64)
-    splits: list[tuple[int, int, float]] = []
+    splits: list[tuple[int, int, float, int]] = []
     level, kept, depth = np.zeros(1, dtype=np.int64), None, 0
     while level.size:
         n_nodes = 2 * len(splits) + 1
@@ -380,23 +373,21 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], S: np.ndarray, pa
             # an mtry tree draws the features of all the level's growing nodes in one call, in node order
             drawn = np.sort(np.argsort(rng.random((grows.size, d)), axis=1)[:, : params.mtry], axis=1)[np.isin(grows, live)]
         # the histograms are kept only if the next level may split
-        found, hist = _level_splits(codes, bins, values, S, node, live, size, kept, drawn, params.min_samples_leaf, limit is None or depth + 1 < limit)
-        split = np.array([f is not None and f[0] > GAIN_EPS for f in found], dtype=bool)
-        chosen = [f for f, go in zip(found, split) if go]
-        first = len(splits)
-        splits += [(int(v), f, t) for v, (_, f, t, _) in zip(live[split], chosen)]
-        child = 2 * np.arange(first, len(splits)) + 1
+        (gain, feature, threshold, cut), hist = _level_splits(codes, bins, values, S, node, live, size, kept, drawn, params.min_samples_leaf, limit is None or depth + 1 < limit)
+        split = gain > GAIN_EPS
+        feature, cut = feature[split], cut[split]
+        child = 2 * np.arange(len(splits), len(splits) + feature.size) + 1
+        splits += zip(live[split], feature, threshold[split], child)
         kept = None if hist is None else (child, hist[:, split])
         # route the split nodes' rows; the next level lists each right child first
         to = np.full(n_nodes, -1)
-        to[live[split]] = np.arange(len(chosen))
+        to[live[split]] = np.arange(feature.size)
         moving = np.flatnonzero(to[node] >= 0)
         j = to[node[moving]]
-        feature, cut = (np.array([c[i] for c in chosen], dtype=np.int64) for i in (1, 3))
         node[moving] = child[j] + (codes[moving, feature[j]] > cut[j])
         level, depth = np.stack([child + 1, child], axis=1).ravel(), depth + 1
     n_nodes = 2 * len(splits) + 1
-    return tree_from_splits(n_nodes, [(v, f, t, 2 * j + 1) for j, (v, f, t) in enumerate(splits)], leaf_sums(node, S, n_nodes)), node
+    return tree_from_splits(n_nodes, splits, leaf_sums(node, S, n_nodes)), node
 
 
 def leaf_sums(leaf: np.ndarray, S: np.ndarray, n_nodes: int) -> np.ndarray:

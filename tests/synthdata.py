@@ -9,9 +9,16 @@ columns are informative for either target.
 
 from __future__ import annotations
 
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from genoclass import ColumnSchema, Dataset
+from genoclass.dataset import load_csv, schema_from_json
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 DISORDER_LABELS = (
     "Mitochondrial genetic inheritance disorders",
@@ -139,3 +146,27 @@ def planted_dataset(n, seed):
         "Disorder Subclass": k.astype(np.int64),
     }
     return Dataset(planted_schema(), values)
+
+
+def gendata_matrix(n, seed, target="Disorder Subclass"):
+    """Feature matrix and class codes of n labeled patients from the benchmark's
+    population (``perfbench/gendata.py``), missing cells filled with the column
+    median. Its two 6-decimal features hold about as many distinct values as
+    rows, and labels overlap, so trees on it grow wide levels."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    from gendata import generate
+    from workloads import SCHEMA
+
+    with tempfile.TemporaryDirectory() as tmp:
+        generate(Path(tmp) / "raw.csv", n, seed)
+        ds = load_csv(Path(tmp) / "raw.csv", schema_from_json(SCHEMA))
+    labeled = ~ds.missing_mask(target)
+    columns = []
+    for col in ds.columns:
+        if col.role == "feature":
+            x = ds.values(col.name).astype(np.float64)[labeled]
+            gap = ds.missing_mask(col.name)[labeled]
+            x[gap] = np.median(x[~gap])
+            columns.append(x)
+    return np.column_stack(columns), ds.values(target)[labeled].astype(np.int64)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synthdata
 from genoclass.ensemble import cart
 from genoclass.ensemble.cart import (
     TIE_RTOL,
@@ -362,14 +363,55 @@ class TestGrowthPath:
         y = rng.integers(0, 3, size=400) if criterion == "gini" else rng.normal(size=400)
         params = TreeParams(criterion=criterion, mtry=mtry, seed=8, min_samples_leaf=2)
         wide = fit_tree(X, y, params)
-        # some level splits more than 16 nodes, so the default scores it in several calls
+        # some level splits more than 16 nodes, all of them scored in one call
         depth = np.zeros(wide.feature.size, dtype=np.int64)
         for i in np.flatnonzero(wide.left >= 0):
             depth[[wide.left[i], wide.right[i]]] = depth[i] + 1
         assert np.bincount(depth[wide.left >= 0]).max() > 16
-        monkeypatch.setattr(cart, "NODES_PER_CALL", 1)
+        search = cart._level_splits
+
+        def one_node_per_call(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep):
+            # each node scored alone, from its own rows, with no histograms handed down
+            found = [search(codes, bins, values, S, node, nodes[i : i + 1], size, None, None if drawn is None else drawn[i : i + 1], msl, False)[0] for i in range(nodes.size)]
+            return tuple(np.concatenate(part) for part in zip(*found)), None
+
+        monkeypatch.setattr(cart, "_level_splits", one_node_per_call)
         narrow = fit_tree(X, y, params)
         assert narrow.to_json() == wide.to_json()
+
+    @pytest.mark.parametrize("stats", ["target", "classes", "residuals"])
+    def test_tree_does_not_depend_on_how_a_level_is_scored(self, stats):
+        X, y = synthdata.gendata_matrix(1500, 3)
+        rng = np.random.default_rng(3)
+        onehot = np.eye(y.max() + 1)[y]
+        S = {
+            "target": np.round(y + rng.normal(size=y.size), 2)[:, None],
+            "classes": onehot,
+            # boosting-like residuals of large magnitude: float sums whose rounding the two kernels order differently
+            "residuals": (onehot - onehot.mean(axis=0) + rng.normal(size=onehot.shape) * 0.01) * 1e3,
+        }[stats]
+        codes, values = cart.rank_codes(X)
+        params = TreeParams(min_samples_leaf=2)
+        search, dense, present = cart._level_splits, cart.level_histograms, cart.present_cells
+        scored = []
+
+        def every_feature_drawn(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep):
+            # a level whose nodes each draw every feature is scored by present cells
+            drawn = np.tile(np.arange(codes.shape[1]), (nodes.size, 1))
+            return search(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cart, "level_histograms", lambda *args: scored.append("dense") or dense(*args))
+            patch.setattr(cart, "present_cells", lambda *args: scored.append("present") or present(*args))
+            both, leaf = cart.grow_tree(codes, values, S, params)
+        # the root and the shallow levels are scored dense, the wide ones by present cells
+        assert scored[0] == "dense" and "present" in scored
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cart, "_level_splits", every_feature_drawn)
+            patch.setattr(cart, "level_histograms", None)
+            cells_only, cells_leaf = cart.grow_tree(codes, values, S, params)
+        assert cells_only.to_json() == both.to_json()
+        np.testing.assert_array_equal(cells_leaf, leaf)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -396,16 +438,15 @@ class TestGrowthPath:
         splits = 0
         for groups, features, found in calls:
             assert features.shape == (len(groups), params.mtry)
-            for rows, drawn, best in zip(groups, features, found):
+            for rows, drawn, gain, f, t, _ in zip(groups, features, *found):
                 assert len(set(drawn.tolist())) == params.mtry
                 gains = [brute_gain(onehot[rows], X[rows, f] <= t, msl) for f in drawn for t in np.unique(X[rows, f])[:-1]]
                 top = max((g for g in gains if g is not None), default=None)
-                if best is None:
+                if gain == -np.inf:
                     # no valid cut, or rows of one class, which no cut improves
                     assert top is None or np.unique(y[rows]).size == 1
                     continue
                 assert top is not None
-                gain, f, t, _ = best
                 assert f in drawn
                 parent = (onehot[rows].sum(axis=0) ** 2).sum() / rows.size
                 realized = brute_gain(onehot[rows], X[rows, f] <= t, msl)
@@ -432,7 +473,7 @@ class TestHistogramReuse:
         n, d, k = data.draw(st.integers(2, 60)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         codes, values = cart.rank_codes(rng.integers(0, data.draw(st.integers(1, 9)), size=(n, d)).astype(np.float64))
-        bins, n_bins = cart.offset_bins(codes, values), sum(v.size for v in values)
+        bins, n_bins = cart.offset_bins(codes, values), cart.feature_offsets(values)[-1]
         S = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
         # a level of parents, each split j sending its rows to children 2j + 1 (left) and 2j + 2
         n_parents = data.draw(st.integers(1, 4))
@@ -488,14 +529,13 @@ class TestHistogramReuse:
         whole = [False] + [w for _, _, w, _ in calls]
         assert reused == [above for above, here in zip(whole, whole[1:]) if here]
         for node, nodes, _, found in calls:
-            for v, best in zip(nodes, found):
+            for v, gain, f, t, _ in zip(nodes, *found):
                 rows = np.flatnonzero(node == v)
                 gains = [brute_gain(stats[rows], X[rows, f] <= t, msl) for f in range(d) for t in np.unique(X[rows, f])[:-1]]
                 top = max((g for g in gains if g is not None), default=None)
-                if best is None:
+                if gain == -np.inf:
                     assert top is None
                     continue
-                gain, f, t, _ = best
                 parent = (stats[rows].sum(axis=0) ** 2).sum() / rows.size
                 realized = brute_gain(stats[rows], X[rows, f] <= t, msl)
                 assert realized is not None and abs(realized - top) <= TIE_RTOL * (top + parent) + 1e-9
@@ -528,7 +568,7 @@ class TestHistogramReuse:
         while True:
             # an oblivious level's gain sums its cells' gains; a cell left whole gains 0
             gain = lambda f, t: sum(brute_gain(stats[c], X[c, f] <= t, 1) or 0.0 for c in cells)
-            candidates = {(f, t) for f in range(d) for c in cells for t in (np.unique(X[c, f])[:-1] + np.unique(X[c, f])[1:]) / 2.0}
+            candidates = {(f, t) for f in range(d) for t in (np.unique(X[:, f])[:-1] + np.unique(X[:, f])[1:]) / 2.0}
             top = max((gain(f, t) for f, t in candidates), default=None)
             scale = sum((stats[c].sum() ** 2) / c.size for c in cells if c.size)
             if tree.left[node] < 0:
@@ -536,5 +576,102 @@ class TestHistogramReuse:
                 break
             f, t = tree.feature[node], tree.threshold[node]
             assert abs(gain(f, t) - top) <= TIE_RTOL * (top + scale) + 1e-9
+            cells = [side for c in cells for side in (c[X[c, f] <= t], c[X[c, f] > t])]
+            node = tree.left[node]
+
+
+class TestBinnedFeatures:
+    """A feature with more than MAX_BINS distinct values is cut at row quantiles; every
+    split is the best over the bins, and its threshold routes rows as their codes do."""
+
+    @staticmethod
+    def binned_problem(data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(cart.MAX_BINS + 1, 2 * cart.MAX_BINS))
+        # many distinct values, few values, and a long tail of tied values
+        X = np.column_stack([np.round(rng.normal(size=n), 3), rng.integers(0, 4, size=n), np.round(rng.exponential(size=n), 2)])
+        return X, rng
+
+    @staticmethod
+    def routes_as_codes(X, codes, f, t) -> int:
+        """The code a such that X[:, f] <= t holds exactly for the rows (of X and their codes) coded a or lower."""
+        left = X[:, f] <= t
+        assert left.any() and not left.all()
+        a = int(codes[left, f].max())
+        assert a < codes[~left, f].min()
+        return a
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_bins_hold_consecutive_values(self, data):
+        X, _ = self.binned_problem(data)
+        codes, values = cart.rank_codes(X)
+        for f, (lo, hi) in enumerate(values):
+            distinct = np.unique(X[:, f])
+            assert lo.size == min(distinct.size, cart.MAX_BINS) or cart.MAX_BINS // 2 < lo.size < cart.MAX_BINS
+            np.testing.assert_array_equal(lo, [X[codes[:, f] == c, f].min() for c in range(lo.size)])
+            np.testing.assert_array_equal(hi, [X[codes[:, f] == c, f].max() for c in range(lo.size)])
+            assert (hi[:-1] < lo[1:]).all()
+            if distinct.size <= cart.MAX_BINS:
+                np.testing.assert_array_equal(lo, distinct)
+
+    @pytest.mark.parametrize("criterion, mtry", [("variance", None), ("gini", None), ("gini", 2)], ids=["greedy-variance", "greedy-gini", "mtry"])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_splits_are_the_best_over_the_bins(self, criterion, mtry, data):
+        X, rng = self.binned_problem(data)
+        S = np.eye(3)[rng.integers(0, 3, size=X.shape[0])] if criterion == "gini" else np.round(rng.normal(size=(X.shape[0], 1)), 2)
+        msl = data.draw(st.integers(1, 5))
+        params = TreeParams(criterion, data.draw(st.integers(1, 3)), msl, mtry, data.draw(st.integers(0, 2**32 - 1)))
+        codes, values = cart.rank_codes(X)
+        calls, search = [], cart._level_splits
+
+        def recording(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep):
+            found, hist = search(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep)
+            calls.append(([np.flatnonzero(node == v) for v in nodes], drawn, found))
+            return found, hist
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cart, "_level_splits", recording)
+            tree, leaf = cart.grow_tree(codes, values, S, params)
+        np.testing.assert_array_equal(leaf, apply(tree, X))
+        for groups, drawn, found in calls:
+            for i, (rows, gain, f, t, _) in enumerate(zip(groups, *found)):
+                features = range(X.shape[1]) if drawn is None else drawn[i]
+                gains = [brute_gain(S[rows], codes[rows, g] <= c, msl) for g in features for c in np.unique(codes[rows, g])[:-1]]
+                top = max((g for g in gains if g is not None), default=None)
+                if gain == -np.inf:
+                    assert top is None
+                    continue
+                parent = (S[rows].sum(axis=0) ** 2).sum() / rows.size
+                # the threshold lies between the node's bins, so it routes the node's rows as their codes do
+                a = self.routes_as_codes(X[rows], codes[rows], f, t)
+                realized = brute_gain(S[rows], codes[rows, f] <= a, msl)
+                assert realized is not None and abs(realized - top) <= TIE_RTOL * (top + parent) + 1e-9
+                assert abs(gain - top) <= TIE_RTOL * (top + parent) + 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_oblivious_levels_are_the_best_over_the_bins(self, data):
+        from genoclass.ensemble import boosting
+
+        X, rng = self.binned_problem(data)
+        S = np.round(rng.normal(size=(X.shape[0], data.draw(st.integers(1, 2)))), 2)
+        depth = data.draw(st.integers(1, 3))
+        codes, values = cart.rank_codes(X)
+        tree, leaf = boosting._fit_oblivious_structure(codes, cart.offset_bins(codes, values), values, S, depth)
+        np.testing.assert_array_equal(leaf, apply(tree, X))
+        cells, node = [np.arange(X.shape[0])], 0
+        while True:
+            # a level's gain sums its cells' gains; a cell the cut leaves whole gains 0
+            gain = lambda f, a: sum(brute_gain(S[c], codes[c, f] <= a, 1) or 0.0 for c in cells)
+            top = max(gain(f, a) for f in range(X.shape[1]) for a in range(values[f].shape[1] - 1))
+            scale = sum((S[c].sum(axis=0) ** 2).sum() / c.size for c in cells if c.size)
+            if tree.left[node] < 0:
+                assert len(cells) == 2**depth or top <= cart.GAIN_EPS + TIE_RTOL * scale
+                break
+            f, t = tree.feature[node], tree.threshold[node]
+            # every row lies in a cell, so the threshold routes every row as its code does
+            assert abs(gain(f, self.routes_as_codes(X, codes, f, t)) - top) <= TIE_RTOL * (top + scale) + 1e-9
             cells = [side for c in cells for side in (c[X[c, f] <= t], c[X[c, f] > t])]
             node = tree.left[node]

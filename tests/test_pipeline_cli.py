@@ -579,6 +579,23 @@ class TestCli:
         assert result.exit_code == 2
         assert "run prepare first" in result.output
 
+    def test_out_of_memory_exits_2(self, corpus, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg_path = self.write_config(corpus, tmp_path, out)
+        assert self.invoke("prepare", "--config", cfg_path).exit_code == 0
+
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 3.40 GiB for an array with shape (9, 65536, 776) and data type float64")
+
+        monkeypatch.setitem(ALGORITHMS, "gbdt_plain", replace(ALGORITHMS["gbdt_plain"], fit=exhausted))
+        result = self.invoke("train", "--config", cfg_path)
+        assert result.exit_code == 2
+        assert result.output.startswith("error: out of memory: Unable to allocate 3.40 GiB")
+        assert "Traceback" not in result.output
+        # the lock went with the command
+        monkeypatch.undo()
+        assert self.invoke("train", "--config", cfg_path).exit_code == 0
+
     def test_held_lock_exits_2(self, corpus, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -1125,9 +1142,10 @@ class TestPinnedBytes:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
         assert digests == self.PINNED[task]
 
-    # 600 rows whose labels are 80% redrawn at random grow bushy trees: some
-    # forest level has more than NODES_PER_CALL nodes, so it is scored in
-    # several calls, and every GOSS level is scored from compacted bins
+    # 600 rows whose labels are 80% redrawn at random grow bushy trees: 7 of
+    # the 12 selected features hold more distinct values than MAX_BINS, so they
+    # are cut at quantiles; plain trees score some levels dense and some by
+    # present cells, forest and GOSS trees every level by present cells
     TREE_PARAMS = {
         "random_forest": {"trees": 3},
         "gbdt_plain": {"rounds": 3, "max_depth": 5},
@@ -1136,14 +1154,14 @@ class TestPinnedBytes:
     }
 
     PINNED_TREES = {
-        ("random_forest", "genetic_disorder"): ("b09c34bfe9e1b8aac21e4f8a976242454186d3633060b08d92757f019996af43", "1d29a6deffd90aa1b99ce8212ddc129a3f54648f745a29e44789aee4c4dbdfb9"),
-        ("random_forest", "disorder_subclass"): ("524feb95b87eeebb32f7c6169f80613045eab05b4f43cb31bf16adc98ffc7f31", "4b9c5ea7747ab9bedf97893c817e4a2aa091d51c862205641b43bfe884dc1381"),
-        ("gbdt_plain", "genetic_disorder"): ("53714ede1cfbfb1ea4f8eca921b09b74aee7d975b1ed0693c1aa9e72062b87bf", "7e64452c95d64a7e38587426308b78ae73480e6e24477814a5573f22b1b78528"),
-        ("gbdt_plain", "disorder_subclass"): ("a424fcb509cd34cbed55d414ff1e6f548798d838f247fa50405496e6d659a370", "b9cf73685582805e37d152d54c648abda0b081e53b4552b635312c1138bb2ac3"),
-        ("gbdt_goss", "genetic_disorder"): ("edc78d7f6cf2ef3c32283a1a0ffc3a48de2eb65db60c338f02d1df7d8bfaa0e0", "fba41f910e7d84c91ca3ab2388e420cc64dc7172747a15d427a304e3a10ade00"),
-        ("gbdt_goss", "disorder_subclass"): ("54b9f85ada7eacc3d2b33cef5536f27cf70d3b41ab5066bd121ca8cc091ee4c3", "e598ab07ad229ff7b56986b4a5bded5be569b9f31b3001c1945e6077981f1a66"),
-        ("gbdt_oblivious", "genetic_disorder"): ("3b63868b145fbf7a1736363662339afb3f7bde1123d51742d4ca7fca59e85d04", "b62e3ced207d3494036e1c44fa93f031d8ae52c34f5763c0ea39ff3bb56e7791"),
-        ("gbdt_oblivious", "disorder_subclass"): ("ce60fbec07d0a2b01a277b011377f166a5e035e421b8b8d47fd19db874755a0c", "7c8289b921c69fb0bc088f9b1346a57146a6691a91a9b8e91b8a877cc9311b01"),
+        ("random_forest", "genetic_disorder"): ("98a54c0aeaa1565f8cb56943b89046c4e08102c96b194548dffe39ae66b7e8bd", "b9727f188f3b71da7d6b1b710434b2d739c05f6b6326bfeee7962800871c3cbc"),
+        ("random_forest", "disorder_subclass"): ("af7d44358777ca9ea0e95f636fee57bbbb6e5ba4a5703fd2b60217abdf66ff89", "6c46d9c869cb1dc582449f45c3a32bf74fd97af232a4d779b424648388db17b3"),
+        ("gbdt_plain", "genetic_disorder"): ("3deda0556b1a1e5d292246b3bd24e3fb92b72afe58402ad4101dc18c3fab7db6", "d489c27f5ec5af6d1337c16d909c99055bc10ca4c21d197f58dfde04e0283232"),
+        ("gbdt_plain", "disorder_subclass"): ("a64ddda65b3dbe7c44328108d7da40de4c7d8d6bb3d4cf890b58575f45c65692", "6d21deed1c0f4c62857c73d972b899144b78ead7b6fbcd54a6ccd6854e558b81"),
+        ("gbdt_goss", "genetic_disorder"): ("c0827687c1467fb9dedfaecb118041802ea434e5501a689c66156ad29d5bbd24", "d29bad50d35d8dd7434041587ce3ee61396069991fc9313ce9bd84d1585636f9"),
+        ("gbdt_goss", "disorder_subclass"): ("0ea5e09649b4d65a4b1702af89d875e124e820e7f86207479557e9dd0642d0bb", "28e8186840e9c0b771b23e7c6f1685a84d46a8af13e7da1e01014275785cab5b"),
+        ("gbdt_oblivious", "genetic_disorder"): ("7361d9acdebf94aa36978a9423f0d7f8bb70940b3367d8810711e90f8b9449d1", "ad8793cd45c7dde12482850ad3c4c9b9baaece8afe8c15f11fdbd869a5133508"),
+        ("gbdt_oblivious", "disorder_subclass"): ("1a610fff44654b3836116257c63adaf36cff23b2ea4f34d33a3d746713b56981", "a1e7cf6a429b5facff1903501526b2a4bf294ef0ec4a9144ae5a9e873fe749bb"),
     }
 
     @staticmethod

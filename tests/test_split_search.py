@@ -214,7 +214,8 @@ class TestObliviousLevelProperties:
         g = y - float(y.mean())
         cells = [np.arange(y.size)]
         for level in range(depth):
-            pool = {(f, t) for f in range(X.shape[1]) for cell in cells for t in midpoints(X[cell, f])}
+            # every row lies in a cell, so the candidates are the cuts between adjacent values of X
+            pool = {(f, t) for f in range(X.shape[1]) for t in midpoints(X[:, f])}
             scores = {c: level_score(cells, X[:, c[0]], g, c[1]) for c in pool}
             parent = level_score(cells, np.zeros(y.size), g, 0.0)
             best = max(scores.values(), default=None)
@@ -267,7 +268,7 @@ class TestMulticlassTreeProperties:
         assert tree.value.shape == (tree.feature.size, S.shape[1])
         levels, cells = level_tests_of(tree), [np.arange(X.shape[0])]
         for level in range(depth):
-            pool = {(f, t) for f in range(X.shape[1]) for cell in cells for t in midpoints(X[cell, f])}
+            pool = {(f, t) for f in range(X.shape[1]) for t in midpoints(X[:, f])}
             scores = {c: level_score(cells, X[:, c[0]], S, c[1]) for c in pool}
             parent = level_score(cells, np.zeros(X.shape[0]), S, 0.0)
             best = max(scores.values(), default=None)
