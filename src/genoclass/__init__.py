@@ -92,7 +92,6 @@ from .linear import (
     fit_logistic,
     fit_svm,
     kernel_eval,
-    predict_proba_logistic,
     svm_decision,
 )
 from .metrics import (

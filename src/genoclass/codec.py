@@ -30,6 +30,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -247,6 +248,12 @@ def write_json(path: str | Path, doc: Any, end: str = "", compact: bool = False)
     or compact (no whitespace) through json's C encoder, which indentation bypasses."""
     with atomic_write(path) as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=None if compact else 1, separators=(",", ":") if compact else None) + end)
+
+
+def json_digest(doc: Any) -> str:
+    """SHA-256 hex digest of doc as sorted, compact JSON: equal documents give equal digests."""
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def read_json(path: str | Path, what: str) -> Any:

@@ -22,12 +22,11 @@ above, and ``genoclass.codec`` reads and writes the document.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .codec import JsonCodec, decode
+from .codec import JsonCodec, decode, json_digest
 from .dataset import TASK_ROLES
 from .errors import ArgumentError, ConfigError
 from .features import EngineeredSpec
@@ -125,5 +124,4 @@ def config_fingerprint(cfg: RunConfig) -> str:
     Stored in every downstream file so stale mixtures of prepare/train
     outputs are detectable.
     """
-    canonical = json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json_digest(cfg.to_json())

@@ -47,7 +47,7 @@ class DegenerateDataError(GenoclassError):
 
 
 class StateError(GenoclassError):
-    """Operation invoked in the wrong state (untrained model, stale files, held lock)."""
+    """Operation invoked in the wrong state (stale files, held lock)."""
 
 
 class ConvergenceError(GenoclassError):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .codec import JsonCodec
 from .dataset import Dataset, supervised_arrays
-from .errors import ArgumentError, ConvergenceError, StateError
+from .errors import ArgumentError, ConvergenceError
 
 KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
@@ -213,6 +213,42 @@ def _logistic_terms(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.maximum(np.where(y, -z, z), 0.0) + np.log1p(e), _sigmoid(z, e)
 
 
+@dataclass
+class _LinearModel(JsonCodec):
+    """The input path and predictions both linear models share; a subclass gives decision_matrix, one column per class."""
+
+    feature_names: tuple[str, ...]
+    class_labels: tuple[str, ...]
+    encoder: ColumnEncoder
+    scaler: Standardizer
+
+    def _design(self, X: np.ndarray) -> np.ndarray:
+        return self.scaler.transform(self.encoder.transform(X))
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Sigmoid-squashed decision values normalized across classes.
+
+        For the SVM a ranking-preserving surrogate, enough for one-vs-rest ROC
+        sweeps; sigmoids are strictly positive, so the normalizer never vanishes.
+        """
+        scores = sigmoid(self.decision_matrix(X))
+        return scores / scores.sum(axis=1, keepdims=True)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return np.argmax(self.decision_matrix(X), axis=1)
+
+
+def _fit_inputs(ds: Dataset, target: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Raw rows, class codes, standardized design matrix, and the model fields fitted on them
+    (feature names, class labels, encoder, standardizer)."""
+    X_raw, y, labels, feature_names = supervised_arrays(ds, target, discrete=True)
+    encoder = ColumnEncoder.from_dataset(ds, feature_names)
+    design = encoder.transform(X_raw)
+    scaler = Standardizer.fit(design)
+    inputs = {"feature_names": tuple(feature_names), "class_labels": labels, "encoder": encoder, "scaler": scaler}
+    return X_raw, y, scaler.transform(design), inputs
+
+
 # -- logistic regression ------------------------------------------------------------
 
 
@@ -256,7 +292,7 @@ def logistic_loss_gradient(w: np.ndarray, alpha: float, X: np.ndarray, y: np.nda
 
 
 @dataclass
-class LogisticModel(JsonCodec):
+class LogisticModel(_LinearModel):
     """One-vs-rest logistic classifier: one (beta, alpha) pair per class.
 
     W columns are the per-class weight vectors over the expanded and
@@ -264,30 +300,13 @@ class LogisticModel(JsonCodec):
     scores into a probability vector.
     """
 
-    feature_names: tuple[str, ...]
-    class_labels: tuple[str, ...]
-    encoder: ColumnEncoder
-    scaler: Standardizer
     W: np.ndarray
     alpha: np.ndarray
     loss_history: tuple[float, ...]
     config: LogisticConfig = field(default_factory=LogisticConfig)
-    trained: bool = field(default=True, init=False)
-
-    def _design(self, X: np.ndarray) -> np.ndarray:
-        if not self.trained:
-            raise StateError("model has not been trained")
-        return self.scaler.transform(self.encoder.transform(X))
 
     def decision_matrix(self, X: np.ndarray) -> np.ndarray:
         return self._design(X) @ self.W + self.alpha
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        scores = sigmoid(self.decision_matrix(X))
-        return scores / scores.sum(axis=1, keepdims=True)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.decision_matrix(X), axis=1)
 
 
 def fit_logistic(ds: Dataset, target: str, config: LogisticConfig = LogisticConfig()) -> LogisticModel:
@@ -297,13 +316,8 @@ def fit_logistic(ds: Dataset, target: str, config: LogisticConfig = LogisticConf
     recursion; loss_history records the mean per-class loss per epoch.
     Raises ConvergenceError naming the epoch if any loss becomes non-finite.
     """
-    X_raw, y, labels, feature_names = supervised_arrays(ds, target, discrete=True)
-    k = len(labels)
-    encoder = ColumnEncoder.from_dataset(ds, feature_names)
-    design = encoder.transform(X_raw)
-    scaler = Standardizer.fit(design)
-    X = scaler.transform(design)
-    n = X.shape[0]
+    _, y, X, inputs = _fit_inputs(ds, target)
+    n, k = X.shape[0], len(inputs["class_labels"])
     Y = np.zeros((n, k), dtype=bool)
     Y[np.arange(n), y] = True
 
@@ -322,21 +336,7 @@ def fit_logistic(ds: Dataset, target: str, config: LogisticConfig = LogisticConf
         diff = (P - Y) / n
         W = W - config.learning_rate * (X.T @ diff + config.l2 * W)
         alpha = alpha - config.learning_rate * diff.sum(axis=0)
-    return LogisticModel(
-        feature_names=tuple(feature_names),
-        class_labels=labels,
-        encoder=encoder,
-        scaler=scaler,
-        W=W,
-        alpha=alpha,
-        loss_history=tuple(history),
-        config=config,
-    )
-
-
-def predict_proba_logistic(model: LogisticModel, rows: np.ndarray) -> np.ndarray:
-    """Per-class probabilities (normalized one-vs-rest sigmoids) for raw feature rows."""
-    return model.predict_proba(rows)
+    return LogisticModel(**inputs, W=W, alpha=alpha, loss_history=tuple(history), config=config)
 
 
 # -- support vector machine ---------------------------------------------------------
@@ -389,7 +389,7 @@ class SvmSubmodel(JsonCodec):
 
 
 @dataclass
-class SvmModel(JsonCodec):
+class SvmModel(_LinearModel):
     """One-vs-rest kernel SVM over one shared support set; predicts the class with the largest decision value.
 
     support_rows are raw input rows, as predict takes them; row i of coef
@@ -399,10 +399,6 @@ class SvmModel(JsonCodec):
     derived on construction and not stored.
     """
 
-    feature_names: tuple[str, ...]
-    class_labels: tuple[str, ...]
-    encoder: ColumnEncoder
-    scaler: Standardizer
     support_rows: np.ndarray
     coef: np.ndarray
     b: np.ndarray
@@ -410,7 +406,6 @@ class SvmModel(JsonCodec):
     config: SvmConfig = field(default_factory=SvmConfig)
     gamma: float = 1.0
     support_design: np.ndarray = field(init=False, repr=False)
-    trained: bool = field(default=True, init=False)
 
     def __post_init__(self) -> None:
         k = len(self.class_labels)
@@ -425,7 +420,7 @@ class SvmModel(JsonCodec):
             raise ArgumentError(f"support rows must have {len(self.feature_names)} columns, one per feature")
         if self.coef.shape != (self.support_rows.shape[0], k):
             raise ArgumentError(f"coefficients must form a {self.support_rows.shape[0]} x {k} matrix")
-        self.support_design = self.scaler.transform(self.encoder.transform(self.support_rows))
+        self.support_design = self._design(self.support_rows)
 
     @property
     def submodels(self) -> list[SvmSubmodel]:
@@ -435,11 +430,6 @@ class SvmModel(JsonCodec):
             keep = self.coef[:, c] != 0.0
             out.append(SvmSubmodel(self.support_design[keep], self.coef[keep, c], float(self.b[c]), self.converged[c]))
         return out
-
-    def _design(self, X: np.ndarray) -> np.ndarray:
-        if not self.trained:
-            raise StateError("model has not been trained")
-        return self.scaler.transform(self.encoder.transform(X))
 
     def decision_matrix(self, X: np.ndarray) -> np.ndarray:
         """Decision values, one column per class, one kernel product per chunk of rows."""
@@ -453,19 +443,6 @@ class SvmModel(JsonCodec):
             np.matmul(k_mat, self.coef, out=out[lo : lo + step])
         out += self.b
         return out
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Sigmoid-squashed decision values normalized across classes.
-
-        A ranking-preserving surrogate for class probabilities, sufficient
-        for one-vs-rest ROC sweeps; sigmoids are strictly positive so the
-        normalizer never vanishes.
-        """
-        s = sigmoid(self.decision_matrix(X))
-        return s / s.sum(axis=1, keepdims=True)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.decision_matrix(X), axis=1)
 
 
 class KernelRows:
@@ -577,15 +554,11 @@ def fit_svm(ds: Dataset, target: str, config: SvmConfig = SvmConfig()) -> SvmMod
     decision of +1 or -1 matching that label, so prediction still behaves
     sensibly. The model keeps the rows that support any class.
     """
-    X_raw, y, labels, feature_names = supervised_arrays(ds, target, discrete=True)
-    encoder = ColumnEncoder.from_dataset(ds, feature_names)
-    design = encoder.transform(X_raw)
-    scaler = Standardizer.fit(design)
-    X = scaler.transform(design)
+    X_raw, y, X, inputs = _fit_inputs(ds, target)
     gamma = config.kernel.resolve_gamma(X.shape[1])
     K = KernelRows(config.kernel, gamma, X)
 
-    k = len(labels)
+    k = len(inputs["class_labels"])
     coef, b, converged = np.zeros((X.shape[0], k)), np.zeros(k), []
     for c in range(k):
         y_bin = np.where(y == c, 1.0, -1.0)
@@ -599,10 +572,7 @@ def fit_svm(ds: Dataset, target: str, config: SvmConfig = SvmConfig()) -> SvmMod
         warnings.warn("SMO hit the sweep cap before satisfying the KKT tolerance", stacklevel=2)
     support = np.flatnonzero(coef.any(axis=1))
     return SvmModel(
-        feature_names=tuple(feature_names),
-        class_labels=labels,
-        encoder=encoder,
-        scaler=scaler,
+        **inputs,
         support_rows=X_raw[support],
         coef=coef[support],
         b=b,

@@ -14,7 +14,6 @@ Four stages, each a plain function over a run config:
 from __future__ import annotations
 
 import hashlib
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifact import ModelArtifact, revive_model
-from .codec import JsonCodec, decode, make_dirs, read_json, write_json
+from .codec import JsonCodec, decode, json_digest, make_dirs, read_json, write_json
 from .config import RunConfig, config_fingerprint
 from .dataset import (
     TASK_ROLES,
@@ -81,8 +80,7 @@ def prepare_fingerprint(cfg: RunConfig) -> str:
     doc = cfg.to_json()
     del doc["model"]
     del doc["output_dir"]
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json_digest(doc)
 
 
 # -- preprocessing record -------------------------------------------------------
@@ -154,6 +152,30 @@ class FeaturePipeline(JsonCodec):
 # -- stages ---------------------------------------------------------------------
 
 
+def _labeled(ds: Dataset, target: str, where: str | Path) -> Dataset:
+    """The rows with an observed target: rows without a label cannot be split, trained on, or scored."""
+    keep = np.flatnonzero(~ds.missing_mask(target))
+    if keep.size == 0:
+        raise EmptyInputError(f"{where}: no rows with an observed {target!r} value")
+    return ds.take(keep) if keep.size < ds.n_rows else ds
+
+
+def _replay(ds: Dataset, imputation: str, fills: dict, sources: EngineeredSpec | None, where: str | Path) -> Dataset:
+    """Apply the train-fitted fills, or drop the rows with gaps, then append the engineered columns.
+
+    The one preprocessing path of both prepare's splits and evaluate's rows;
+    sources is None where no engineered columns are appended. Refuses a
+    table that drop_rows empties.
+    """
+    if imputation == "mode_median":
+        ds = apply_imputation(ds, fills)
+    else:
+        ds = impute_missing(ds, "drop_rows")
+        if ds.n_rows == 0:
+            raise EmptyInputError(f"{where}: every row had missing feature cells and was dropped")
+    return ds if sources is None else engineer_features(ds, sources)
+
+
 @dataclass(frozen=True)
 class PrepareResult:
     """What a prepare run produced, for logging."""
@@ -182,30 +204,16 @@ def run_prepare(cfg: RunConfig) -> PrepareResult:
     schema = schema_from_json(schema_path)
     ds = load_csv(in_path, schema)
     target = ds.target_column(TASK_ROLES[cfg.target]).name
-
-    # Rows without a target label cannot be split, trained on, or scored.
-    keep = np.flatnonzero(~ds.missing_mask(target))
-    dropped = ds.n_rows - keep.size
-    if keep.size == 0:
-        raise EmptyInputError(f"no rows with an observed {target!r} value")
-    if dropped:
-        ds = ds.take(keep)
+    n_rows = ds.n_rows
+    # rebinding the name lets the unlabeled table go
+    ds = _labeled(ds, target, cfg.input)
+    dropped = n_rows - ds.n_rows
 
     pair = stratified_split(ds, cfg.split_ratio, cfg.split_seed, target)
-    train, test = pair.train, pair.test
-
-    fills: dict[str, float] = {}
-    if cfg.imputation == "mode_median":
-        fills = fit_imputation(train)
-        train = apply_imputation(train, fills)
-        test = apply_imputation(test, fills)
-    else:
-        train = impute_missing(train, "drop_rows")
-        test = impute_missing(test, "drop_rows")
-
-    if cfg.engineer:
-        train = engineer_features(train, cfg.sources)
-        test = engineer_features(test, cfg.sources)
+    fills = fit_imputation(pair.train) if cfg.imputation == "mode_median" else {}
+    sources = cfg.sources if cfg.engineer else None
+    train = _replay(pair.train, cfg.imputation, fills, sources, f"{cfg.input} (train split)")
+    test = _replay(pair.test, cfg.imputation, fills, sources, f"{cfg.input} (test split)")
 
     ranking = rank_features(train, target, bins=cfg.bins)
     selected = select_top_k(ranking, cfg.top_k)
@@ -331,10 +339,10 @@ def _load_eval_rows(pipeline: FeaturePipeline, path: Path) -> Dataset:
 
     if header == prepared_names:
         ds = load_csv(path, prepared_schema)
-        replay_engineer = False
+        sources = None
     elif header == raw_names:
         ds = load_csv(path, raw_schema)
-        replay_engineer = pipeline.engineer
+        sources = pipeline.sources if pipeline.engineer else None
     else:
         ref = prepared_names if len(header & prepared_names) >= len(header & raw_names) else raw_names
         parts = []
@@ -346,22 +354,8 @@ def _load_eval_rows(pipeline: FeaturePipeline, path: Path) -> Dataset:
             f"{path}: header matches neither the raw nor the prepared layout ({'; '.join(parts)})"
         )
 
-    target = pipeline.target
-    keep = np.flatnonzero(~ds.missing_mask(target))
-    if keep.size == 0:
-        raise EmptyInputError(f"{path}: no rows with an observed {target!r} value")
-    if keep.size < ds.n_rows:
-        ds = ds.take(keep)
-
-    if pipeline.imputation == "mode_median":
-        ds = apply_imputation(ds, pipeline.fills)
-    else:
-        ds = impute_missing(ds, "drop_rows")
-        if ds.n_rows == 0:
-            raise EmptyInputError(f"{path}: every row had missing feature cells and was dropped")
-    if replay_engineer:
-        ds = engineer_features(ds, pipeline.sources)
-    return ds
+    ds = _labeled(ds, pipeline.target, path)
+    return _replay(ds, pipeline.imputation, pipeline.fills, sources, path)
 
 
 @dataclass(frozen=True)

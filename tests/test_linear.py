@@ -19,13 +19,11 @@ from genoclass import (
     LogisticConfig,
     LogisticModel,
     Standardizer,
-    StateError,
     SvmConfig,
     SvmModel,
     fit_logistic,
     fit_svm,
     kernel_eval,
-    predict_proba_logistic,
     svm_decision,
 )
 from genoclass import linear
@@ -235,7 +233,7 @@ class TestLogistic:
         rng = np.random.default_rng(89)
         ds = xy_dataset(rng.normal(size=(60, 3)), rng.integers(0, 3, size=60))
         model = fit_logistic(ds, "y", LogisticConfig(epochs=50))
-        probas = predict_proba_logistic(model, rng.normal(size=(100, 3)))
+        probas = model.predict_proba(rng.normal(size=(100, 3)))
         np.testing.assert_allclose(probas.sum(axis=1), 1.0, atol=1e-12)
         assert (probas > 0).all() and (probas < 1).all()
 
@@ -319,12 +317,6 @@ class TestLogistic:
         s = sigmoid(z)
         assert s.view(np.uint64).tolist() == masked_sigmoid(z).view(np.uint64).tolist()
         assert ((s >= 0.0) & (s <= 1.0)).all()
-
-    def test_untrained_model_rejected(self):
-        model = fit_logistic(separable_1d(), "y", LogisticConfig(epochs=1))
-        model.trained = False
-        with pytest.raises(StateError):
-            model.predict(np.zeros((1, 1)))
 
     def test_config_validation(self):
         with pytest.raises(ArgumentError):

@@ -413,6 +413,31 @@ class TestRunEvaluate:
         assert again.rows == flow.ev_gbdt.rows
         assert again.report_path.read_bytes() == flow.ev_gbdt.report_path.read_bytes()
 
+    @pytest.mark.parametrize("engineer", [True, False])
+    @pytest.mark.parametrize("imputation", ["mode_median", "drop_rows"])
+    def test_raw_split_evaluates_as_the_prepared_one(self, corpus, tmp_path, imputation, engineer):
+        rows = list(csv.reader(open(corpus["raw"], newline="", encoding="utf-8")))
+        for name, every in (("Mother's age", 9), ("Blood test result", 13)):
+            col = rows[0].index(name)
+            for row in rows[1::every]:
+                row[col] = ""
+        gappy = tmp_path / "gappy.csv"
+        with open(gappy, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = run_cfg({"raw": str(gappy), "schema": corpus["schema"]}, tmp_path / "out", imputation=imputation, engineer=engineer)
+        prepared = run_prepare(cfg)
+        trained = run_train(cfg)
+        expected = run_evaluate(trained.artifact_path, tmp_path / "out" / TEST_CSV, tmp_path / "eval_prepared")
+
+        ds = load_csv(gappy, schema_from_json(corpus["schema"]))
+        split = stratified_split(ds, cfg.split_ratio, cfg.split_seed, "Genetic Disorder")
+        raw_test = tmp_path / "raw_test.csv"
+        write_csv(split.test, raw_test)
+        again = run_evaluate(trained.artifact_path, raw_test, tmp_path / "eval_raw")
+        assert again.rows == expected.rows == prepared.test_rows
+        assert (again.rows < split.test.n_rows) == (imputation == "drop_rows")
+        assert again.report_path.read_bytes() == expected.report_path.read_bytes()
+
     def test_output_defaults_to_artifact_directory(self, flow, tmp_path):
         shutil.copytree(flow.out, tmp_path / "copy", dirs_exist_ok=True)
         artifact = tmp_path / "copy" / flow.gbdt.artifact_path.name
@@ -595,6 +620,20 @@ class TestCli:
         # the lock went with the command
         monkeypatch.undo()
         assert self.invoke("train", "--config", cfg_path).exit_code == 0
+
+    def test_drop_rows_emptying_the_train_split_exits_2(self, corpus, tmp_path):
+        rows = list(csv.reader(open(corpus["raw"], newline="", encoding="utf-8")))
+        col = rows[0].index("Mother's age")
+        for row in rows[1:]:
+            row[col] = ""
+        raw = tmp_path / "gappy.csv"
+        with open(raw, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg_path = self.write_config({"raw": str(raw), "schema": corpus["schema"]}, tmp_path, tmp_path / "out", imputation="drop_rows")
+        result = self.invoke("prepare", "--config", cfg_path)
+        assert result.exit_code == 2
+        assert result.output == f"error: {raw} (train split): every row had missing feature cells and was dropped\n"
+        assert "Traceback" not in result.output
 
     def test_held_lock_exits_2(self, corpus, tmp_path):
         out = tmp_path / "out"
