@@ -17,7 +17,7 @@ from pathlib import Path
 
 import click
 
-from .codec import make_dirs
+from .codec import make_dirs, remove_stale_temporaries
 from .config import load_run_config
 from .errors import ConfigError, GenoclassError, PersistenceError, StateError, ValidationError
 from .pipeline import run_evaluate, run_prepare, run_report, run_train
@@ -39,7 +39,8 @@ def _locked(out_dir: str | Path):
     writes, so the second invocation fails fast instead of corrupting state.
     The lock is an ``flock`` on the file, which the kernel drops when the
     command ends, however it ends, so a killed command leaves the file but
-    not the lock.
+    not the lock. Once it holds the lock, it removes the temporary files a
+    killed command left in out_dir and in its ``report_*`` table directories.
     """
     out_dir = make_dirs(out_dir)
     try:
@@ -51,6 +52,7 @@ def _locked(out_dir: str | Path):
             fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise StateError(f"output directory {str(out_dir)!r} is locked by another command") from None
+        remove_stale_temporaries([out_dir, *out_dir.glob("report_*")])
         yield
 
 

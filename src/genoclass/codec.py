@@ -212,6 +212,21 @@ def make_dirs(path: str | Path) -> Path:
     return Path(path)
 
 
+def remove_stale_temporaries(directories: Iterable[Path]) -> None:
+    """Remove the ``atomic_write`` temporaries in directories whose process is gone (killed mid-write)."""
+    for tmp in itertools.chain.from_iterable(d.glob(".*.tmp") for d in directories):
+        pid = tmp.name.split(".")[-2]
+        if not pid.isdecimal() or int(pid) == os.getpid():
+            continue
+        try:
+            os.kill(int(pid), 0)  # signal 0 sends nothing: it only asks whether the process exists
+        except ProcessLookupError:
+            with contextlib.suppress(OSError):  # one left behind does no harm
+                tmp.unlink()
+        except (OSError, OverflowError):  # alive under another user, or beyond any pid
+            pass
+
+
 @contextlib.contextmanager
 def atomic_write(path: str | Path, newline: str | None = None):
     """Open path for writing UTF-8 text (``newline=""`` for csv), all or nothing.
@@ -244,10 +259,42 @@ def write_csv_rows(path: str | Path, header: Sequence, rows: Iterable[Sequence])
 
 
 def write_json(path: str | Path, doc: Any, end: str = "", compact: bool = False) -> None:
-    """Write doc as sorted JSON followed by ``end``, atomically: one-space-indented,
-    or compact (no whitespace) through json's C encoder, which indentation bypasses."""
+    """Write doc as sorted JSON followed by ``end``, atomically: compact through json's C
+    encoder, or the bytes of ``json.dumps(doc, sort_keys=True, indent=1)``, which bypasses
+    it. Those are written a container at a time: a list of plain ints and floats is one
+    C-level join of their reprs; json renders every other scalar and each dict key."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=None if compact else 1, separators=(",", ":") if compact else None) + end)
+        if compact:
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + end)
+        else:
+            _write_indented(fh, doc, "\n")
+            fh.write(end)
+
+
+def _write_indented(fh, value: Any, pad: str) -> None:
+    """Write value as ``json.dumps`` with ``sort_keys=True, indent=1`` would; pad is the
+    newline and indentation that close it."""
+    inner = pad + " "
+    if isinstance(value, (list, tuple)) and value:
+        types = set(map(type, value))
+        if types <= {int, float}:
+            text = ("," + inner).join(map(float.__repr__ if types == {float} else repr, value))
+            if "n" not in text:  # only nan and inf, which json spells NaN and Infinity, repr with an n
+                fh.write(f"[{inner}{text}{pad}]")
+                return
+        for i, item in enumerate(value):
+            fh.write("," + inner if i else "[" + inner)
+            _write_indented(fh, item, inner)
+        fh.write(pad + "]")
+    elif isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(sorted(value.items())):
+            # a key that is no string takes json's conversion and check: '{"1": null}' gives '"1"'
+            key = json.encoder.encode_basestring_ascii(key) if isinstance(key, str) else json.dumps({key: None})[1:-7]
+            fh.write(("," if i else "{") + inner + key + ": ")
+            _write_indented(fh, item, inner)
+        fh.write(pad + "}")
+    else:
+        fh.write(json.encoder.encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value))
 
 
 def json_digest(doc: Any) -> str:

@@ -14,7 +14,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -169,7 +169,7 @@ def roc_curve(y_true: Sequence[int], scores: Sequence[float]) -> RocCurve:
     fpr = np.r_[0.0, cum_fp / n_neg]
     tpr = np.r_[0.0, cum_tp / n_pos]
     auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
-    return RocCurve(tuple(float(x) for x in fpr), tuple(float(y) for y in tpr), auc)
+    return RocCurve(tuple(fpr.tolist()), tuple(tpr.tolist()), auc)
 
 
 def multiclass_roc(y_true: Sequence[int], probas: np.ndarray, labels: Sequence[str] | None = None) -> dict[str, RocCurve | None]:
@@ -247,8 +247,8 @@ class EvaluationReport:
 
     def to_json(self) -> dict:
         m = self.metrics
-        # the codec copies a dict as it is, so the curves are written out here: as
-        # _StoredCurve's arrays, their thousands of points would cost 10x the time
+        # the codec copies a dict as it is, so the curves go in as plain lists: through
+        # _StoredCurve it would encode their points one call each (0.5 s, not 3 ms, at 20k rows)
         roc = {label: None if c is None else {"fpr": list(c.fpr), "tpr": list(c.tpr), "auc": c.auc} for label, c in self.roc.items()}
         return encode(_StoredReport(
             self.algorithm, self.task, self.labels, self.confusion.counts, m.accuracy, m.precision, m.recall, m.f1,
@@ -302,13 +302,15 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_").lower()
 
 
-def _fmt2(x: float) -> str:
-    return f"{x:.2f}"
+def _cell(value: float, best: float) -> str:
+    """A table value to 2 decimals, bold where it is the best of its column."""
+    return f"**{value:.2f}**" if value == best else f"{value:.2f}"
 
 
-def _bold_winners(values: list[float]) -> list[str]:
-    best = max(values)
-    return [f"**{_fmt2(v)}**" if v == best else _fmt2(v) for v in values]
+def _table(title: str, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
+    """The markdown lines of one titled table whose first column is the algorithm."""
+    head = ["", f"## {title}", "", "| Algorithm | " + " | ".join(columns) + " |", "|" + "---|" * (len(columns) + 1)]
+    return head + ["| " + " | ".join(row) + " |" for row in rows]
 
 
 def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path) -> list[Path]:
@@ -327,6 +329,12 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path) -> l
         if key in seen:
             raise EvaluationError(f"duplicate evaluation for algorithm {key[0]!r} on task {key[1]!r}")
         seen.add(key)
+        slugs: dict[str, str] = {}
+        for label in rep.labels:
+            other = slugs.setdefault(_slug(label), label)
+            if other != label:
+                name = f"roc_{_slug(rep.algorithm)}_{_slug(label)}.csv"
+                raise EvaluationError(f"class labels {other!r} and {label!r} of task {rep.task!r} would share the ROC file {name}")
     by_task: dict[str, list[EvaluationReport]] = {}
     for rep in reports:
         group = by_task.setdefault(rep.task, [])
@@ -368,48 +376,28 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path) -> l
             if curve is None:
                 continue
             path = out_dir / f"roc_{_slug(rep.algorithm)}_{_slug(label)}.csv"
-            write_csv_rows(path, ["fpr", "tpr"], ([repr(x), repr(y)] for x, y in zip(curve.fpr, curve.tpr)))
+            # a float's repr never needs quoting, so these are csv.writer's bytes
+            with atomic_write(path, newline="") as fh:
+                fh.write("fpr,tpr\r\n")
+                fh.writelines(map("{!r},{!r}\r\n".format, curve.fpr, curve.tpr))
             written.append(path)
 
-    lines: list[str] = ["# Evaluation report", "", "## Overall accuracy", ""]
-    lines.append("| Algorithm | " + " | ".join(tasks) + " |")
-    lines.append("|" + "---|" * (len(tasks) + 1))
-    task_best = {
-        t: max(accuracy[(a, t)] for a in algorithms if (a, t) in accuracy) for t in tasks
-    }
-    for algo in algorithms:
-        cells = []
-        for t in tasks:
-            if (algo, t) not in accuracy:
-                cells.append("")
-                continue
-            v = accuracy[(algo, t)]
-            cells.append(f"**{_fmt2(v)}**" if v == task_best[t] else _fmt2(v))
-        lines.append("| " + " | ".join([algo] + cells) + " |")
+    best = {t: max(accuracy[(a, t)] for a in algorithms if (a, t) in accuracy) for t in tasks}
+    lines = ["# Evaluation report", *_table("Overall accuracy", tasks, (
+        [algo] + [_cell(accuracy[(algo, t)], best[t]) if (algo, t) in accuracy else "" for t in tasks] for algo in algorithms
+    ))]
     for task in tasks:
         group = sorted(by_task[task], key=lambda r: r.algorithm)
         labels = group[0].labels
         for metric in ("precision", "recall", "f1"):
-            lines += ["", f"## {metric.capitalize()} by class: {task}", ""]
-            lines.append("| Algorithm | " + " | ".join(labels) + " |")
-            lines.append("|" + "---|" * (len(labels) + 1))
-            columns = {
-                label: [getattr(rep.metrics, metric)[i] for rep in group]
-                for i, label in enumerate(labels)
-            }
-            rendered = {label: _bold_winners(vals) for label, vals in columns.items()}
-            for row_i, rep in enumerate(group):
-                cells = [rendered[label][row_i] for label in labels]
-                lines.append("| " + " | ".join([rep.algorithm] + cells) + " |")
-        lines += ["", f"## AUC by class: {task}", ""]
-        lines.append("| Algorithm | " + " | ".join(labels) + " |")
-        lines.append("|" + "---|" * (len(labels) + 1))
-        for rep in group:
-            cells = []
-            for label in labels:
-                curve = rep.roc.get(label)
-                cells.append("n/a" if curve is None else _fmt2(curve.auc))
-            lines.append("| " + " | ".join([rep.algorithm] + cells) + " |")
+            values = [getattr(rep.metrics, metric) for rep in group]
+            column_best = [max(column) for column in zip(*values)]
+            lines += _table(f"{metric.capitalize()} by class: {task}", labels, (
+                [rep.algorithm] + list(map(_cell, row, column_best)) for rep, row in zip(group, values)
+            ))
+        lines += _table(f"AUC by class: {task}", labels, (
+            [rep.algorithm] + ["n/a" if rep.roc.get(label) is None else f"{rep.roc[label].auc:.2f}" for label in labels] for rep in group
+        ))
     path = out_dir / "report.md"
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -126,10 +126,10 @@ class FeaturePipeline(JsonCodec):
     def raw_schema(self) -> list[ColumnSchema]:
         return schema_from_json(list(self.raw_schema_doc))
 
-    def prepared_schema(self) -> list[ColumnSchema]:
-        """Schema of the prepared CSVs: raw columns minus ignores, plus
-        the engineered columns when they were enabled."""
-        cols = [c for c in self.raw_schema() if c.role != "ignore"]
+    def prepared_schema(self, raw: list[ColumnSchema] | None = None) -> list[ColumnSchema]:
+        """Schema of the prepared CSVs: raw columns (``raw``, if already decoded) minus
+        ignores, plus the engineered columns when they were enabled."""
+        cols = [c for c in raw or self.raw_schema() if c.role != "ignore"]
         if self.engineer:
             cols.extend(engineered_column_schemas())
         return cols
@@ -333,7 +333,7 @@ def _load_eval_rows(pipeline: FeaturePipeline, path: Path) -> Dataset:
     """
     header = set(_read_header(path))
     raw_schema = pipeline.raw_schema()
-    prepared_schema = pipeline.prepared_schema()
+    prepared_schema = pipeline.prepared_schema(raw_schema)
     raw_names = {c.name for c in raw_schema}
     prepared_names = {c.name for c in prepared_schema}
 

@@ -1,6 +1,8 @@
 """Property tests for the dataclass JSON codec, the algorithm registry and atomic file writes."""
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -8,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_dataset
 from genoclass.artifact import ModelArtifact
+from genoclass.codec import write_json
 from genoclass.config import ALGORITHM_NAMES, IMPUTATION_POLICIES, RunConfig
 from genoclass.dataset import TASK_ROLES, write_csv
 from genoclass.ensemble import LOSSES, VARIANTS, ForestConfig, ForestModel, GbdtConfig, GbdtModel, Tree
@@ -30,7 +33,7 @@ from genoclass.linear import (
     SvmModel,
     SvmSubmodel,
 )
-from genoclass.metrics import build_report, render_report
+from genoclass.metrics import RocCurve, build_report, render_report
 from genoclass.pipeline import FeaturePipeline
 from genoclass.registry import ALGORITHMS
 
@@ -519,6 +522,47 @@ def test_saved_bytes_match_the_canonical_dump(tmp_path):
     # artifacts are written compactly, without whitespace
     expected = json.dumps(artifact.to_json(), sort_keys=True, separators=(",", ":"))
     assert (tmp_path / "model.json").read_text(encoding="utf-8") == expected
+
+
+# -- the indented JSON writer and ROC point files ---------------------------------------
+
+#: the floats json renders with care: signed zero, subnormal, exponent switches, NaN and the infinities
+special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e22, 1e-7, float("nan"), float("inf"), float("-inf")])
+json_floats = special_floats | st.floats()
+json_strings = st.text(st.sampled_from('"\\\x00\x1f\u00e9\u2028\U0001f600a ') | st.characters(), max_size=6)
+json_scalars = st.none() | st.booleans() | st.integers() | json_floats | json_strings
+# lists of numbers take the writer's joined path; booleans among them must stay true and false
+number_lists = st.lists(json_floats | st.integers() | st.booleans(), max_size=6)
+json_docs = st.recursive(
+    json_scalars | number_lists | st.lists(st.lists(json_floats, max_size=4), max_size=3),
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=json_docs, end=st.sampled_from(["", "\n"]))
+@example(doc={"roc": {"a": {"fpr": [0.0, 0.5, 1.0], "tpr": [0, 1, 1.0]}}, "z": []}, end="\n")
+@example(doc=[[True, 1, 1.0], [False], [None], [], {}, [1e16, 1e22, 5e-324, -0.0]], end="")
+@example(doc=[float("nan"), 1.0, float("inf"), float("-inf")], end="")
+@example(doc={'"\\\x00\u00e9': 'x"\\\x00\u00e9'}, end="")
+def test_indented_json_is_the_bytes_of_json_dumps(tmp_path, doc, end):
+    write_json(tmp_path / "doc.json", doc, end=end)
+    expected = json.dumps(doc, sort_keys=True, indent=1) + end
+    assert (tmp_path / "doc.json").read_bytes() == expected.encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(points=st.lists(st.tuples(json_floats, json_floats), max_size=12))
+@example(points=[(0.0, 0.0), (1 / 3, 2 / 3), (1.0, 1.0)])
+def test_roc_point_files_are_the_bytes_of_csv_writer(tmp_path, points):
+    fpr, tpr = tuple(p[0] for p in points), tuple(p[1] for p in points)
+    report = dataclasses.replace(small_report(), roc={"a": RocCurve(fpr, tpr, 0.5), "b": None})
+    render_report([report], tmp_path)
+    expected = io.StringIO()
+    csv.writer(expected).writerows([["fpr", "tpr"], *([repr(x), repr(y)] for x, y in points)])
+    assert (tmp_path / "roc_logistic_a.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
 # -- strict scalar decoding -------------------------------------------------------

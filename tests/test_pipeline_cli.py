@@ -20,7 +20,7 @@ from click.testing import CliRunner
 
 import genoclass
 import synthdata
-from conftest import xy_dataset
+from conftest import make_dataset, xy_dataset
 from genoclass.artifact import ModelArtifact, revive_model
 from genoclass.cli import LOCK_NAME, main
 from genoclass.config import ALGORITHM_NAMES, RunConfig, config_fingerprint, load_run_config
@@ -684,6 +684,60 @@ class TestCli:
         assert (out / LOCK_NAME).exists()
         rerun = self.invoke("train", "--config", cfg_path)
         assert rerun.exit_code == 0, rerun.output
+
+    def test_evaluate_removes_stale_temporaries(self, flow, tmp_path):
+        """A killed command's temporaries, in the locked directory and in a table directory, go;
+        a live process's stay, and the outputs are those of a clean run."""
+        args = ("evaluate", "--artifact", flow.gbdt.artifact_path, "--data", flow.out / TEST_CSV, "--out")
+        assert self.invoke(*args, tmp_path / "clean").exit_code == 0
+        out = tmp_path / "out"
+        tables = out / "report_gbdt_plain_genetic_disorder"
+        tables.mkdir(parents=True)
+        finished = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"], capture_output=True, text=True, check=True)
+        stale = [out / f".evaluation_gbdt_plain_genetic_disorder.json.{int(finished.stdout)}.tmp", tables / f".report.md.{int(finished.stdout)}.tmp"]
+        # this process's temporaries and its parent's: both processes are alive
+        live = [out / f".report.md.{os.getpid()}.tmp", tables / f".roc_gbdt_plain_a.csv.{os.getppid()}.tmp"]
+        for path in stale + live:
+            path.write_text("partial", encoding="utf-8")
+        result = self.invoke(*args, out)
+        assert result.exit_code == 0, result.output
+        assert not any(path.exists() for path in stale)
+        assert all(path.exists() for path in live)
+        for path in live:
+            path.unlink()
+
+        def contents(root):
+            return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+        assert contents(out) == contents(tmp_path / "clean")
+
+    def test_labels_sharing_a_roc_file_name_exit_2(self, tmp_path):
+        """Two class labels with one slug would write one ROC file twice: evaluate and report refuse them."""
+        rng = np.random.default_rng(3)
+        y = np.arange(60) % 2
+        X = rng.normal(size=(60, 3)) + y[:, None]
+        ds = make_dataset(
+            [*((f"x{j}", "numeric") for j in range(3)), ("y", "categorical", "target_disorder", ("Type A", "type-a")),
+             ("s", "categorical", "target_subclass", ("s0", "s1"))],
+            {**{f"x{j}": X[:, j] for j in range(3)}, "y": y, "s": y},
+        )
+        corpus = {"raw": str(tmp_path / "raw.csv"), "schema": str(tmp_path / "schema.json")}
+        write_csv(ds, corpus["raw"])
+        Path(corpus["schema"]).write_text(json.dumps(schema_to_json(ds.columns)), encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = replace(run_cfg(corpus, out, algorithm="logistic"), engineer=False, top_k=3)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg.to_json()), encoding="utf-8")
+        assert self.invoke("prepare", "--config", cfg_path).exit_code == 0
+        assert self.invoke("train", "--config", cfg_path).exit_code == 0
+
+        message = "error: class labels 'Type A' and 'type-a' of task 'genetic_disorder' would share the ROC file roc_logistic_type_a.csv\n"
+        evaluated = self.invoke("evaluate", "--artifact", out / "model_logistic_genetic_disorder.json", "--data", out / TEST_CSV)
+        assert (evaluated.exit_code, evaluated.output) == (2, message)
+        assert not list(out.glob("report_*/*.csv"))
+        merged = self.invoke("report", out / "evaluation_logistic_genetic_disorder.json", "--out", tmp_path / "tables")
+        assert (merged.exit_code, merged.output) == (2, message)
+        assert not (tmp_path / "tables" / "overall_accuracy.csv").exists()
 
     @pytest.mark.parametrize("command", ["prepare", "evaluate"])
     def test_output_directory_under_a_file_exits_2(self, corpus, flow, tmp_path, command):
