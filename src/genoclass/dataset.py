@@ -252,13 +252,15 @@ class Dataset:
         """Stack the named columns into a float64 design matrix.
 
         Categorical codes are cast to float. All requested cells must be
-        observed; models never see missing values.
+        observed and finite; models never see missing or infinite values.
         """
         cols = []
         for name in names:
-            self.schema_of(name)
+            col = self.schema_of(name)
             if self._missing[name].any():
                 raise ImputationError(f"column {name!r} has missing cells; impute first")
+            if col.kind == "numeric" and np.isinf(self._values[name]).any():
+                raise DataTypeError(f"column {name!r} has infinite cells; models need finite features")
             cols.append(self.values(name).astype(np.float64))
         if not cols:
             return np.empty((self.n_rows, 0), dtype=np.float64)
@@ -393,15 +395,19 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
     set; column order follows the schema). Empty cells become missing;
     category tokens not listed in the schema become missing and are tallied
     in ``Dataset.ingest_warnings``; malformed numeric cells are errors.
-    Ignored columns are checked for presence and then dropped. Each column of
-    a block of records converts in one pass (memory: one block plus the arrays).
+    Ignored columns are checked for presence and then dropped, their cells
+    never converted, so a caller that needs some columns only reads those.
+    Each column of a block of records converts in one pass (memory: one block
+    plus the arrays): a numeric block without a blank cell goes to ``float``
+    as it is, and a categorical column's unknown tokens are counted once,
+    after the last block, as its missing codes minus its blank cells.
     A malformed record anywhere wins over a bad number; the first bad column
     in schema order is named, at its first bad line.
     """
     validate_schema(schema)
     kept = [c for c in schema if c.role != "ignore"]
     blocks: dict[str, list[np.ndarray]] = {c.name: [] for c in kept}
-    unknown = dict.fromkeys(blocks, 0)
+    unknown = dict.fromkeys(blocks, 0)  # a categorical column's missing codes minus its blank cells
     bad: dict[int, str] = {}  # index in kept of a numeric column -> the error for its first bad cell
     n = 0
     with csv_reader(path) as reader:
@@ -431,11 +437,11 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
                 tokens = cells[position[col.name]]
                 if col.discrete:
                     found = np.fromiter(map(codes[col.name].get, tokens, itertools.repeat(-1)), np.int64, len(rows))
-                    unknown[col.name] += int(np.count_nonzero(found < 0)) - tokens.count("")
+                    unknown[col.name] -= tokens.count("")
                 else:
                     try:
                         # float takes surrounding whitespace; a whitespace-only cell needs the strip
-                        found = np.fromiter(map(float, [t or "nan" for t in tokens]), np.float64, len(rows))
+                        found = np.fromiter(map(float, [t or "nan" for t in tokens] if "" in tokens else tokens), np.float64, len(rows))
                     except ValueError:
                         try:
                             found = np.fromiter(map(float, [t.strip() or "nan" for t in tokens]), np.float64, len(rows))
@@ -454,7 +460,9 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
     for col in kept:
         arr = np.concatenate(blocks.pop(col.name))
         mask = arr < 0 if col.discrete else np.isnan(arr)
-        if not col.discrete:
+        if col.discrete:
+            unknown[col.name] += int(np.count_nonzero(mask))
+        else:
             arr[mask] = np.nan  # a parsed "-nan" keeps its sign bit; a missing cell holds a plain NaN
         arr.setflags(write=False)
         mask.setflags(write=False)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -264,7 +264,8 @@ def run_train(cfg: RunConfig) -> TrainResult:
 
     Refuses to run against stale preparation: the pipeline record must have
     been written by a prepare run with the same preparation settings, and the
-    prepared CSVs must still hash to what that run recorded.
+    prepared CSVs must still hash to what that run recorded. The hashes vouch
+    for every cell, so only the model's features and the targets are converted.
     """
     out_dir = Path(cfg.output_dir)
     record_path = out_dir / PIPELINE_JSON
@@ -280,8 +281,9 @@ def run_train(cfg: RunConfig) -> TrainResult:
         if _file_sha256(path) != digest:
             raise StateError(f"stale preparation: {name} changed since prepare; rerun prepare")
 
-    train = load_csv(out_dir / TRAIN_CSV, pipeline.prepared_schema())
-    view = train.select_columns([*pipeline.selected, pipeline.target])
+    selected = set(pipeline.selected)
+    schema = [c if c.role != "feature" or c.name in selected else replace(c, role="ignore") for c in pipeline.prepared_schema()]
+    view = load_csv(out_dir / TRAIN_CSV, schema).select_columns([*pipeline.selected, pipeline.target])
 
     alg = ALGORITHMS[cfg.algorithm]
     model_cfg = alg.build_config(cfg.model_params, cfg.model_seed)

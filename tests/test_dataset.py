@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from genoclass import dataset as dataset_module
@@ -429,6 +430,30 @@ class TestBlockedCsv:
                 mp.setattr(dataset_module, "CSV_BLOCK_ROWS", rows)
                 assert outcome(load_csv, path, schema) == expected
 
+    @given(csv_cases(), st.data())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_ignoring_features_leaves_the_kept_columns_alone(self, tmp_path, case, data):
+        """Any feature columns turned to ignore drop out, and every kept column's values, mask and
+        unknown-token tally are those of the full read, bit for bit, whichever block holds them."""
+        schema, header, records = case
+        path = write_records(tmp_path / "data.csv", header, records)
+        full = outcome(load_csv, path, schema)
+        assume(isinstance(full[0], list))  # a table the full schema loads
+        features = [c.name for c in schema if c.role == "feature"]
+        ignored = {name for name, drop in zip(features, data.draw(st.lists(st.booleans(), min_size=len(features), max_size=len(features)))) if drop}
+        subset = [replace(c, role="ignore") if c.name in ignored else c for c in schema]
+        names, n_rows, cells, warnings = full
+        expected = (
+            [n for n in names if n not in ignored],
+            n_rows,
+            [cell for n, cell in zip(names, cells) if n not in ignored],
+            {n: count for n, count in warnings.items() if n not in ignored},
+        )
+        for rows in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataset_module, "CSV_BLOCK_ROWS", rows)
+                assert outcome(load_csv, path, subset) == expected
+
     AB_SCHEMA = [("a", "numeric"), ("b", "numeric"), ("d", "categorical", "target_disorder", ("x", "y")), ("s", "binary", "target_subclass", BINARY)]
 
     def load_in_blocks_of_two(self, path):
@@ -515,6 +540,13 @@ class TestDatasetOps:
         ds = make_dataset([("x", "numeric")], {"x": [1.0, np.nan]})
         with pytest.raises(ImputationError):
             ds.matrix(["x"])
+
+    @pytest.mark.parametrize("cell", [np.inf, -np.inf])
+    def test_matrix_rejects_infinite_cells_naming_the_column(self, cell):
+        ds = make_dataset([("x", "numeric"), ("z", "numeric")], {"x": [1.0, 2.0], "z": [3.0, cell]})
+        np.testing.assert_array_equal(ds.matrix(["x"]), [[1.0], [2.0]])
+        with pytest.raises(DataTypeError, match="column 'z' has infinite cells"):
+            ds.matrix(["x", "z"])
 
     def test_select_columns_preserves_requested_order(self):
         ds = self._ds()

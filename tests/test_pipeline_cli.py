@@ -21,6 +21,7 @@ from click.testing import CliRunner
 import genoclass
 import synthdata
 from conftest import make_dataset, xy_dataset
+from genoclass import pipeline as pipeline_module
 from genoclass.artifact import ModelArtifact, revive_model
 from genoclass.cli import LOCK_NAME, main
 from genoclass.config import ALGORITHM_NAMES, RunConfig, config_fingerprint, load_run_config
@@ -1157,6 +1158,102 @@ class TestStrictDocuments:
         result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
         assert result.exit_code == 2, result.output
         assert f"{key} must be a JSON" in result.output
+
+
+def edited_csv(source, dest, edit):
+    """Write to dest the records of the CSV at source (header first) after edit(records) changed them in place."""
+    with open(source, newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    edit(records)
+    with open(dest, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(records)
+    return dest
+
+
+class TestTrainReadsTheModelsColumns:
+    """train converts only the selected features and the targets of the hash-checked train.csv, and
+    fits exactly what a read of every column would."""
+
+    invoke = TestCli.invoke
+
+    @staticmethod
+    def copy_of(flow, tmp_path, **changes):
+        out = tmp_path / "copy"
+        shutil.copytree(flow.out, out)
+        return replace(flow.cfg, output_dir=str(out), **changes), out
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_writes_what_a_full_parse_would(self, flow, tmp_path, monkeypatch, algorithm):
+        cfg, out = self.copy_of(flow, tmp_path, algorithm=algorithm, model_params=SMALL_PARAMS[algorithm])
+        record = FeaturePipeline.load(out / PIPELINE_JSON)
+        schemas = []
+        monkeypatch.setattr(pipeline_module, "load_csv", lambda path, schema: schemas.append(schema) or load_csv(path, schema))
+        subset = run_train(cfg)
+        subset_bytes = subset.artifact_path.read_bytes()
+        assert [c.name for c in schemas[0] if c.role == "feature"] == [c.name for c in record.prepared_schema() if c.name in record.selected]
+        assert len(record.selected) < len(record.ranking)
+
+        monkeypatch.setattr(pipeline_module, "load_csv", lambda path, schema: load_csv(path, record.prepared_schema()))
+        full = run_train(cfg)
+        assert full.artifact_path.read_bytes() == subset_bytes
+        assert (full.train_rows, full.train_accuracy, full.final_loss) == (subset.train_rows, subset.train_accuracy, subset.final_loss)
+
+    def test_tampered_unread_column_exits_2_before_any_parse(self, flow, tmp_path, monkeypatch):
+        cfg, out = self.copy_of(flow, tmp_path)
+        record = FeaturePipeline.load(out / PIPELINE_JSON)
+        unread = next(c.name for c in record.prepared_schema() if c.role == "feature" and c.name not in record.selected)
+
+        def tamper(rows):
+            rows[1][rows[0].index(unread)] = "not what prepare wrote"
+
+        edited_csv(out / TRAIN_CSV, out / TRAIN_CSV, tamper)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg.to_json()), encoding="utf-8")
+        parsed = []
+        monkeypatch.setattr(pipeline_module, "load_csv", lambda *args: parsed.append(args))
+        result = self.invoke("train", "--config", cfg_path)
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: stale preparation: {TRAIN_CSV} changed since prepare; rerun prepare\n"
+        assert parsed == []
+
+
+class TestInfiniteFeatures:
+    """An infinite feature cell is a data error (exit 2) that names its column, where every model's
+    input is built: prepare keeps such cells, and train and evaluate refuse them."""
+
+    invoke = TestCli.invoke
+    COLUMN = "Blood cell count (mcL)"
+    MESSAGE = f"error: column {COLUMN!r} has infinite cells; models need finite features\n"
+
+    def infinite(self, rows):
+        col = rows[0].index(self.COLUMN)
+        for row in rows[1::5]:
+            row[col] = "inf"
+        rows[3][col] = "-1e400"
+
+    @pytest.mark.parametrize("algorithm", ["svm", "logistic", "random_forest", "gbdt_plain"])
+    def test_train_exits_2(self, corpus, tmp_path, algorithm):
+        raw = edited_csv(corpus["raw"], tmp_path / "raw.csv", self.infinite)
+        out = tmp_path / "out"
+        cfg = run_cfg({"raw": str(raw), "schema": corpus["schema"]}, out, algorithm=algorithm)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg.to_json()), encoding="utf-8")
+        prepared = self.invoke("prepare", "--config", cfg_path)
+        assert prepared.exit_code == 0, prepared.output
+        assert self.COLUMN in FeaturePipeline.load(out / PIPELINE_JSON).selected
+
+        result = self.invoke("train", "--config", cfg_path)
+        assert result.exit_code == 2, result.output
+        assert result.output == self.MESSAGE
+        assert not (out / f"model_{algorithm}_genetic_disorder.json").exists()
+
+    def test_evaluate_exits_2(self, flow, tmp_path):
+        assert self.COLUMN in FeaturePipeline.load(flow.out / PIPELINE_JSON).selected
+        data = edited_csv(flow.out / TEST_CSV, tmp_path / "test.csv", self.infinite)
+        result = self.invoke("evaluate", "--artifact", flow.gbdt.artifact_path, "--data", data, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert result.output == self.MESSAGE
+        assert [p.name for p in (tmp_path / "eval").iterdir()] == [LOCK_NAME]
 
 
 class TestSavedBytes:
