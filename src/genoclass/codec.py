@@ -258,11 +258,26 @@ def write_csv_rows(path: str | Path, header: Sequence, rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
+@dataclasses.dataclass(frozen=True)
+class NumberTexts:
+    """A number list rendered by ``float_texts``: the indented ``write_json`` writes its texts as they are."""
+
+    texts: Sequence[str]
+
+
+def float_texts(values: Any) -> list[str]:
+    """``float.__repr__`` of each item of a float array, rendering each distinct bit pattern once (-0.0 keeps its text)."""
+    bits = np.asarray(values, dtype=np.float64).ravel().view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_json(path: str | Path, doc: Any, end: str = "", compact: bool = False) -> None:
     """Write doc as sorted JSON followed by ``end``, atomically: compact through json's C
     encoder, or the bytes of ``json.dumps(doc, sort_keys=True, indent=1)``, which bypasses
-    it. Those are written a container at a time: a list of plain ints and floats is one
-    C-level join of their reprs; json renders every other scalar and each dict key."""
+    it. Those are written a container at a time: a list of plain ints and floats, or a
+    ``NumberTexts``, is one C-level join of reprs; json renders every other scalar and key."""
     with atomic_write(path) as fh:
         if compact:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + end)
@@ -275,13 +290,14 @@ def _write_indented(fh, value: Any, pad: str) -> None:
     """Write value as ``json.dumps`` with ``sort_keys=True, indent=1`` would; pad is the
     newline and indentation that close it."""
     inner = pad + " "
-    if isinstance(value, (list, tuple)) and value:
-        types = set(map(type, value))
-        if types <= {int, float}:
-            text = ("," + inner).join(map(float.__repr__ if types == {float} else repr, value))
-            if "n" not in text:  # only nan and inf, which json spells NaN and Infinity, repr with an n
-                fh.write(f"[{inner}{text}{pad}]")
-                return
+    types = set(map(type, value)) if isinstance(value, (list, tuple)) else set()  # empty for an empty list
+    if isinstance(value, NumberTexts) or types and types <= {int, float}:
+        texts = value.texts if isinstance(value, NumberTexts) else map(float.__repr__ if types == {float} else repr, value)
+        text = ("," + inner).join(texts)
+        if "n" in text:  # only nan and inf repr with an n, and json spells them NaN and Infinity
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        fh.write(f"[{inner}{text}{pad}]" if text else "[]")
+    elif types:
         for i, item in enumerate(value):
             fh.write("," + inner if i else "[" + inner)
             _write_indented(fh, item, inner)

@@ -10,6 +10,7 @@ counted half).
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codec import JsonCodec, atomic_write, decode, encode, make_dirs, read_json, write_csv_rows, write_json
+from .codec import JsonCodec, NumberTexts, atomic_write, decode, encode, float_texts, make_dirs, read_json, write_csv_rows, write_json
 from .errors import ArgumentError, DegenerateDataError, EvaluationError, PersistenceError
 
 
@@ -139,6 +140,12 @@ class RocCurve:
     fpr: tuple[float, ...]
     tpr: tuple[float, ...]
     auc: float
+
+    @functools.cached_property
+    def texts(self) -> tuple[list[str], list[str]]:
+        """The ``float.__repr__`` of each fpr and of each tpr item, rendered once for both the
+        evaluation JSON and the ROC CSV; each point moves one of them, so half their values repeat."""
+        return float_texts(self.fpr), float_texts(self.tpr)
 
 
 def roc_curve(y_true: Sequence[int], scores: Sequence[float]) -> RocCurve:
@@ -269,7 +276,12 @@ class EvaluationReport:
         return EvaluationReport(d.algorithm, d.task, d.labels, cm, metrics, roc, d.config_hash)
 
     def save(self, path: str | Path) -> None:
-        write_json(path, self.to_json(), end="\n")
+        doc = self.to_json()
+        for label, curve in self.roc.items():
+            if curve is not None:
+                fpr, tpr = curve.texts
+                doc["roc"][label].update(fpr=NumberTexts(fpr), tpr=NumberTexts(tpr))
+        write_json(path, doc, end="\n")
 
     @staticmethod
     def load(path: str | Path) -> "EvaluationReport":
@@ -302,6 +314,10 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_").lower()
 
 
+def _roc_file(rep: EvaluationReport, label: str) -> str:
+    return f"roc_{_slug(rep.algorithm)}_{_slug(rep.task)}_{_slug(label)}.csv"
+
+
 def _cell(value: float, best: float) -> str:
     """A table value to 2 decimals, bold where it is the best of its column."""
     return f"**{value:.2f}**" if value == best else f"{value:.2f}"
@@ -318,8 +334,8 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path) -> l
 
     Produces one overall-accuracy table (algorithms x tasks), per-task
     precision/recall/F1/AUC tables with the best value per class bolded in
-    markdown, and one ROC CSV per (algorithm, class). Table cells render to
-    2 decimals; CSVs carry full double precision.
+    markdown, and one ROC CSV per (algorithm, task, class). Table cells
+    render to 2 decimals; CSVs carry full double precision.
     """
     if not reports:
         raise EvaluationError("nothing to render: no evaluation reports given")
@@ -333,7 +349,7 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path) -> l
         for label in rep.labels:
             other = slugs.setdefault(_slug(label), label)
             if other != label:
-                name = f"roc_{_slug(rep.algorithm)}_{_slug(label)}.csv"
+                name = _roc_file(rep, label)
                 raise EvaluationError(f"class labels {other!r} and {label!r} of task {rep.task!r} would share the ROC file {name}")
     by_task: dict[str, list[EvaluationReport]] = {}
     for rep in reports:
@@ -375,11 +391,11 @@ def render_report(reports: Sequence[EvaluationReport], out_dir: str | Path) -> l
         for label, curve in rep.roc.items():
             if curve is None:
                 continue
-            path = out_dir / f"roc_{_slug(rep.algorithm)}_{_slug(label)}.csv"
+            path = out_dir / _roc_file(rep, label)
             # a float's repr never needs quoting, so these are csv.writer's bytes
             with atomic_write(path, newline="") as fh:
                 fh.write("fpr,tpr\r\n")
-                fh.writelines(map("{!r},{!r}\r\n".format, curve.fpr, curve.tpr))
+                fh.writelines(map("{},{}\r\n".format, *curve.texts))
             written.append(path)
 
     best = {t: max(accuracy[(a, t)] for a in algorithms if (a, t) in accuracy) for t in tasks}

@@ -281,8 +281,7 @@ def run_train(cfg: RunConfig) -> TrainResult:
         if _file_sha256(path) != digest:
             raise StateError(f"stale preparation: {name} changed since prepare; rerun prepare")
 
-    selected = set(pipeline.selected)
-    schema = [c if c.role != "feature" or c.name in selected else replace(c, role="ignore") for c in pipeline.prepared_schema()]
+    schema = _reading_only(pipeline.prepared_schema(), pipeline.selected)
     view = load_csv(out_dir / TRAIN_CSV, schema).select_columns([*pipeline.selected, pipeline.target])
 
     alg = ALGORITHMS[cfg.algorithm]
@@ -317,6 +316,11 @@ def run_train(cfg: RunConfig) -> TrainResult:
     )
 
 
+def _reading_only(schema: list[ColumnSchema], features: Sequence[str]) -> list[ColumnSchema]:
+    """schema with every other feature ignored: load_csv checks those columns' names but converts none of their cells."""
+    return [c if c.role != "feature" or c.name in features else replace(c, role="ignore") for c in schema]
+
+
 def _read_header(path: Path) -> list[str]:
     with csv_reader(path) as reader:
         try:
@@ -325,13 +329,15 @@ def _read_header(path: Path) -> list[str]:
             raise EmptyInputError(f"{path}: file is empty") from None
 
 
-def _load_eval_rows(pipeline: FeaturePipeline, path: Path) -> Dataset:
+def _load_eval_rows(pipeline: FeaturePipeline, path: Path, features: Sequence[str]) -> Dataset:
     """Load evaluation rows, replaying preprocessing when they are raw.
 
     The file may be either a raw CSV (full original layout, including the
     ignored columns) or a prepared one as written by the prepare stage; the
     header decides. Raw rows get the stored imputation and feature
-    engineering replayed on top, using only train-fitted statistics.
+    engineering replayed on top, using only train-fitted statistics. A file
+    that hashes to the recorded test split is prepare's own, already replayed:
+    of its features only the model's (``features``) are converted.
     """
     header = set(_read_header(path))
     raw_schema = pipeline.raw_schema()
@@ -340,6 +346,8 @@ def _load_eval_rows(pipeline: FeaturePipeline, path: Path) -> Dataset:
     prepared_names = {c.name for c in prepared_schema}
 
     if header == prepared_names:
+        if _file_sha256(path) == pipeline.file_hashes.get(TEST_CSV):
+            return load_csv(path, _reading_only(prepared_schema, features))
         ds = load_csv(path, prepared_schema)
         sources = None
     elif header == raw_names:
@@ -386,7 +394,7 @@ def run_evaluate(artifact_path: str | Path, data_path: str | Path, out_dir: str 
     data_path = Path(data_path)
     if not data_path.is_file():
         raise ConfigError(f"data file {str(data_path)!r} does not exist")
-    ds = _load_eval_rows(pipeline, data_path)
+    ds = _load_eval_rows(pipeline, data_path, model.feature_names)
 
     X = ds.matrix(list(model.feature_names))
     y_true = ds.values(pipeline.target)

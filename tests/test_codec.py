@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import make_dataset
 from genoclass.artifact import ModelArtifact
-from genoclass.codec import write_json
+from genoclass.codec import NumberTexts, float_texts, write_json
 from genoclass.config import ALGORITHM_NAMES, IMPUTATION_POLICIES, RunConfig
 from genoclass.dataset import TASK_ROLES, write_csv
 from genoclass.ensemble import LOSSES, VARIANTS, ForestConfig, ForestModel, GbdtConfig, GbdtModel, Tree
@@ -562,8 +562,42 @@ def test_roc_point_files_are_the_bytes_of_csv_writer(tmp_path, points):
     render_report([report], tmp_path)
     expected = io.StringIO()
     csv.writer(expected).writerows([["fpr", "tpr"], *([repr(x), repr(y)] for x, y in points)])
-    assert (tmp_path / "roc_logistic_a.csv").read_bytes() == expected.getvalue().encode("utf-8")
+    assert (tmp_path / "roc_logistic_genetic_disorder_a.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
+
+#: float64 arrays where -0.0 sits beside 0.0, with subnormals, repeats and the non-finite values
+float_arrays = hnp.arrays(np.float64, st.integers(0, 40), elements=special_floats | st.floats(), fill=special_floats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=float_arrays)
+@example(values=np.array([]))
+@example(values=np.array([0.0, -0.0, 0.0, 5e-324, -0.0, 5e-324, 2.5e-310, 1 / 3, 1 / 3, float("nan"), -float("nan")]))
+def test_float_texts_are_the_reprs_of_the_items(values):
+    assert float_texts(values) == [float.__repr__(x) for x in values.tolist()]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(curves=st.dictionaries(json_strings, st.tuples(float_arrays, float_arrays), max_size=3), top=float_arrays)
+@example(curves={"a": (np.array([0.0, 0.5, 0.5, 1.0]), np.array([-0.0, 0.0, 1.0, 1.0]))}, top=np.array([]))
+@example(curves={}, top=np.array([float("nan"), 1.0, float("inf"), -float("inf"), float("nan")]))
+def test_number_texts_write_as_their_floats(tmp_path, curves, top):
+    """Pre-rendered texts write the bytes of the floats they render; json spells nan and the infinities."""
+    doc = {"roc": {k: {"fpr": NumberTexts(float_texts(x)), "tpr": NumberTexts(float_texts(y)), "auc": 0.5} for k, (x, y) in curves.items()},
+           "top": NumberTexts(float_texts(top))}
+    floats = {"roc": {k: {"fpr": x.tolist(), "tpr": y.tolist(), "auc": 0.5} for k, (x, y) in curves.items()}, "top": top.tolist()}
+    write_json(tmp_path / "doc.json", doc, end="\n")
+    assert (tmp_path / "doc.json").read_bytes() == (json.dumps(floats, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+
+def test_saved_non_finite_roc_points_are_spelled_as_json_does(tmp_path):
+    curve = RocCurve((0.0, float("nan"), -0.0, 1.0), (float("inf"), -float("inf"), 0.0, 1.0), 0.5)
+    report = dataclasses.replace(small_report(), roc={"a": curve, "b": None})
+    report.save(tmp_path / "report.json")
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert text == json.dumps(report.to_json(), sort_keys=True, indent=1) + "\n"
+    assert all(word in text for word in ("NaN", " Infinity", "-Infinity", "-0.0"))
 
 # -- strict scalar decoding -------------------------------------------------------
 

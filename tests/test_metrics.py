@@ -264,14 +264,33 @@ class TestReports:
             )
         ]
         written = render_report(reports, tmp_path)
-        names = {p.name for p in written}
+        names = [p.name for p in written]
         assert "overall_accuracy.csv" in names
         assert "metrics_genetic_disorder.csv" in names
         assert "metrics_disorder_subclass.csv" in names
         assert "report.md" in names
-        assert "roc_svm_x.csv" in names
+        roc_names = [
+            f"roc_{alg}_{task}_{label}.csv"
+            for alg, task in (("svm", "genetic_disorder"), ("svm", "disorder_subclass"), ("random_forest", "genetic_disorder"), ("random_forest", "disorder_subclass"))
+            for label in "xyz"
+        ]
+        assert sorted(n for n in names if n.startswith("roc_")) == sorted(roc_names)
         md = (tmp_path / "report.md").read_text(encoding="utf-8")
         assert "| Algorithm | disorder_subclass | genetic_disorder |" in md
+
+    def test_tasks_sharing_labels_write_their_own_roc_files(self, tmp_path):
+        """Two tasks with the same class labels: each curve gets its own file, listed once."""
+        reports = [small_report("svm", "genetic_disorder", seed=1), small_report("svm", "disorder_subclass", seed=2)]
+        written = render_report(reports, tmp_path)
+        roc_files = [p for p in written if p.name.startswith("roc_")]
+        assert len(roc_files) == len(set(roc_files)) == 6
+        for rep in reports:
+            for label in rep.labels:
+                path = tmp_path / f"roc_svm_{rep.task}_{label}.csv"
+                assert path in roc_files
+                rows = path.read_text(encoding="utf-8").splitlines()[1:]
+                assert rows == [f"{x!r},{y!r}" for x, y in zip(rep.roc[label].fpr, rep.roc[label].tpr)]
+        assert reports[0].roc["x"] != reports[1].roc["x"]
 
     def test_single_report_renders(self, tmp_path):
         written = render_report([small_report("svm", "genetic_disorder")], tmp_path)
@@ -313,7 +332,7 @@ class TestReports:
 
         rep = small_report("svm", "t", seed=7, labels=("a", "b"))
         render_report([rep], tmp_path)
-        with open(tmp_path / "roc_svm_a.csv", newline="", encoding="utf-8") as fh:
+        with open(tmp_path / "roc_svm_t_a.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["fpr", "tpr"]
         fpr = [float(r[0]) for r in rows[1:]]

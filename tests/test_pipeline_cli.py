@@ -697,7 +697,7 @@ class TestCli:
         finished = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"], capture_output=True, text=True, check=True)
         stale = [out / f".evaluation_gbdt_plain_genetic_disorder.json.{int(finished.stdout)}.tmp", tables / f".report.md.{int(finished.stdout)}.tmp"]
         # this process's temporaries and its parent's: both processes are alive
-        live = [out / f".report.md.{os.getpid()}.tmp", tables / f".roc_gbdt_plain_a.csv.{os.getppid()}.tmp"]
+        live = [out / f".report.md.{os.getpid()}.tmp", tables / f".roc_gbdt_plain_genetic_disorder_a.csv.{os.getppid()}.tmp"]
         for path in stale + live:
             path.write_text("partial", encoding="utf-8")
         result = self.invoke(*args, out)
@@ -732,7 +732,7 @@ class TestCli:
         assert self.invoke("prepare", "--config", cfg_path).exit_code == 0
         assert self.invoke("train", "--config", cfg_path).exit_code == 0
 
-        message = "error: class labels 'Type A' and 'type-a' of task 'genetic_disorder' would share the ROC file roc_logistic_type_a.csv\n"
+        message = "error: class labels 'Type A' and 'type-a' of task 'genetic_disorder' would share the ROC file roc_logistic_genetic_disorder_type_a.csv\n"
         evaluated = self.invoke("evaluate", "--artifact", out / "model_logistic_genetic_disorder.json", "--data", out / TEST_CSV)
         assert (evaluated.exit_code, evaluated.output) == (2, message)
         assert not list(out.glob("report_*/*.csv"))
@@ -1215,6 +1215,56 @@ class TestTrainReadsTheModelsColumns:
         assert result.exit_code == 2, result.output
         assert result.output == f"error: stale preparation: {TRAIN_CSV} changed since prepare; rerun prepare\n"
         assert parsed == []
+
+
+class TestEvaluateReadsTheModelsColumns:
+    """evaluate converts only the model's features and the targets of a prepared file that hashes to the
+    recorded test split, and writes exactly what the full parse and replay of any other file writes."""
+
+    invoke = TestCli.invoke
+
+    @staticmethod
+    def lf_copy(source, dest):
+        """The same cells as source with LF line ends in place of CRLF, so another SHA-256."""
+        dest.write_bytes(Path(source).read_bytes().replace(b"\r\n", b"\n"))
+        return dest
+
+    @staticmethod
+    def written(root):
+        return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_writes_what_a_full_parse_would(self, flow, tmp_path, monkeypatch, algorithm):
+        cfg, out = TestTrainReadsTheModelsColumns.copy_of(flow, tmp_path, algorithm=algorithm, model_params=SMALL_PARAMS[algorithm])
+        artifact = run_train(cfg).artifact_path
+        record = FeaturePipeline.load(out / PIPELINE_JSON)
+        copy = self.lf_copy(out / TEST_CSV, tmp_path / "test_lf.csv")
+        assert copy.read_bytes() != (out / TEST_CSV).read_bytes()
+        schemas = []
+        monkeypatch.setattr(pipeline_module, "load_csv", lambda path, schema: schemas.append(schema) or load_csv(path, schema))
+        verified = run_evaluate(artifact, out / TEST_CSV, tmp_path / "verified")
+        full = run_evaluate(artifact, copy, tmp_path / "full")
+
+        model = revive_model(ModelArtifact.load(artifact))
+        assert [c.name for c in schemas[0] if c.role == "feature"] == [c.name for c in record.prepared_schema() if c.name in model.feature_names]
+        assert len(model.feature_names) < len(record.ranking)
+        assert schemas[1] == record.prepared_schema()
+        assert (verified.rows, verified.accuracy) == (full.rows, full.accuracy)
+        tables = self.written(tmp_path / "verified")
+        assert any(name.endswith(".csv") and "/roc_" in name for name in tables)
+        assert tables == self.written(tmp_path / "full")
+
+    def test_malformed_unread_cell_of_an_unverified_file_exits_2(self, flow, tmp_path):
+        record = FeaturePipeline.load(flow.out / PIPELINE_JSON)
+        unread = next(c.name for c in record.prepared_schema() if c.role == "feature" and c.kind == "numeric" and c.name not in record.selected)
+
+        def damage(rows):
+            rows[3][rows[0].index(unread)] = "abc"
+
+        data = edited_csv(flow.out / TEST_CSV, tmp_path / "test.csv", damage)
+        result = self.invoke("evaluate", "--artifact", flow.gbdt.artifact_path, "--data", data, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {data}: column {unread!r}, line 4: not a number: 'abc'\n"
 
 
 class TestInfiniteFeatures:
