@@ -69,6 +69,9 @@ def revive_model(artifact: ModelArtifact):
     if name not in ALGORITHMS:
         raise ArgumentError(f"unknown algorithm {name!r} in artifact")
     try:
-        return ALGORITHMS[name].model.from_json(artifact.model_doc)
+        model = ALGORITHMS[name].model.from_json(artifact.model_doc)
     except ArgumentError as exc:
         raise PersistenceError(f"{name} model document is malformed: {exc}") from exc
+    if tuple(model.class_labels) != artifact.class_labels:
+        raise PersistenceError(f"artifact class labels {list(artifact.class_labels)} differ from its {name} model's {list(model.class_labels)}")
+    return model

@@ -1,13 +1,13 @@
 """Column-typed tabular data model: schema, CSV ingestion, imputation, splitting.
 
-Every stage of the pipeline transforms a :class:`Dataset`, an immutable
-column-oriented table. Numeric columns are stored as ``float64`` (NaN where
-missing), categorical/binary columns as ``int64`` category codes (-1 where
-missing); a boolean mask per column is the authoritative missing marker.
-The constructor copies and checks every array it is given; a transform
-shares the frozen arrays of the columns it leaves alone, so it costs only
-the columns it changes. CSV files are read and written in blocks of
-``CSV_BLOCK_ROWS`` rows, so memory holds one block of strings besides the arrays.
+Every stage of the pipeline transforms a :class:`Dataset`, an immutable table
+of one frozen array per column: ``float64`` numbers (NaN where missing) or
+``int64`` category codes (-1 where missing); ``missing_mask`` derives a
+column's mask from those cells. The constructor copies and checks every
+array it is given; a transform shares the frozen arrays of the columns it
+leaves alone, so it costs only the columns it changes. CSV files are read and
+written in blocks of ``CSV_BLOCK_ROWS`` rows, so memory holds one block of
+strings besides the arrays.
 
 Schemas are explicit: no inference happens at ingest, so category encodings
 stay exactly as the schema document declares them.
@@ -150,28 +150,26 @@ def schema_to_json(columns: Sequence[ColumnSchema]) -> list[dict]:
     return out
 
 
-def _frozen_column(col: ColumnSchema, values: np.ndarray, missing: np.ndarray | None, n_rows: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Copy, check and freeze one column's cells and mask: missing cells become NaN or -1,
+def _frozen_column(col: ColumnSchema, values: np.ndarray, missing: np.ndarray | None, n_rows: int | None) -> np.ndarray:
+    """Copy, check and freeze one column's cells: the cells missing marks become NaN or -1,
     codes must be in the category range, and there must be ``n_rows`` cells unless that is None."""
     if col.role == "ignore":
         raise SchemaError("ignored columns are dropped at ingest and cannot be stored")
     arr = np.asarray(values, dtype=np.float64 if col.kind == "numeric" else np.int64).reshape(-1)
     if n_rows is not None and arr.shape[0] != n_rows:
         raise SchemaError(f"column {col.name!r} has {arr.shape[0]} cells, expected {n_rows}")
-    mask = np.zeros(arr.shape[0], dtype=bool) if missing is None else np.array(missing, dtype=bool).reshape(-1)
+    mask = np.zeros(arr.shape[0], dtype=bool) if missing is None else np.asarray(missing, dtype=bool).reshape(-1)
     if mask.shape[0] != arr.shape[0]:
         raise SchemaError(f"missing mask for {col.name!r} has wrong length")
     if col.kind == "numeric":
-        mask = mask | np.isnan(arr)
-        arr = np.where(mask, np.nan, arr)  # np.where allocates, so the caller's array is never stored
+        # np.where allocates, so the caller's array is never stored, and every missing cell is a plain NaN
+        arr = np.where(mask | np.isnan(arr), np.nan, arr)
+    elif ((arr < 0) | (arr >= len(col.categories)))[~mask].any():
+        raise SchemaError(f"column {col.name!r}: codes outside [0, {len(col.categories)})")
     else:
-        present = arr[~mask]
-        if present.size and (present.min() < 0 or present.max() >= len(col.categories)):
-            raise SchemaError(f"column {col.name!r}: codes outside [0, {len(col.categories)})")
         arr = np.where(mask, -1, arr)
     arr.setflags(write=False)
-    mask.setflags(write=False)
-    return arr, mask
+    return arr
 
 
 class Dataset:
@@ -197,26 +195,24 @@ class Dataset:
             raise SchemaError("duplicate column names")
         if set(values) != set(names):
             raise SchemaError("values must cover exactly the schema columns")
-        frozen_values: dict[str, np.ndarray] = {}
-        frozen_missing: dict[str, np.ndarray] = {}
+        frozen: dict[str, np.ndarray] = {}
         n_rows = None
         for col in columns:
-            arr, mask = _frozen_column(col, values[col.name], (missing or {}).get(col.name), n_rows)
-            frozen_values[col.name], frozen_missing[col.name], n_rows = arr, mask, arr.shape[0]
-        self._adopt(columns, frozen_values, frozen_missing, n_rows or 0, ingest_warnings)
+            frozen[col.name] = _frozen_column(col, values[col.name], (missing or {}).get(col.name), n_rows)
+            n_rows = frozen[col.name].shape[0]
+        self._adopt(columns, frozen, n_rows or 0, ingest_warnings)
 
-    def _adopt(self, columns: Sequence[ColumnSchema], values: dict[str, np.ndarray], missing: dict[str, np.ndarray], n_rows: int, ingest_warnings: Mapping[str, int] | None) -> "Dataset":
+    def _adopt(self, columns: Sequence[ColumnSchema], values: dict[str, np.ndarray], n_rows: int, ingest_warnings: Mapping[str, int] | None) -> "Dataset":
         """Store already checked, frozen arrays as they are."""
         self.columns: tuple[ColumnSchema, ...] = tuple(columns)
         self._values = values
-        self._missing = missing
         self.n_rows: int = int(n_rows)
         self.ingest_warnings: dict[str, int] = dict(ingest_warnings or {})
         self._by_name = {c.name: c for c in self.columns}
         return self
 
-    def _derive(self, columns: Sequence[ColumnSchema], values: dict[str, np.ndarray], missing: dict[str, np.ndarray], n_rows: int) -> "Dataset":
-        return Dataset.__new__(Dataset)._adopt(columns, values, missing, n_rows if columns else 0, self.ingest_warnings)
+    def _derive(self, columns: Sequence[ColumnSchema], values: dict[str, np.ndarray], n_rows: int) -> "Dataset":
+        return Dataset.__new__(Dataset)._adopt(columns, values, n_rows if columns else 0, self.ingest_warnings)
 
     # -- lookups ------------------------------------------------------------
 
@@ -239,8 +235,11 @@ class Dataset:
         return self._values[name]
 
     def missing_mask(self, name: str) -> np.ndarray:
-        self.schema_of(name)
-        return self._missing[name]
+        """A read-only mask of the column's missing cells: its -1 codes (discrete) or NaNs (numeric)."""
+        values = self.values(name)
+        mask = values < 0 if self.schema_of(name).discrete else np.isnan(values)
+        mask.setflags(write=False)
+        return mask
 
     def target_column(self, role: str) -> ColumnSchema:
         for c in self.columns:
@@ -254,17 +253,14 @@ class Dataset:
         Categorical codes are cast to float. All requested cells must be
         observed and finite; models never see missing or infinite values.
         """
-        cols = []
-        for name in names:
-            col = self.schema_of(name)
-            if self._missing[name].any():
+        out = np.empty((self.n_rows, len(names)))
+        for j, name in enumerate(names):
+            if self.missing_mask(name).any():
                 raise ImputationError(f"column {name!r} has missing cells; impute first")
-            if col.kind == "numeric" and np.isinf(self._values[name]).any():
+            if self.schema_of(name).kind == "numeric" and np.isinf(self._values[name]).any():
                 raise DataTypeError(f"column {name!r} has infinite cells; models need finite features")
-            cols.append(self.values(name).astype(np.float64))
-        if not cols:
-            return np.empty((self.n_rows, 0), dtype=np.float64)
-        return np.column_stack(cols)
+            out[:, j] = self._values[name]
+        return out
 
     # -- transforms ---------------------------------------------------------
 
@@ -272,47 +268,39 @@ class Dataset:
         """Return a new dataset with one appended column."""
         if schema.name in self._by_name:
             raise SchemaError(f"column {schema.name!r} already exists")
-        arr, mask = _frozen_column(schema, values, missing, self.n_rows if self.columns else None)
-        return self._derive(self.columns + (schema,), {**self._values, schema.name: arr}, {**self._missing, schema.name: mask}, arr.shape[0])
+        arr = _frozen_column(schema, values, missing, self.n_rows if self.columns else None)
+        return self._derive(self.columns + (schema,), {**self._values, schema.name: arr}, arr.shape[0])
 
     def replace_values(self, name: str, values: np.ndarray, missing: np.ndarray | None = None) -> "Dataset":
         """Return a new dataset with one column's cells (not schema) replaced."""
-        arr, mask = _frozen_column(self.schema_of(name), values, missing, self.n_rows)
-        return self._derive(self.columns, {**self._values, name: arr}, {**self._missing, name: mask}, self.n_rows)
+        arr = _frozen_column(self.schema_of(name), values, missing, self.n_rows)
+        return self._derive(self.columns, {**self._values, name: arr}, self.n_rows)
 
     def select_columns(self, names: Sequence[str]) -> "Dataset":
         """Return a new dataset restricted to the named columns, in given order."""
         cols = [self.schema_of(n) for n in names]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate column names")
-        return self._derive(cols, {n: self._values[n] for n in names}, {n: self._missing[n] for n in names}, self.n_rows)
+        return self._derive(cols, {n: self._values[n] for n in names}, self.n_rows)
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """Return a new dataset with the given rows, in given order."""
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         # rows of checked arrays need no new checks, only freezing
         values = {n: v[idx] for n, v in self._values.items()}
-        missing = {n: m[idx] for n, m in self._missing.items()}
-        for arr in (*values.values(), *missing.values()):
+        for arr in values.values():
             arr.setflags(write=False)
-        return self._derive(self.columns, values, missing, idx.size)
+        return self._derive(self.columns, values, idx.size)
 
     # -- comparisons ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        """Cell-identical comparison: schema, masks, and observed values."""
+        """Cell-identical comparison: schema and cells, a missing cell equal only to a missing one."""
         if not isinstance(other, Dataset):
             return NotImplemented
         if self.columns != other.columns or self.n_rows != other.n_rows:
             return False
-        for name in self._values:
-            m1, m2 = self._missing[name], other._missing[name]
-            if not np.array_equal(m1, m2):
-                return False
-            v1, v2 = self._values[name][~m1], other._values[name][~m2]
-            if not np.array_equal(v1, v2):
-                return False
-        return True
+        return all(np.array_equal(v, other._values[name], equal_nan=True) for name, v in self._values.items())
 
     def __repr__(self) -> str:
         return f"Dataset({self.n_rows} rows, {len(self.columns)} columns)"
@@ -456,19 +444,16 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
     if bad:
         raise DataTypeError(bad[min(bad)])
     values: dict[str, np.ndarray] = {}
-    missing: dict[str, np.ndarray] = {}
     for col in kept:
         arr = np.concatenate(blocks.pop(col.name))
-        mask = arr < 0 if col.discrete else np.isnan(arr)
         if col.discrete:
-            unknown[col.name] += int(np.count_nonzero(mask))
+            unknown[col.name] += int(np.count_nonzero(arr < 0))
         else:
-            arr[mask] = np.nan  # a parsed "-nan" keeps its sign bit; a missing cell holds a plain NaN
+            arr[np.isnan(arr)] = np.nan  # a parsed "-nan" keeps its sign bit; a missing cell holds a plain NaN
         arr.setflags(write=False)
-        mask.setflags(write=False)
-        values[col.name], missing[col.name] = arr, mask
+        values[col.name] = arr
     # the arrays are new and every code is in range by construction, so the constructor's checks are skipped
-    return Dataset.__new__(Dataset)._adopt(kept, values, missing, n, {k: v for k, v in unknown.items() if v})
+    return Dataset.__new__(Dataset)._adopt(kept, values, n, {k: v for k, v in unknown.items() if v})
 
 
 def _csv_field(text: str, alone: bool) -> str:
@@ -495,12 +480,12 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
         for lo in range(0, ds.n_rows, CSV_BLOCK_ROWS):
             cols = []
             for col in ds.columns:
-                vals = ds.values(col.name)[lo : lo + CSV_BLOCK_ROWS].tolist()
+                block = ds.values(col.name)[lo : lo + CSV_BLOCK_ROWS]
                 if col.discrete:
-                    cols.append(list(map(fields[col.name].__getitem__, vals)))
+                    cols.append(list(map(fields[col.name].__getitem__, block.tolist())))
                     continue
-                cells = list(map(float.__repr__, vals))
-                for k in np.flatnonzero(ds.missing_mask(col.name)[lo : lo + CSV_BLOCK_ROWS]).tolist():
+                cells = list(map(float.__repr__, block.tolist()))
+                for k in np.flatnonzero(np.isnan(block)).tolist():
                     cells[k] = gap
                 cols.append(cells)
             fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
@@ -524,8 +509,7 @@ def fit_imputation(ds: Dataset, policy: str = "mode_median") -> dict[str, float]
         # Fills are computed for every feature column, not just the gappy
         # ones, so a split fitted on clean training rows still covers holes
         # that only show up in later data.
-        mask = ds.missing_mask(col.name)
-        present = ds.values(col.name)[~mask]
+        present = ds.values(col.name)[~ds.missing_mask(col.name)]
         if present.size == 0:
             raise ImputationError(f"column {col.name!r} is entirely missing; cannot impute")
         if col.kind == "numeric":
@@ -540,13 +524,9 @@ def apply_imputation(ds: Dataset, fills: Mapping[str, float]) -> Dataset:
     """Fill missing feature cells with previously fitted values."""
     out = ds
     for name, fill in fills.items():
-        col = ds.schema_of(name)
         mask = out.missing_mask(name)
-        if not mask.any():
-            continue
-        vals = np.array(out.values(name), copy=True)
-        vals[mask] = fill
-        out = out.replace_values(name, vals, np.zeros(ds.n_rows, dtype=bool))
+        if mask.any():
+            out = out.replace_values(name, np.where(mask, fill, out.values(name)))
     # a stored fill set may not cover columns that had no training-time gaps
     for col in ds.columns:
         if col.role == "feature" and out.missing_mask(col.name).any():
@@ -566,10 +546,8 @@ def impute_missing(ds: Dataset, policy: str = "mode_median") -> Dataset:
     if policy == "mode_median":
         return apply_imputation(ds, fit_imputation(ds, policy))
     if policy == "drop_rows":
-        bad = np.zeros(ds.n_rows, dtype=bool)
-        for col in ds.columns:
-            bad |= ds.missing_mask(col.name)
-        return ds.take(np.flatnonzero(~bad))
+        gappy = np.any([ds.missing_mask(col.name) for col in ds.columns], axis=0)
+        return ds.take(np.flatnonzero(~gappy))
     raise ArgumentError(f"unknown imputation policy {policy!r}")
 
 

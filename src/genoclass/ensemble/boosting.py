@@ -7,12 +7,13 @@ each leaf holds one Newton step per column over the full data it routes,
 
     leaf[c] = learning_rate * sum(residuals[:, c]) / sum(hessians[:, c])
 
-Every structure search runs ``cart``'s kernels on bin codes built once per
-fit. Plain trees grow on every row, their growth's leaf sums of the residuals
-kept as the steps' numerators; GOSS trees on one gradient-magnitude row sample
-per round, the remainder weighted by (1 - a) / b (goss_gain), and the full
-data descends them once; oblivious trees share one cut between adjacent bins
-per level, stored as a complete ``cart.Tree`` in heap order.
+Every structure search runs ``cart``'s kernels on one matrix of global bin
+ids built once per fit (``cart.rank_codes``). Plain trees grow on every row,
+their growth's leaf sums of the residuals kept as the steps' numerators; GOSS
+trees on one gradient-magnitude row sample per round, the remainder weighted
+by (1 - a) / b (goss_gain), and the full data descends them once; oblivious
+trees share one cut between adjacent bins per level, stored as a complete
+``cart.Tree`` in heap order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from ..codec import JsonCodec
 from ..dataset import Dataset, supervised_arrays
 from ..errors import ArgumentError, ConvergenceError
-from .cart import GAIN_EPS, TIE_RTOL, Tree, TreeParams, apply, feature_offsets, feature_rows, grow_tree, leaf_sums, level_histograms, offset_bins, predict_tree, rank_codes, split_scores, tree_from_splits
+from .cart import GAIN_EPS, TIE_RTOL, Tree, TreeParams, apply, feature_offsets, feature_rows, grow_tree, leaf_sums, level_histograms, predict_tree, rank_codes, split_scores, tree_from_splits
 
 LOSSES = ("squared", "multiclass_logloss")
 VARIANTS = ("plain", "goss", "oblivious")
@@ -246,27 +247,27 @@ def _refit_leaves(tree: Tree, leaf: np.ndarray, h: np.ndarray, lr: float) -> Non
     tree.value[tiny] = 0.0
 
 
-def _fit_oblivious_structure(codes: np.ndarray, bins: np.ndarray, values: tuple[np.ndarray, ...], S: np.ndarray, max_depth: int) -> tuple[Tree, np.ndarray]:
+def _fit_oblivious_structure(bins: np.ndarray, values: tuple[np.ndarray, ...], S: np.ndarray, max_depth: int) -> tuple[Tree, np.ndarray]:
     """Choose one shared (feature, threshold) per level maximizing the score
     summed over the level's cells and the columns of the rows' n x k
     statistic matrix S (a vector is one column).
 
     Candidates are the cuts between adjacent bins that separate some cell's
     rows (a cell a cut leaves whole adds its unsplit score), each threshold
-    between its two bins' values, so it routes every row as the codes do.
-    Stops when nothing improves. Rows are keyed by their cell id (bins are
-    the codes' ``offset_bins``), and a level scored in one call, unless the
+    between its two bins' values, so it routes every row as the bins do.
+    Stops when nothing improves. Rows are keyed by their cell id and their
+    global bins (``rank_codes``), and a level scored in one call, unless the
     last, keeps its cells' histograms, so the next counts only the smaller
     half of each cell. Returns the tree, valued with each node's column sums
     of S, and each row's leaf id.
     """
-    S = np.asarray(S, dtype=np.float64).reshape(codes.shape[0], -1)
+    S = np.asarray(S, dtype=np.float64).reshape(bins.shape[0], -1)
     offsets, (lo, hi) = feature_offsets(values), np.concatenate(values, axis=1)
     slot = np.repeat(np.arange(len(values)), np.diff(offsets))
     # the cut after bin a: the midpoint to the next bin, or a's largest value where it rounds up
     mid = (hi[:-1] + lo[1:]) / 2.0
     threshold = np.where(mid < lo[1:], mid, hi[:-1])
-    cell = np.zeros(codes.shape[0], dtype=np.int64)  # cell c splits into cells 2c (left) and 2c + 1
+    cell = np.zeros(bins.shape[0], dtype=np.int64)  # cell c splits into cells 2c (left) and 2c + 1
     levels: list[tuple[int, float]] = []
     kept = None
     for depth in range(max_depth):
@@ -291,7 +292,7 @@ def _fit_oblivious_structure(codes: np.ndarray, bins: np.ndarray, values: tuple[
         f = int(slot[at])
         levels.append((f, float(threshold[at])))
         kept = (2 * live, hist) if keep else None
-        cell = 2 * cell + (codes[:, f] > at - offsets[f])
+        cell = 2 * cell + (bins[:, f] > at)
 
     # the complete tree in heap order: node i, on level floor(log2(i + 1)), has children 2i + 1 and 2i + 2
     n_nodes = 2 ** (len(levels) + 1) - 1
@@ -357,8 +358,7 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
         f0 = np.array([float(y.mean())])
 
     params = TreeParams(max_depth=config.max_depth, min_samples_leaf=config.min_samples_leaf)
-    codes, values = rank_codes(X)
-    bins = offset_bins(codes, values)
+    bins, values = rank_codes(X)
     F = np.tile(f0, (n, 1))
     history = [loss_value(config.loss, y, F)]
     trees: list[Tree] = []
@@ -369,17 +369,17 @@ def fit_gbdt(ds: Dataset, target: str, config: GbdtConfig = GbdtConfig()) -> Gbd
         if not np.isfinite(residuals).all():
             raise ConvergenceError(f"non-finite pseudo-residuals at round {round_no}")
         if config.variant == "plain":
-            tree, leaf = grow_tree(codes, values, residuals, params, bins)
+            tree, leaf = grow_tree(bins, values, residuals, params)
         elif config.variant == "goss":
             magnitude = np.sqrt((residuals * residuals).sum(axis=1))
             sample = goss_sample(magnitude, config.a, config.b, seed=int(master.integers(2**32)))
             idx = sample.indices
             # grown on the sample, so the full data descends the tree and is summed in its leaves
-            tree = grow_tree(codes[idx], values, sample.row_weights[:, None] * residuals[idx], params, bins[idx])[0]
+            tree = grow_tree(bins[idx], values, sample.row_weights[:, None] * residuals[idx], params)[0]
             leaf = apply(tree, X)
             tree.value[:] = leaf_sums(leaf, residuals, tree.value.shape[0])
         else:
-            tree, leaf = _fit_oblivious_structure(codes, bins, values, residuals, config.max_depth)
+            tree, leaf = _fit_oblivious_structure(bins, values, residuals, config.max_depth)
         _refit_leaves(tree, leaf, hessians, config.learning_rate)
         trees.append(tree)
         F += tree.value[leaf]

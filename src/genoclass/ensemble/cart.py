@@ -1,13 +1,14 @@
 """CART base learner: greedy binary trees over a per-row statistic matrix.
 
 A fit bins each feature once (``rank_codes``: a bin per distinct value, or
-``MAX_BINS`` quantile bins past that many). The split kernels score every cut
+``MAX_BINS`` quantile bins past that many) into one matrix of global bin ids
+that every tree grows and routes rows on. The split kernels score every cut
 between bins from per-(node, bin) sums of the caller's n x k statistic
 matrix S, sorting no rows, summing the score over S's columns: a target
 column gives the squared-error reduction, one-hot class columns the Gini
 reduction, boosting's k residual columns one tree for every class. A
 threshold lies halfway between the largest value below the cut and the
-smallest of the next bin the node has, so it routes rows as their codes do.
+smallest of the next bin the node has, so it routes rows as their bins do.
 Rows route left when value <= threshold. Gains within ``TIE_RTOL`` of the
 best tie, broken toward the lowest feature, then the lowest threshold.
 
@@ -149,10 +150,10 @@ class TreeParams:
 
 
 def rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Bin codes of X (int32, n x d) and each feature's bins' smallest and largest
-    values (a 2 x bins array); X must be finite. A feature with at most MAX_BINS
-    distinct values has a bin per value; one with more is cut at row quantiles
-    into at most MAX_BINS bins of consecutive values."""
+    """Global bins of X (n x d intp, as bincount reads them; see feature_offsets) and
+    each feature's bins' smallest and largest values (a 2 x bins array); X must be
+    finite. A feature with at most MAX_BINS distinct values has a bin per value; one
+    with more is cut at row quantiles into at most MAX_BINS bins of consecutive values."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ArgumentError("X must be a 2-D matrix")
@@ -160,27 +161,23 @@ def rank_codes(X: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         raise ArgumentError("cannot fit a tree on zero rows")
     if not np.isfinite(X).all():
         raise ArgumentError("feature matrix contains non-finite values")
-    codes, values = np.empty(X.shape, dtype=np.int32), []
+    bins, values, first_bin = np.empty(X.shape, dtype=np.intp), [], 0
     for f in range(X.shape[1]):
         distinct, inverse, count = np.unique(X[:, f], return_inverse=True, return_counts=True)
         # past MAX_BINS values, each goes to the quantile its first row's rank falls in
         quantile = (np.cumsum(count) - count) * MAX_BINS // X.shape[0]
         group = np.unique(quantile, return_inverse=True)[1].reshape(-1) if distinct.size > MAX_BINS else np.arange(distinct.size)
-        codes[:, f] = group[inverse.reshape(-1)]
+        bins[:, f] = group[inverse.reshape(-1)] + first_bin
         first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
         values.append(np.stack([distinct[first], np.maximum.reduceat(distinct, first)]))
-    return codes, tuple(values)
+        first_bin += first.size
+    return bins, tuple(values)
 
 
 def feature_offsets(values: Sequence[np.ndarray]) -> np.ndarray:
     """First bin of each feature, then the bin count: feature f's bins, in value
     order, run from offsets[f] to offsets[f + 1] - 1."""
     return np.cumsum([0, *(v.shape[-1] for v in values)])
-
-
-def offset_bins(codes: np.ndarray, values: Sequence[np.ndarray]) -> np.ndarray:
-    """Each row's bin per feature: its rank code plus the feature's first bin (intp, as bincount reads it)."""
-    return codes + feature_offsets(values)[:-1].astype(np.intp)
 
 
 def histograms(key: np.ndarray, S: np.ndarray, n_nodes: int, n_bins: int) -> np.ndarray:
@@ -256,7 +253,7 @@ def present_cells(key: np.ndarray, S: np.ndarray, offsets: np.ndarray):
 
 def level_histograms(bins: np.ndarray, S: np.ndarray, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, n_bins: int) -> np.ndarray:
     """The histograms (see ``histograms``) of the given nodes over every bin,
-    rows keyed by their node id node; bins are the rows' offset_bins.
+    rows keyed by their node id node; bins are the rows' global bins (rank_codes).
 
     size holds the rows of each node id. kept is None, or (left, hist): the
     split nodes of the level above as their left child ids (the right child
@@ -291,10 +288,10 @@ def level_histograms(bins: np.ndarray, S: np.ndarray, node: np.ndarray, nodes: n
 
 
 def _pick(cell_node, cell_bin, n_l, score, parent, sizes: np.ndarray, msl: int, values: Sequence[np.ndarray]):
-    """Each node's gain (-inf if no cut is valid), feature, threshold and cut code of
-    its best cut, from its scored cells (as present_cells returns them); sizes holds
-    the nodes' rows. A valid cut leaves msl rows or more on each side; ties go to
-    the first cell: the lowest feature, then the lowest threshold."""
+    """Each node's gain (-inf if no cut is valid), feature, threshold and cut bin (rows
+    with a larger bin go right) of its best cut, from its scored cells (as present_cells
+    returns them); sizes holds the nodes' rows. A valid cut leaves msl rows or more on
+    each side; ties go to the first cell: the lowest feature, then the lowest threshold."""
     offsets, (lo, hi) = feature_offsets(values), np.concatenate(values, axis=1)
     slot = np.repeat(np.arange(len(values)), np.diff(offsets))
     gain, half = score - parent[cell_node], sizes[cell_node] / 2.0
@@ -310,17 +307,16 @@ def _pick(cell_node, cell_bin, n_l, score, parent, sizes: np.ndarray, msl: int, 
     a, b = cell_bin[i], cell_bin[i + 1]
     mid = (hi[a] + lo[b]) / 2.0
     feature, threshold, cut = np.full(sizes.size, -1), np.zeros(sizes.size), np.zeros(sizes.size, dtype=np.int64)
-    # a midpoint that rounds up to b's smallest value becomes a's largest, so the threshold routes rows as the codes do
-    feature[found], threshold[found], cut[found] = slot[a], np.where(mid < lo[b], mid, hi[a]), a - offsets[slot[a]]
+    # a midpoint that rounds up to b's smallest value becomes a's largest, so the threshold routes rows as the bins do
+    feature[found], threshold[found], cut[found] = slot[a], np.where(mid < lo[b], mid, hi[a]), a
     return best, feature, threshold, cut
 
 
-def _level_splits(codes, bins, values, S, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, drawn, msl: int, keep: bool):
+def _level_splits(bins, values, S, node: np.ndarray, nodes: np.ndarray, size: np.ndarray, kept, drawn, msl: int, keep: bool):
     """Best splits (see _pick) of the nodes of a level, rows keyed by their node id
     node, and, if keep asks, the level's histograms when it was scored dense (else
     None, sparing a copy of its k + 1 planes). drawn is None when every node searches
-    every feature, its rows' bins read from bins; else it holds each node's drawn
-    features, the rows' bins gathered from codes."""
+    every feature; else it holds each node's drawn features, whose bins its rows read."""
     offsets = feature_offsets(values)
     if drawn is None and size[nodes].sum() * bins.shape[1] >= nodes.size * offsets[-1]:
         hist = level_histograms(bins, S, node, nodes, size, kept, offsets[-1])
@@ -332,7 +328,7 @@ def _level_splits(codes, bins, values, S, node: np.ndarray, nodes: np.ndarray, s
     owner[nodes] = np.arange(nodes.size)
     rows = np.flatnonzero(owner[node] >= 0)
     owner = owner[node[rows]]
-    key = bins[rows] if drawn is None else codes[rows[:, None], drawn[owner]] + offsets[drawn[owner]]
+    key = bins[rows] if drawn is None else bins[rows[:, None], drawn[owner]]
     key += (owner * offsets[-1])[:, None]
     cells = present_cells(key, S[rows], offsets)
     return _pick(*cells, size[nodes], msl, values), None
@@ -345,16 +341,13 @@ def _varies(S: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
     return np.bincount(node, weights=(S != S[some[node]]).any(axis=1), minlength=n_nodes) > 0
 
 
-def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], S: np.ndarray, params: TreeParams, bins: np.ndarray | None = None) -> tuple[Tree, np.ndarray]:
-    """Grow a tree on rank codes and values from rank_codes (maybe a row subset) and the
+def grow_tree(bins: np.ndarray, values: Sequence[np.ndarray], S: np.ndarray, params: TreeParams) -> tuple[Tree, np.ndarray]:
+    """Grow a tree on global bins and values from rank_codes (maybe a row subset) and the
     rows' n x k statistic matrix S (a vector is one column), ignoring params.criterion;
-    returns it, valued with each node's column sums of S, and each row's leaf id. An
-    unsampled tree may be handed the codes' offset_bins, so a fit builds them once."""
-    n, d = codes.shape
+    returns it, valued with each node's column sums of S, and each row's leaf id."""
+    n, d = bins.shape
     S = np.asarray(S, dtype=np.float64).reshape(n, -1)
     sampled = params.mtry is not None and params.mtry < d
-    if not sampled and bins is None:
-        bins = offset_bins(codes, values)
     rng = np.random.default_rng(params.seed) if sampled else None
     limit, min_rows = params.max_depth, max(2, 2 * params.min_samples_leaf)
     # each row's node id; split j's children get ids 2j + 1 (left) and 2j + 2
@@ -373,7 +366,7 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], S: np.ndarray, pa
             # an mtry tree draws the features of all the level's growing nodes in one call, in node order
             drawn = np.sort(np.argsort(rng.random((grows.size, d)), axis=1)[:, : params.mtry], axis=1)[np.isin(grows, live)]
         # the histograms are kept only if the next level may split
-        (gain, feature, threshold, cut), hist = _level_splits(codes, bins, values, S, node, live, size, kept, drawn, params.min_samples_leaf, limit is None or depth + 1 < limit)
+        (gain, feature, threshold, cut), hist = _level_splits(bins, values, S, node, live, size, kept, drawn, params.min_samples_leaf, limit is None or depth + 1 < limit)
         split = gain > GAIN_EPS
         feature, cut = feature[split], cut[split]
         child = 2 * np.arange(len(splits), len(splits) + feature.size) + 1
@@ -384,7 +377,7 @@ def grow_tree(codes: np.ndarray, values: Sequence[np.ndarray], S: np.ndarray, pa
         to[live[split]] = np.arange(feature.size)
         moving = np.flatnonzero(to[node] >= 0)
         j = to[node[moving]]
-        node[moving] = child[j] + (codes[moving, feature[j]] > cut[j])
+        node[moving] = child[j] + (bins[moving, feature[j]] > cut[j])
         level, depth = np.stack([child + 1, child], axis=1).ravel(), depth + 1
     n_nodes = 2 * len(splits) + 1
     return tree_from_splits(n_nodes, splits, leaf_sums(node, S, n_nodes)), node
@@ -418,19 +411,19 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) ->
     one-hot classes and counts). Growth stops at max_depth, when a split
     cannot respect min_samples_leaf, or when no candidate improves it.
     """
-    codes, values = rank_codes(X)
-    if np.size(y) != codes.shape[0]:
-        raise ArgumentError(f"y has {np.size(y)} entries, expected {codes.shape[0]}")
+    bins, values = rank_codes(X)
+    if np.size(y) != bins.shape[0]:
+        raise ArgumentError(f"y has {np.size(y)} entries, expected {bins.shape[0]}")
     if params.criterion == "gini":
         classes = np.asarray(y, dtype=np.int64).reshape(-1)
         k = params.n_classes if params.n_classes is not None else int(classes.max()) + 1
         if classes.min() < 0 or classes.max() >= k:
             raise ArgumentError(f"class codes must be non-negative, none outside [0, {k})")
-        return grow_tree(codes, values, np.eye(k)[classes], params)[0]
+        return grow_tree(bins, values, np.eye(k)[classes], params)[0]
     S = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if not np.isfinite(S).all():
         raise ArgumentError("targets contain non-finite values")
-    tree, node = grow_tree(codes, values, S, params)
+    tree, node = grow_tree(bins, values, S, params)
     # each leaf's mean target; internal nodes hold no rows and stay 0
     return replace(tree, value=tree.value[:, 0] / np.maximum(np.bincount(node, minlength=tree.feature.size), 1))
 

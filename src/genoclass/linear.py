@@ -305,6 +305,12 @@ class LogisticModel(_LinearModel):
     loss_history: tuple[float, ...]
     config: LogisticConfig = field(default_factory=LogisticConfig)
 
+    def __post_init__(self) -> None:
+        # an SVM checks its scaler against its encoder as it designs its support rows
+        k, width = len(self.class_labels), self.encoder.width
+        if (self.W.shape, self.alpha.shape, self.scaler.mean.shape, self.scaler.scale.shape) != ((width, k), (k,), (width,), (width,)):
+            raise ArgumentError(f"a logistic model of {k} classes over {width} design columns needs a {width} x {k} W, {k} biases and a {width}-column scaler")
+
     def decision_matrix(self, X: np.ndarray) -> np.ndarray:
         return self._design(X) @ self.W + self.alpha
 

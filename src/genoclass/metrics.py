@@ -264,14 +264,18 @@ class EvaluationReport:
 
     @staticmethod
     def from_json(doc: dict) -> "EvaluationReport":
-        """Rebuild a report; a missing key or a value of the wrong JSON type is an ArgumentError."""
+        """Rebuild a report; a missing key, a value of the wrong JSON type, a per-class list without
+        one item per label, or a curve whose fpr and tpr differ in length is an ArgumentError."""
         d = decode(_StoredReport, doc, name="evaluation report")
+        for name in ("precision", "recall", "f1", "support"):
+            if len(getattr(d, name)) != len(d.labels):
+                raise ArgumentError(f"{name} must be a JSON array of one item per label ({len(d.labels)})")
         metrics = ClassMetrics(
             d.labels, d.precision, d.recall, d.f1, d.support, d.accuracy, d.macro_precision, d.macro_recall, d.macro_f1, d.flags
         )
         cm = ConfusionMatrix(np.asarray(d.confusion, dtype=np.int64), d.labels)
-        if any(c is not None and (c.fpr.ndim, c.tpr.ndim) != (1, 1) for c in d.roc.values()):
-            raise ArgumentError("roc fpr and tpr must each be a flat JSON array of numbers")
+        if any(c is not None and ((c.fpr.ndim, c.tpr.ndim) != (1, 1) or c.fpr.size != c.tpr.size) for c in d.roc.values()):
+            raise ArgumentError("roc fpr and tpr must each be a flat JSON array of numbers, the two of one length")
         roc = {label: None if c is None else RocCurve(tuple(c.fpr.tolist()), tuple(c.tpr.tolist()), c.auc) for label, c in d.roc.items()}
         return EvaluationReport(d.algorithm, d.task, d.labels, cm, metrics, roc, d.config_hash)
 

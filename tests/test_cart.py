@@ -269,9 +269,9 @@ class TestSerialization:
         X = rng.integers(0, data.draw(st.integers(1, 6)), size=(n, d)).astype(np.float64)
         kind = data.draw(st.sampled_from(["variance", "gini", "oblivious"]))
         if kind == "oblivious":
-            codes, values = cart.rank_codes(X)
+            bins, values = cart.rank_codes(X)
             k = data.draw(st.integers(1, 3))
-            tree = boosting._fit_oblivious_structure(codes, cart.offset_bins(codes, values), values, rng.normal(size=(n, k)), data.draw(st.integers(0, 3)))[0]
+            tree = boosting._fit_oblivious_structure(bins, values, rng.normal(size=(n, k)), data.draw(st.integers(0, 3)))[0]
             tree.value[tree.left < 0] = rng.normal(size=(int((tree.left < 0).sum()), k))
         elif kind == "gini":
             tree = fit_tree(X, rng.integers(0, 3, size=n), TreeParams(criterion="gini", n_classes=3))
@@ -370,9 +370,9 @@ class TestGrowthPath:
         assert np.bincount(depth[wide.left >= 0]).max() > 16
         search = cart._level_splits
 
-        def one_node_per_call(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep):
+        def one_node_per_call(bins, values, S, node, nodes, size, kept, drawn, msl, keep):
             # each node scored alone, from its own rows, with no histograms handed down
-            found = [search(codes, bins, values, S, node, nodes[i : i + 1], size, None, None if drawn is None else drawn[i : i + 1], msl, False)[0] for i in range(nodes.size)]
+            found = [search(bins, values, S, node, nodes[i : i + 1], size, None, None if drawn is None else drawn[i : i + 1], msl, False)[0] for i in range(nodes.size)]
             return tuple(np.concatenate(part) for part in zip(*found)), None
 
         monkeypatch.setattr(cart, "_level_splits", one_node_per_call)
@@ -390,26 +390,26 @@ class TestGrowthPath:
             # boosting-like residuals of large magnitude: float sums whose rounding the two kernels order differently
             "residuals": (onehot - onehot.mean(axis=0) + rng.normal(size=onehot.shape) * 0.01) * 1e3,
         }[stats]
-        codes, values = cart.rank_codes(X)
+        bins, values = cart.rank_codes(X)
         params = TreeParams(min_samples_leaf=2)
         search, dense, present = cart._level_splits, cart.level_histograms, cart.present_cells
         scored = []
 
-        def every_feature_drawn(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep):
+        def every_feature_drawn(bins, values, S, node, nodes, size, kept, drawn, msl, keep):
             # a level whose nodes each draw every feature is scored by present cells
-            drawn = np.tile(np.arange(codes.shape[1]), (nodes.size, 1))
-            return search(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep)
+            drawn = np.tile(np.arange(bins.shape[1]), (nodes.size, 1))
+            return search(bins, values, S, node, nodes, size, kept, drawn, msl, keep)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cart, "level_histograms", lambda *args: scored.append("dense") or dense(*args))
             patch.setattr(cart, "present_cells", lambda *args: scored.append("present") or present(*args))
-            both, leaf = cart.grow_tree(codes, values, S, params)
+            both, leaf = cart.grow_tree(bins, values, S, params)
         # the root and the shallow levels are scored dense, the wide ones by present cells
         assert scored[0] == "dense" and "present" in scored
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cart, "_level_splits", every_feature_drawn)
             patch.setattr(cart, "level_histograms", None)
-            cells_only, cells_leaf = cart.grow_tree(codes, values, S, params)
+            cells_only, cells_leaf = cart.grow_tree(bins, values, S, params)
         assert cells_only.to_json() == both.to_json()
         np.testing.assert_array_equal(cells_leaf, leaf)
 
@@ -426,8 +426,8 @@ class TestGrowthPath:
         calls = []
         search = cart._level_splits
 
-        def recording(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep):
-            found, hist = search(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep)
+        def recording(bins, values, S, node, nodes, size, kept, drawn, msl, keep):
+            found, hist = search(bins, values, S, node, nodes, size, kept, drawn, msl, keep)
             calls.append(([np.flatnonzero(node == v) for v in nodes], np.array(drawn), found))
             return found, hist
 
@@ -472,8 +472,8 @@ class TestHistogramReuse:
     def test_subtracted_histogram_equals_the_direct_one(self, data):
         n, d, k = data.draw(st.integers(2, 60)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        codes, values = cart.rank_codes(rng.integers(0, data.draw(st.integers(1, 9)), size=(n, d)).astype(np.float64))
-        bins, n_bins = cart.offset_bins(codes, values), cart.feature_offsets(values)[-1]
+        bins, values = cart.rank_codes(rng.integers(0, data.draw(st.integers(1, 9)), size=(n, d)).astype(np.float64))
+        n_bins = cart.feature_offsets(values)[-1]
         S = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
         # a level of parents, each split j sending its rows to children 2j + 1 (left) and 2j + 2
         n_parents = data.draw(st.integers(1, 4))
@@ -506,9 +506,9 @@ class TestHistogramReuse:
         calls, reused = [], []
         search, build = cart._level_splits, cart.level_histograms
 
-        def recording(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep):
+        def recording(bins, values, S, node, nodes, size, kept, drawn, msl, keep):
             before = len(reused)
-            found, hist = search(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep)
+            found, hist = search(bins, values, S, node, nodes, size, kept, drawn, msl, keep)
             # scored whole: the level built its histograms over every bin; the deepest keeps none
             calls.append((node.copy(), nodes, len(reused) > before, found))
             assert (hist is not None) == (len(reused) > before and keep)
@@ -521,8 +521,8 @@ class TestHistogramReuse:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cart, "_level_splits", recording)
             patch.setattr(cart, "level_histograms", building)
-            codes, values = cart.rank_codes(X)
-            tree, leaf = cart.grow_tree(codes, values, y, TreeParams(max_depth=4, min_samples_leaf=msl))
+            bins, values = cart.rank_codes(X)
+            tree, leaf = cart.grow_tree(bins, values, y, TreeParams(max_depth=4, min_samples_leaf=msl))
         np.testing.assert_array_equal(leaf, apply(tree, X))
         stats = y[:, None]
         # one call per level; a level scored whole over every bin subtracts when the level above was too
@@ -559,8 +559,8 @@ class TestHistogramReuse:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(boosting, "level_histograms", recording)
-            codes, values = cart.rank_codes(X)
-            tree, leaf = boosting._fit_oblivious_structure(codes, cart.offset_bins(codes, values), values, g, depth)
+            bins, values = cart.rank_codes(X)
+            tree, leaf = boosting._fit_oblivious_structure(bins, values, g, depth)
         np.testing.assert_array_equal(leaf, apply(tree, X))
         # every level below the root is scored in one call and reuses the histograms of the level above
         assert reused == [False] + [True] * (len(reused) - 1)
@@ -605,7 +605,8 @@ class TestBinnedFeatures:
     @given(data=st.data())
     def test_bins_hold_consecutive_values(self, data):
         X, _ = self.binned_problem(data)
-        codes, values = cart.rank_codes(X)
+        bins, values = cart.rank_codes(X)
+        codes = bins - cart.feature_offsets(values)[:-1]  # each feature's own code, bins[:, f] - offsets[f]
         for f, (lo, hi) in enumerate(values):
             distinct = np.unique(X[:, f])
             assert lo.size == min(distinct.size, cart.MAX_BINS) or cart.MAX_BINS // 2 < lo.size < cart.MAX_BINS
@@ -615,6 +616,25 @@ class TestBinnedFeatures:
             if distinct.size <= cart.MAX_BINS:
                 np.testing.assert_array_equal(lo, distinct)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_global_bins_lie_in_their_feature_range_in_value_order(self, data):
+        if data.draw(st.booleans()):
+            X, _ = self.binned_problem(data)
+        else:
+            n, d = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 4))
+            X = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n * d, max_size=n * d))).reshape(n, d)
+        bins, values = cart.rank_codes(X)
+        offsets = cart.feature_offsets(values)
+        assert bins.dtype == np.intp and bins.shape == X.shape
+        for f in range(X.shape[1]):
+            # feature f's rows fill exactly the bins [offsets[f], offsets[f + 1])
+            np.testing.assert_array_equal(np.unique(bins[:, f]), np.arange(offsets[f], offsets[f + 1]))
+            # within the feature, a larger value never has a lower bin, and equal values share one
+            order = np.argsort(X[:, f], kind="stable")
+            step, rise = np.diff(bins[order, f]), np.diff(X[order, f])
+            assert (step >= 0).all() and (step[rise == 0] == 0).all()
+
     @pytest.mark.parametrize("criterion, mtry", [("variance", None), ("gini", None), ("gini", 2)], ids=["greedy-variance", "greedy-gini", "mtry"])
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
@@ -623,17 +643,18 @@ class TestBinnedFeatures:
         S = np.eye(3)[rng.integers(0, 3, size=X.shape[0])] if criterion == "gini" else np.round(rng.normal(size=(X.shape[0], 1)), 2)
         msl = data.draw(st.integers(1, 5))
         params = TreeParams(criterion, data.draw(st.integers(1, 3)), msl, mtry, data.draw(st.integers(0, 2**32 - 1)))
-        codes, values = cart.rank_codes(X)
+        bins, values = cart.rank_codes(X)
+        codes = bins - cart.feature_offsets(values)[:-1]
         calls, search = [], cart._level_splits
 
-        def recording(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep):
-            found, hist = search(codes, bins, values, S, node, nodes, size, kept, drawn, msl, keep)
+        def recording(bins, values, S, node, nodes, size, kept, drawn, msl, keep):
+            found, hist = search(bins, values, S, node, nodes, size, kept, drawn, msl, keep)
             calls.append(([np.flatnonzero(node == v) for v in nodes], drawn, found))
             return found, hist
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cart, "_level_splits", recording)
-            tree, leaf = cart.grow_tree(codes, values, S, params)
+            tree, leaf = cart.grow_tree(bins, values, S, params)
         np.testing.assert_array_equal(leaf, apply(tree, X))
         for groups, drawn, found in calls:
             for i, (rows, gain, f, t, _) in enumerate(zip(groups, *found)):
@@ -658,8 +679,9 @@ class TestBinnedFeatures:
         X, rng = self.binned_problem(data)
         S = np.round(rng.normal(size=(X.shape[0], data.draw(st.integers(1, 2)))), 2)
         depth = data.draw(st.integers(1, 3))
-        codes, values = cart.rank_codes(X)
-        tree, leaf = boosting._fit_oblivious_structure(codes, cart.offset_bins(codes, values), values, S, depth)
+        bins, values = cart.rank_codes(X)
+        codes = bins - cart.feature_offsets(values)[:-1]
+        tree, leaf = boosting._fit_oblivious_structure(bins, values, S, depth)
         np.testing.assert_array_equal(leaf, apply(tree, X))
         cells, node = [np.arange(X.shape[0])], 0
         while True:

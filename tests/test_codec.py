@@ -126,13 +126,14 @@ def standardizers(draw, width=None):
 
 @st.composite
 def logistic_models(draw):
-    width, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # a scaler and W as wide as the encoder's design, and a W column and bias per class label
+    encoder, k = draw(encoders.filter(lambda e: e.names)), draw(st.integers(1, 4))
     return LogisticModel(
         feature_names=draw(names),
-        class_labels=draw(names),
-        encoder=draw(encoders),
-        scaler=draw(standardizers(width)),
-        W=draw(matrices(width, k)),
+        class_labels=draw(labels(k)),
+        encoder=encoder,
+        scaler=draw(standardizers(encoder.width)),
+        W=draw(matrices(encoder.width, k)),
         alpha=draw(vectors(k)),
         loss_history=tuple(draw(st.lists(reals, max_size=5))),
         config=draw(logistic_configs),

@@ -1087,7 +1087,10 @@ class TestStrictDocuments:
         with pytest.raises(PersistenceError, match=key):
             EvaluationReport.load(path)
 
-    @pytest.mark.parametrize("key, value", [("accuracy", "0.5"), ("labels", "abc"), ("algorithm", 7)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("accuracy", "0.5"), ("labels", "abc"), ("algorithm", 7), ("precision", [0.5, 0.5]), ("recall", [0.5]), ("f1", []), ("support", [1, 2]), ("support", [1, 2, 3, 4])],
+    )
     def test_stored_report_value_of_the_wrong_type_exits_2(self, flow, tmp_path, key, value):
         doc = json.loads(flow.ev_gbdt.report_path.read_text(encoding="utf-8"))
         # as many characters as labels, so a string read as a sequence would still fit the matrix
@@ -1102,7 +1105,8 @@ class TestStrictDocuments:
         with pytest.raises(PersistenceError, match=f"{key} must be a JSON"):
             EvaluationReport.load(path)
 
-    @pytest.mark.parametrize("points", [[[0.0, 1.0]], ["0.0", "1.0"]], ids=["nested", "strings"])
+    # a curve holds at least its (0, 0) and (1, 1) points, so one fpr point is never as many as its tpr's
+    @pytest.mark.parametrize("points", [[[0.0, 1.0]], ["0.0", "1.0"], [0.0]], ids=["nested", "strings", "shorter-than-tpr"])
     def test_stored_roc_points_that_are_not_flat_numbers_exit_2(self, flow, tmp_path, points):
         doc = json.loads(flow.ev_gbdt.report_path.read_text(encoding="utf-8"))
         curve = next(c for c in doc["roc"].values() if c is not None)
@@ -1112,6 +1116,7 @@ class TestStrictDocuments:
         result = self.invoke("report", path, "--out", tmp_path / "tables")
         assert result.exit_code == 2, result.output
         assert "JSON array of numbers" in result.output
+        assert not (tmp_path / "tables").exists() or not any(p.name != LOCK_NAME for p in (tmp_path / "tables").iterdir())
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("name", ["age_threshold", "wbc_threshold"])
@@ -1158,6 +1163,35 @@ class TestStrictDocuments:
         result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
         assert result.exit_code == 2, result.output
         assert f"{key} must be a JSON" in result.output
+
+    @pytest.fixture(scope="class")
+    def logistic(self, flow, tmp_path_factory):
+        """A logistic model trained on a copy of the prepared directory."""
+        out = tmp_path_factory.mktemp("logistic")
+        shutil.copytree(flow.out, out, dirs_exist_ok=True)
+        return run_train(replace(flow.cfg, algorithm="logistic", model_params=SMALL_PARAMS["logistic"], output_dir=str(out)))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda doc: doc["model"].update(alpha=doc["model"]["alpha"][:-1]), "logistic model of"),
+            (lambda doc: doc["model"].update(W=[row[:-1] for row in doc["model"]["W"]]), "logistic model of"),
+            (lambda doc: doc["model"].update(W=doc["model"]["W"][:-1]), "logistic model of"),
+            (lambda doc: doc["model"]["scaler"].update(mean=doc["model"]["scaler"]["mean"][:-1], scale=doc["model"]["scaler"]["scale"][:-1]), "logistic model of"),
+            (lambda doc: doc.update(class_labels=doc["class_labels"][:-1]), "class labels"),
+        ],
+        ids=["short-alpha", "narrow-W", "short-W", "narrow-scaler", "short-artifact-labels"],
+    )
+    def test_stored_logistic_arrays_that_disagree_exit_2(self, flow, logistic, tmp_path, edit, match):
+        doc = json.loads(logistic.artifact_path.read_text(encoding="utf-8"))
+        edit(doc)
+        broken = tmp_path / logistic.artifact_path.name
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(PersistenceError, match=match):
+            revive_model(ModelArtifact.load(broken))
+        result = self.invoke("evaluate", "--artifact", broken, "--data", flow.out / TEST_CSV, "--out", tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert match in result.output and "Traceback" not in result.output
 
 
 def edited_csv(source, dest, edit):
