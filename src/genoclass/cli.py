@@ -150,3 +150,7 @@ def report(reports: tuple[str, ...], out_dir: str | None) -> None:
         click.echo(f"merged {len(loaded)} reports into {out}")
 
     _run(action)
+
+
+if __name__ == "__main__":
+    main()

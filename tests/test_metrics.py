@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genoclass import (
     ArgumentError,
@@ -240,6 +245,32 @@ def small_report(algorithm, task, seed=0, labels=("x", "y", "z")):
     return build_report(algorithm, task, labels, y, pred, scores)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    rows=st.lists(st.tuples(st.integers(0, 3), st.lists(st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 1.0]), min_size=4, max_size=4)), min_size=1, max_size=40),
+)
+def test_saved_curves_load_bit_for_bit_and_render_the_same_bytes(k, rows):
+    """Scores from a few values tie often and repeat coordinates; a class can be absent, so its curve is null."""
+    y = np.array([label % k for label, _ in rows])
+    scores = np.array([row[:k] for _, row in rows])
+    rep = build_report("svm", "t", ("a", "b", "c", "d")[:k], y, scores.argmax(axis=1), scores)
+    with tempfile.TemporaryDirectory() as tmp:
+        rep.save(Path(tmp) / "evaluation.json")
+        back = EvaluationReport.load(Path(tmp) / "evaluation.json")
+        assert back.roc.keys() == rep.roc.keys()
+        for label, curve in rep.roc.items():
+            if curve is None:
+                assert back.roc[label] is None
+            else:
+                assert (back.roc[label].fpr.tobytes(), back.roc[label].tpr.tobytes()) == (curve.fpr.tobytes(), curve.tpr.tobytes())
+                assert back.roc[label].auc == curve.auc
+        written = render_report([rep], Path(tmp) / "original")
+        again = render_report([back], Path(tmp) / "loaded")
+        assert [p.name for p in again] == [p.name for p in written]
+        assert all(a.read_bytes() == w.read_bytes() for a, w in zip(again, written))
+
+
 class TestReports:
     def test_round_trip_preserves_everything(self, tmp_path):
         rep = small_report("svm", "genetic_disorder", seed=3)
@@ -249,7 +280,11 @@ class TestReports:
         assert back.algorithm == rep.algorithm and back.task == rep.task
         np.testing.assert_array_equal(back.confusion.counts, rep.confusion.counts)
         assert back.metrics == rep.metrics
-        assert back.roc == rep.roc
+        assert back.roc.keys() == rep.roc.keys()
+        for label, curve in rep.roc.items():
+            np.testing.assert_array_equal(back.roc[label].fpr, curve.fpr)
+            np.testing.assert_array_equal(back.roc[label].tpr, curve.tpr)
+            assert back.roc[label].auc == curve.auc
 
     def test_two_by_two_grid(self, tmp_path):
         reports = [
@@ -289,8 +324,8 @@ class TestReports:
                 path = tmp_path / f"roc_svm_{rep.task}_{label}.csv"
                 assert path in roc_files
                 rows = path.read_text(encoding="utf-8").splitlines()[1:]
-                assert rows == [f"{x!r},{y!r}" for x, y in zip(rep.roc[label].fpr, rep.roc[label].tpr)]
-        assert reports[0].roc["x"] != reports[1].roc["x"]
+                assert rows == [f"{x!r},{y!r}" for x, y in zip(rep.roc[label].fpr.tolist(), rep.roc[label].tpr.tolist())]
+        assert reports[0].roc["x"].fpr.tolist() != reports[1].roc["x"].fpr.tolist()
 
     def test_single_report_renders(self, tmp_path):
         written = render_report([small_report("svm", "genetic_disorder")], tmp_path)

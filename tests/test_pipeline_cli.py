@@ -686,6 +686,14 @@ class TestCli:
         rerun = self.invoke("train", "--config", cfg_path)
         assert rerun.exit_code == 0, rerun.output
 
+    def test_module_run_as_a_script_runs_the_command(self, tmp_path):
+        src = str(Path(genoclass.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), "GENOCLASS_OUTPUT_DIR": ""}
+        args = [sys.executable, "-m", "genoclass.cli", "report", str(tmp_path / "missing.json"), "--out", str(tmp_path / "tables")]
+        proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "does not exist" in proc.stderr
+
     def test_evaluate_removes_stale_temporaries(self, flow, tmp_path):
         """A killed command's temporaries, in the locked directory and in a table directory, go;
         a live process's stay, and the outputs are those of a clean run."""
@@ -1117,6 +1125,28 @@ class TestStrictDocuments:
         assert result.exit_code == 2, result.output
         assert "JSON array of numbers" in result.output
         assert not (tmp_path / "tables").exists() or not any(p.name != LOCK_NAME for p in (tmp_path / "tables").iterdir())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # "<label>!" slugs to the label's own ROC file name
+            lambda roc, label: roc.update({f"{label}!": {**roc[label], "fpr": roc[label]["tpr"], "tpr": roc[label]["fpr"]}}),
+            lambda roc, label: roc.pop(label),
+            lambda roc, label: roc.update({"not a label": None}),
+        ],
+        ids=["extra-key-sharing-a-roc-file", "missing-label", "extra-null"],
+    )
+    def test_stored_roc_keys_that_are_not_the_labels_exit_2(self, flow, tmp_path, edit):
+        doc = json.loads(flow.ev_gbdt.report_path.read_text(encoding="utf-8"))
+        edit(doc["roc"], next(label for label, c in doc["roc"].items() if c is not None))
+        path = tmp_path / flow.ev_gbdt.report_path.name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = self.invoke("report", path, "--out", tmp_path / "tables")
+        assert result.exit_code == 2, result.output
+        assert "roc must hold one curve, or null, per label" in result.output
+        assert not (tmp_path / "tables").exists() or not any(p.name != LOCK_NAME for p in (tmp_path / "tables").iterdir())
+        with pytest.raises(PersistenceError, match="roc must hold one curve, or null, per label"):
+            EvaluationReport.load(path)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("name", ["age_threshold", "wbc_threshold"])
