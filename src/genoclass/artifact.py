@@ -4,8 +4,9 @@ An artifact bundles the fitted model parameters with the preprocessing
 record that produced its training matrix, so evaluation on raw rows can
 replay exactly the same transformations. The format carries an explicit
 version number; files written by a different version are rejected rather
-than migrated. Format 4 stores trees leaves-only (``cart.Tree``), boosting
-as one tree per round, and the file as compact JSON.
+than migrated. Format 4 stores each tree as ``cart.Tree`` holds it (the
+splits of its internal nodes, every node's left child and the values of its
+leaves), boosting as one tree per round, and the file as compact JSON.
 """
 
 from __future__ import annotations

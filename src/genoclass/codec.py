@@ -20,8 +20,9 @@ boolean and ``2.7`` no integer, and an array field takes only a rectangular
 JSON array of numbers. Every decoding failure is an ``ArgumentError``.
 
 Classes opt in by inheriting :class:`JsonCodec`, and may override its
-``to_json`` and ``from_json`` (``cart.Tree``), which nesting then uses. Every
-file goes through ``atomic_write`` and every directory through ``make_dirs``.
+``to_json`` (``cart.Tree``), which nesting then uses; a nested document
+decodes through its class's fields and checks. Every file goes through
+``atomic_write`` and every directory through ``make_dirs``.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ def _decode_value(hint: Any, value: Any, partial: bool, where: str) -> Any:
         items = [_decode_value(args[0], v, partial, where) for v in value]
         return tuple(items) if origin is tuple else items
     if issubclass(hint, JsonCodec):
-        overridden = hint.from_json.__func__ is not JsonCodec.from_json.__func__
-        return hint.from_json(value) if overridden else decode(hint, value, partial, where)
+        return decode(hint, value, partial, where)
     if hint is np.ndarray:
         try:
             array = np.asarray(value) if isinstance(value, list) else None

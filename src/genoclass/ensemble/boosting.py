@@ -13,7 +13,9 @@ their growth's leaf sums of the residuals kept as the steps' numerators; GOSS
 trees on one gradient-magnitude row sample per round, the remainder weighted
 by (1 - a) / b (goss_gain), and the full data descends them once; oblivious
 trees share one cut between adjacent bins per level, stored as a complete
-``cart.Tree`` in heap order.
+``cart.Tree`` in heap order, so a row's leaf id is its last-level cell.
+Each round's rows index the tree's leaf values by their leaf ids, from the
+growth or, for GOSS, from that one descent.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .cart import GAIN_EPS, TIE_RTOL, Tree, TreeParams, apply, feature_offsets, 
 LOSSES = ("squared", "multiclass_logloss")
 VARIANTS = ("plain", "goss", "oblivious")
 
-#: deepest oblivious tree (CatBoost's limit): a complete tree has 2^(d + 1) - 1 nodes of k values
+#: deepest oblivious tree (CatBoost's limit): a complete tree has 2^d leaves of k values
 MAX_OBLIVIOUS_DEPTH = 16
 
 #: most cells one oblivious kernel call scores, and most a level keeps histograms of for the next
@@ -200,11 +202,11 @@ class GbdtModel(JsonCodec):
     config: GbdtConfig = field(default_factory=GbdtConfig)
 
     def __post_init__(self) -> None:
-        """One score column per class label, and (n_nodes, columns) values per tree; raises ArgumentError."""
+        """One score column per class label, and (n_leaves, columns) values per tree; raises ArgumentError."""
         if self.class_labels and self.f0.size != len(self.class_labels):
             raise ArgumentError(f"f0 holds {self.f0.size} initial scores for {len(self.class_labels)} class labels")
-        if any(tree.value.shape != (tree.feature.size, self.f0.size) for tree in self.trees):
-            raise ArgumentError(f"boosting tree values must have shape (n_nodes, {self.f0.size})")
+        if any(tree.value.shape[1:] != (self.f0.size,) for tree in self.trees):
+            raise ArgumentError(f"boosting tree values must have shape (n_leaves, {self.f0.size})")
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         """Accumulated additive scores, shape (n, classes) (classes = 1 for regression)."""
@@ -238,7 +240,7 @@ def _refit_leaves(tree: Tree, leaf: np.ndarray, h: np.ndarray, lr: float) -> Non
 
     leaf holds each row's leaf id, h the n x k hessians, summed per leaf in row
     order. A leaf column whose hessian mass vanishes scores 0, as do leaves no
-    row reaches (oblivious cells) and internal rows.
+    row reaches (oblivious cells).
     """
     h_sum = leaf_sums(leaf, h, tree.value.shape[0])
     tiny = h_sum <= 1e-12
@@ -258,8 +260,8 @@ def _fit_oblivious_structure(bins: np.ndarray, values: tuple[np.ndarray, ...], S
     Stops when nothing improves. Rows are keyed by their cell id and their
     global bins (``rank_codes``), and a level scored in one call, unless the
     last, keeps its cells' histograms, so the next counts only the smaller
-    half of each cell. Returns the tree, valued with each node's column sums
-    of S, and each row's leaf id.
+    half of each cell. Returns the tree, valued with each leaf's column sums
+    of S, and each row's leaf id: its cell, as the leaves are the last level.
     """
     S = np.asarray(S, dtype=np.float64).reshape(bins.shape[0], -1)
     offsets, (lo, hi) = feature_offsets(values), np.concatenate(values, axis=1)
@@ -295,9 +297,8 @@ def _fit_oblivious_structure(bins: np.ndarray, values: tuple[np.ndarray, ...], S
         cell = 2 * cell + (bins[:, f] > at)
 
     # the complete tree in heap order: node i, on level floor(log2(i + 1)), has children 2i + 1 and 2i + 2
-    n_nodes = 2 ** (len(levels) + 1) - 1
-    splits = [(i, *levels[(i + 1).bit_length() - 1], 2 * i + 1) for i in range(n_nodes // 2)]
-    return tree_from_splits(n_nodes, splits, leaf_sums(cell + n_nodes // 2, S, n_nodes)), cell + n_nodes // 2
+    splits = [(i, *levels[(i + 1).bit_length() - 1], 2 * i + 1) for i in range(2 ** len(levels) - 1)]
+    return tree_from_splits(splits, leaf_sums(cell, S, 2 ** len(levels))), cell
 
 
 # -- fitting -------------------------------------------------------------------------

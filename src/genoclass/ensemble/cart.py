@@ -23,9 +23,11 @@ so the next level counts only the smaller child of each split and subtracts
 feature, bin) cells its rows have (``present_cells``), so its cost follows
 its rows. One vectorized ``_pick`` takes each node's best cut from either.
 
-Every tree, greedy or oblivious, is one ``Tree`` of parallel per-node
-arrays, and ``apply`` is the one descent: it maps rows to leaf ids level by
-level, and prediction reads the leaf rows of ``Tree.value``.
+Every tree, greedy or oblivious, is one ``Tree`` of four arrays, held as it
+is stored: the split of each internal node, the left child of every node,
+and the value of each leaf. A leaf id is the leaf's rank among the leaves:
+growth returns each row's, ``apply`` is the one descent that maps rows to
+them level by level, and prediction reads the rows of ``Tree.value``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..codec import JsonCodec, decode, encode
+from ..codec import JsonCodec
 from ..errors import ArgumentError
 
 CRITERIA = ("variance", "gini")
@@ -51,27 +53,28 @@ TIE_RTOL = 1e-9
 MAX_BINS = 255
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree(JsonCodec):
-    """One tree as parallel per-node arrays; node 0 is the root.
+    """One tree as four arrays, held as stored; node 0 is the root.
 
-    ``feature``, ``left`` and ``right`` (always ``left + 1``) are int64, -1
-    at leaves; a row goes left when its ``feature`` value is <= ``threshold``.
-    ``value`` is (n_nodes,) leaf means or (n_nodes, k) class counts or
-    per-class boosting scores, zero at internal nodes. Child ids exceed their
-    parent's, so a descent ends; other arrays raise ArgumentError. Stored
-    leaves-only (``to_json``): ``feature`` and ``threshold`` of internal
-    nodes, ``value`` of leaves (JSON integers if all are counts), all ``left``.
+    ``left`` holds each node's left child id, -1 at leaves; the right child is
+    always ``left + 1``, and child ids exceed their parent's, so a descent
+    ends. ``feature`` (int64) and ``threshold`` hold one entry per internal
+    node, in node-id order: a row goes left when its ``feature`` value is <=
+    ``threshold``. ``value`` holds one row per leaf, in node-id order, so a
+    leaf id is the leaf's rank among the leaves: leaf means (a vector), or
+    class counts or per-class boosting scores (a k-column matrix). Other
+    arrays raise ArgumentError. ``to_json`` writes all-count values as JSON
+    integers.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("feature", "left", "right"):
+        for name in ("feature", "left"):
             ids = np.asarray(getattr(self, name))
             exact = ids.dtype.kind == "f" and (np.abs(ids) < 2**53).all() and (ids == np.trunc(ids)).all()
             if not (exact or ids.dtype.kind in "iu"):
@@ -79,40 +82,26 @@ class Tree(JsonCodec):
             object.__setattr__(self, name, ids.astype(np.int64))
         object.__setattr__(self, "threshold", np.asarray(self.threshold, dtype=np.float64))
         object.__setattr__(self, "value", np.asarray(self.value, dtype=np.float64))
-        n = self.feature.size
-        if n < 1 or {a.shape for a in (self.feature, self.threshold, self.left, self.right)} != {(n,)} or self.value.shape[:1] != (n,):
-            raise ArgumentError("tree arrays must be non-empty and of equal lengths")
-        internal = self.left != -1
-        if ((self.right != -1) != internal).any() or ((self.feature >= 0) != internal).any():
-            raise ArgumentError("a tree node must be a leaf (both children -1) or split on a feature")
-        left, right = self.left[internal], self.right[internal]
-        if ((left <= np.flatnonzero(internal)) | (right >= n)).any() or (right != left + 1).any():
+        n, internal = self.left.size, self.left != -1
+        splits = int(np.count_nonzero(internal))
+        shapes = (self.left.shape, self.feature.shape, self.threshold.shape, self.value.shape[:1], self.value.ndim < 3)
+        if n < 1 or shapes != ((n,), (splits,), (splits,), (n - splits,), True):
+            raise ArgumentError(f"a tree must hold a left child per node, a feature and threshold per internal node ({splits}) and a value per leaf ({n - splits})")
+        if (self.feature < 0).any():
+            raise ArgumentError("a tree must split on feature indices >= 0")
+        if ((self.left[internal] <= np.flatnonzero(internal)) | (self.left[internal] + 1 >= n)).any():
             raise ArgumentError(f"tree child ids must lie between their parent's id and {n}, the right one left + 1")
 
+    @property
+    def right(self) -> np.ndarray:
+        """Each node's right child id, ``left + 1``, or -1 at leaves."""
+        return np.where(self.left >= 0, self.left + 1, -1)
+
     def to_json(self) -> dict:
-        internal, value = self.left >= 0, self.value[self.left < 0]
-        counts = not np.signbit(value).any() and (value < 2**53).all() and (value == np.trunc(value)).all()
-        return encode(_StoredTree(self.feature[internal], self.threshold[internal], self.left, value.astype(np.int64) if counts else value))
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Tree":
-        stored = decode(_StoredTree, doc, name="tree")
-        internal = stored.left != -1
-        n, leaves = stored.left.size, int(np.count_nonzero(~internal))
-        shapes = (stored.left.ndim, stored.feature.shape, stored.threshold.shape, stored.value.shape[:1], stored.value.ndim < 3)
-        if shapes != (1, (n - leaves,), (n - leaves,), (leaves,), True):
-            raise ArgumentError(f"a stored tree must hold a feature and threshold per internal node ({n - leaves}) and a value per leaf ({leaves})")
-        feature, threshold, value = np.full(n, -1.0), np.zeros(n), np.zeros((n, *stored.value.shape[1:]))
-        feature[internal], threshold[internal], value[~internal] = stored.feature, stored.threshold, stored.value
-        return cls(feature, threshold, stored.left, np.where(internal, stored.left + 1, -1), value)
-
-
-@dataclass(frozen=True)
-class _StoredTree:
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    value: np.ndarray
+        value = self.value
+        if not np.signbit(value).any() and (value < 2**53).all() and (value == np.trunc(value)).all():
+            value = value.astype(np.int64)  # class counts
+        return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(), "left": self.left.tolist(), "value": value.tolist()}
 
 
 @dataclass(frozen=True)
@@ -344,7 +333,7 @@ def _varies(S: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
 def grow_tree(bins: np.ndarray, values: Sequence[np.ndarray], S: np.ndarray, params: TreeParams) -> tuple[Tree, np.ndarray]:
     """Grow a tree on global bins and values from rank_codes (maybe a row subset) and the
     rows' n x k statistic matrix S (a vector is one column), ignoring params.criterion;
-    returns it, valued with each node's column sums of S, and each row's leaf id."""
+    returns it, valued with each leaf's column sums of S, and each row's leaf id."""
     n, d = bins.shape
     S = np.asarray(S, dtype=np.float64).reshape(n, -1)
     sampled = params.mtry is not None and params.mtry < d
@@ -379,24 +368,26 @@ def grow_tree(bins: np.ndarray, values: Sequence[np.ndarray], S: np.ndarray, par
         j = to[node[moving]]
         node[moving] = child[j] + (bins[moving, feature[j]] > cut[j])
         level, depth = np.stack([child + 1, child], axis=1).ravel(), depth + 1
-    n_nodes = 2 * len(splits) + 1
-    return tree_from_splits(n_nodes, splits, leaf_sums(node, S, n_nodes)), node
+    # a leaf's id is its rank, by node id, among the nodes that did not split
+    unsplit = np.ones(2 * len(splits) + 1, dtype=bool)
+    unsplit[[at for at, *_ in splits]] = False
+    leaf = (np.cumsum(unsplit) - 1)[node]
+    return tree_from_splits(splits, leaf_sums(leaf, S, len(splits) + 1)), leaf
 
 
-def leaf_sums(leaf: np.ndarray, S: np.ndarray, n_nodes: int) -> np.ndarray:
-    """(n_nodes, k) column sums of S (n x k) over each node's rows, in row order; leaf is each row's node id."""
-    return np.stack([np.bincount(leaf, weights=column, minlength=n_nodes) for column in S.T], axis=1)
+def leaf_sums(leaf: np.ndarray, S: np.ndarray, n_leaves: int) -> np.ndarray:
+    """(n_leaves, k) column sums of S (n x k) over each leaf's rows, in row order; leaf is each row's leaf id."""
+    return np.stack([np.bincount(leaf, weights=column, minlength=n_leaves) for column in S.T], axis=1)
 
 
-def tree_from_splits(n_nodes: int, splits: list[tuple[int, int, float, int]], value: np.ndarray) -> Tree:
-    """The Tree of n_nodes whose split (node, feature, threshold, child) sends a
-    row to child when its value is <= threshold and to child + 1 otherwise;
-    nodes without a split are leaves."""
-    feature, threshold, left = np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -1)
-    if splits:
-        node, f, t, child = map(np.array, zip(*splits))
-        feature[node], threshold[node], left[node] = f, t, child
-    return Tree(feature, threshold, left, np.where(left >= 0, left + 1, -1), value)
+def tree_from_splits(splits: list[tuple[int, int, float, int]], value: np.ndarray) -> Tree:
+    """The Tree whose split (node, feature, threshold, child) sends a row to child
+    when its value is <= threshold and to child + 1 otherwise; each split adds two
+    nodes, and nodes without a split are leaves, valued by the rows of value in
+    node-id order."""
+    splits, left = sorted(splits), np.full(2 * len(splits) + 1, -1)
+    left[[at for at, *_ in splits]] = [child for *_, child in splits]
+    return Tree([f for _, f, _, _ in splits], [t for _, _, t, _ in splits], left, value)
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) -> Tree:
@@ -423,9 +414,9 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams = TreeParams()) ->
     S = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if not np.isfinite(S).all():
         raise ArgumentError("targets contain non-finite values")
-    tree, node = grow_tree(bins, values, S, params)
-    # each leaf's mean target; internal nodes hold no rows and stay 0
-    return replace(tree, value=tree.value[:, 0] / np.maximum(np.bincount(node, minlength=tree.feature.size), 1))
+    tree, leaf = grow_tree(bins, values, S, params)
+    # each leaf's mean target; every leaf holds rows
+    return replace(tree, value=tree.value[:, 0] / np.bincount(leaf, minlength=tree.value.shape[0]))
 
 
 def feature_rows(X: np.ndarray, width: int | None = None) -> np.ndarray:
@@ -439,22 +430,26 @@ def feature_rows(X: np.ndarray, width: int | None = None) -> np.ndarray:
 
 
 def apply(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Leaf id of each row of X (one row may come as a vector).
+    """Leaf id of each row of X (one row may come as a vector): its leaf's rank among the leaves.
 
     Descends level by level: each step moves only the rows still at
     internal nodes, one comparison per row.
     """
     X = feature_rows(X)
-    if tree.feature.max() >= X.shape[1]:
+    if tree.feature.max(initial=-1) >= X.shape[1]:
         raise ArgumentError(f"tree expects feature index {tree.feature.max()}, matrix has {X.shape[1]} columns")
+    # the split of each node by its id, for the descent
+    internal = tree.left >= 0
+    feature, threshold = np.zeros(internal.size, dtype=np.int64), np.zeros(internal.size)
+    feature[internal], threshold[internal] = tree.feature, tree.threshold
     node = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.arange(X.shape[0])
     while True:
-        rows = rows[tree.left[node[rows]] >= 0]
+        rows = rows[internal[node[rows]]]
         if not rows.size:
-            return node
+            return (np.cumsum(~internal) - 1)[node]
         at = node[rows]
-        node[rows] = tree.left[at] + ~(X[rows, tree.feature[at]] <= tree.threshold[at])
+        node[rows] = tree.left[at] + ~(X[rows, feature[at]] <= threshold[at])
 
 
 def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:

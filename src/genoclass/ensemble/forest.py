@@ -70,8 +70,8 @@ class ForestModel(JsonCodec):
     def __post_init__(self) -> None:
         """Every tree holds one class-count column per class label; raises ArgumentError."""
         k = len(self.class_labels)
-        if any(tree.value.shape != (tree.feature.size, k) for tree in self.trees):
-            raise ArgumentError(f"forest tree values must have shape (n_nodes, {k})")
+        if any(tree.value.shape[1:] != (k,) for tree in self.trees):
+            raise ArgumentError(f"forest tree values must have shape (n_leaves, {k})")
 
     def tree_votes(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predicted class codes, shape (B, n); vote ties go to the lowest code."""

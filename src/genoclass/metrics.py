@@ -23,7 +23,7 @@ from .codec import JsonCodec, NumberTexts, atomic_write, decode, encode, float_t
 from .errors import ArgumentError, DegenerateDataError, EvaluationError, PersistenceError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """k x k count matrix; rows are true classes, columns are predictions."""
 
@@ -133,7 +133,7 @@ def class_metrics(cm: ConfusionMatrix) -> ClassMetrics:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve(JsonCodec):
     """Threshold-sweep operating points, as float64 arrays of one length, plus the trapezoidal area under them."""
 

@@ -1,4 +1,4 @@
-"""Shared helpers for building small typed datasets in tests."""
+"""Shared helpers for building small typed datasets, and a reference tree descent, in tests."""
 
 from __future__ import annotations
 
@@ -74,3 +74,15 @@ def xy_dataset(X, y, n_classes=None, labels=None):
     values = {f"x{j}": X[:, j] for j in range(X.shape[1])}
     values["y"] = y
     return make_dataset(cols, values)
+
+
+def leaf_walk(tree, x) -> int:
+    """Reference descent of one row x through a ``cart.Tree``, node by node: the
+    leaf id it ends at, that leaf's rank among the tree's leaves."""
+    internal = tree.left >= 0
+    split = np.cumsum(internal) - 1  # an internal node's rank, which indexes feature and threshold
+    node = 0
+    while internal[node]:
+        s = split[node]
+        node = tree.left[node] if x[tree.feature[s]] <= tree.threshold[s] else tree.left[node] + 1
+    return int(np.count_nonzero(~internal[:node]))

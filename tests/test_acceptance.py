@@ -266,10 +266,7 @@ def test_criterion_07_boosting_monotone():
 
 def chain_tree(thresholds, votes) -> Tree:
     # split i is node 2i, its left child 2i + 1 leaf votes[i]; the last node is leaf votes[-1]
-    n = 2 * len(thresholds) + 1
-    value = np.zeros((n, 2))
-    value[[*range(1, n, 2), n - 1], votes] = 1.0
-    return tree_from_splits(n, [(2 * i, 0, t, 2 * i + 1) for i, t in enumerate(thresholds)], value)
+    return tree_from_splits([(2 * i, 0, t, 2 * i + 1) for i, t in enumerate(thresholds)], np.eye(2)[votes])
 
 
 def test_criterion_08_forest_margins():

@@ -52,11 +52,12 @@ def level_tests(tree: Tree) -> list[set]:
     """Distinct (feature, threshold) pairs used at each depth of the tree."""
     levels: list[set] = []
     frontier = [0]
+    split = np.cumsum(tree.left >= 0) - 1  # an internal node's rank, which indexes feature and threshold
     while True:
         internal = [node for node in frontier if tree.left[node] >= 0]
         if not internal:
             return levels
-        levels.append({(tree.feature[node], tree.threshold[node]) for node in internal})
+        levels.append({(tree.feature[split[node]], tree.threshold[split[node]]) for node in internal})
         frontier = [child for node in internal for child in (tree.left[node], tree.right[node])]
 
 

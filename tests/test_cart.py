@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthdata
+from conftest import leaf_walk
 from genoclass.ensemble import cart
 from genoclass.ensemble.cart import (
     TIE_RTOL,
@@ -22,13 +23,12 @@ from genoclass.errors import ArgumentError
 
 def leaf_sizes(tree: Tree, X: np.ndarray) -> list[int]:
     """Row count reaching each leaf when X is routed through the tree."""
-    counts = np.bincount(apply(tree, X), minlength=tree.feature.size)
-    return [int(counts[i]) for i in np.flatnonzero(tree.left < 0)]
+    return np.bincount(apply(tree, X), minlength=tree.value.shape[0]).tolist()
 
 
 def tree_depth(tree: Tree) -> int:
     """Edges on the longest root-to-leaf path (child ids exceed their parent's)."""
-    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    depth = np.zeros(tree.left.size, dtype=np.int64)
     for i in np.flatnonzero(tree.left >= 0):
         depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
     return int(depth.max())
@@ -40,7 +40,7 @@ def is_leaf(tree: Tree, node: int = 0) -> bool:
 
 def stump(threshold=1.5, values=(0.0, 1.0)):
     """Root split on feature 0 with two leaves."""
-    return Tree(np.array([0, -1, -1]), np.array([threshold, 0.0, 0.0]), np.array([1, -1, -1]), np.array([2, -1, -1]), np.array([0.0, *values]))
+    return Tree(np.array([0]), np.array([threshold]), np.array([1, -1, -1]), np.array(values))
 
 
 class TestTreeParams:
@@ -119,8 +119,8 @@ class TestVarianceTrees:
         assert 2.0 < root.threshold[0] < 3.0
         left, right = root.left[0], root.right[0]
         assert is_leaf(root, left) and is_leaf(root, right)
-        assert root.value[left] == 0.0
-        assert root.value[right] == 1.0
+        # leaves are valued in node order: the left child's first
+        np.testing.assert_array_equal(root.value, [0.0, 1.0])
 
     def test_max_depth_zero_gives_mean_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
@@ -173,8 +173,7 @@ class TestGiniTrees:
         root = fit_tree(X, y, TreeParams(criterion="gini", max_depth=1, n_classes=2))
         assert not is_leaf(root)
         assert 2.0 < root.threshold[0] < 3.0
-        np.testing.assert_array_equal(root.value[root.left[0]], [2.0, 0.0])
-        np.testing.assert_array_equal(root.value[root.right[0]], [0.0, 2.0])
+        np.testing.assert_array_equal(root.value, [[2.0, 0.0], [0.0, 2.0]])
 
     def test_leaf_counts_use_declared_class_count(self):
         X = np.array([[1.0], [2.0]])
@@ -272,7 +271,7 @@ class TestSerialization:
             bins, values = cart.rank_codes(X)
             k = data.draw(st.integers(1, 3))
             tree = boosting._fit_oblivious_structure(bins, values, rng.normal(size=(n, k)), data.draw(st.integers(0, 3)))[0]
-            tree.value[tree.left < 0] = rng.normal(size=(int((tree.left < 0).sum()), k))
+            tree.value[:] = rng.normal(size=tree.value.shape)
         elif kind == "gini":
             tree = fit_tree(X, rng.integers(0, 3, size=n), TreeParams(criterion="gini", n_classes=3))
         else:
@@ -283,24 +282,16 @@ class TestSerialization:
         if kind == "gini":
             assert all(type(c) is int for row in doc["value"] for c in row)
         clone = Tree.from_json(json.loads(json.dumps(doc)))
-        for name in ("feature", "threshold", "left", "right", "value"):
+        for name in ("feature", "threshold", "left", "value"):
             a, b = getattr(tree, name), getattr(clone, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
     def test_leaf_document_shape(self):
-        doc = Tree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([1.5])).to_json()
+        doc = Tree(np.array([], dtype=np.int64), np.array([]), np.array([-1]), np.array([1.5])).to_json()
         assert doc == {"feature": [], "threshold": [], "left": [-1], "value": [1.5]}
         assert is_leaf(Tree.from_json(doc))
         # leaves-only: internal nodes keep their test, leaves their value; counts are integers
         assert stump(2.5, (3.0, 0.0)).to_json() == {"feature": [0], "threshold": [2.5], "left": [1, -1, -1], "value": [3, 0]}
-
-
-def walk(tree: Tree, x: np.ndarray) -> int:
-    """Reference descent of one row, node by node."""
-    node = 0
-    while tree.left[node] >= 0:
-        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
-    return int(node)
 
 
 class TestApply:
@@ -310,29 +301,32 @@ class TestApply:
             X = rng.integers(0, 6, size=(80, 3)).astype(np.float64)
             tree = fit_tree(X, y, TreeParams(criterion=criterion, mtry=2, seed=3))
             probe = rng.integers(-1, 7, size=(50, 3)).astype(np.float64)
-            np.testing.assert_array_equal(apply(tree, probe), [walk(tree, x) for x in probe])
+            np.testing.assert_array_equal(apply(tree, probe), [leaf_walk(tree, x) for x in probe])
 
     def test_single_leaf_sends_every_row_to_the_root(self):
-        leaf = Tree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([[1.0, 2.0]]))
+        leaf = Tree(np.array([], dtype=np.int64), np.array([]), np.array([-1]), np.array([[1.0, 2.0]]))
         np.testing.assert_array_equal(apply(leaf, np.ones((3, 4))), [0, 0, 0])
 
     def test_ties_route_left(self):
-        np.testing.assert_array_equal(apply(stump(), np.array([[1.0], [1.5], [2.0]])), [1, 1, 2])
+        np.testing.assert_array_equal(apply(stump(), np.array([[1.0], [1.5], [2.0]])), [0, 0, 1])
 
 
 class TestTreeValidation:
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("threshold", [1.5, 0.0], "equal lengths"),
-            ("value", [0.0, 1.0], "equal lengths"),
-            ("left", [1, -1, 0], "leaf"),
-            ("feature", [-1, -1, -1], "leaf"),
-            ("feature", [-2, -1, -1], "leaf"),
-            ("right", [3, -1, -1], "between"),
+            ("threshold", [1.5, 0.0], r"per internal node \(1\)"),
+            ("feature", [], r"per internal node \(1\)"),
+            ("value", [0.0, 1.0, 2.0], r"per leaf \(2\)"),
+            ("value", [[[0.0]], [[1.0]]], "per leaf"),
+            ("left", [[1, -1, -1]], "per node"),
+            ("left", [1, -1, 0], r"per internal node \(2\)"),
+            ("feature", [-1], "feature indices"),
             ("left", [0, -1, -1], "between"),
+            ("left", [-2, -1, -1], "between"),
+            ("left", [2, -1, -1], "between"),
             ("left", [1.5, -1, -1], "integers"),
-            ("feature", [True, False, False], "integers"),
+            ("feature", [True], "integers"),
         ],
     )
     def test_malformed_arrays_rejected(self, field, value, match):
@@ -364,7 +358,7 @@ class TestGrowthPath:
         params = TreeParams(criterion=criterion, mtry=mtry, seed=8, min_samples_leaf=2)
         wide = fit_tree(X, y, params)
         # some level splits more than 16 nodes, all of them scored in one call
-        depth = np.zeros(wide.feature.size, dtype=np.int64)
+        depth = np.zeros(wide.left.size, dtype=np.int64)
         for i in np.flatnonzero(wide.left >= 0):
             depth[[wide.left[i], wide.right[i]]] = depth[i] + 1
         assert np.bincount(depth[wide.left >= 0]).max() > 16

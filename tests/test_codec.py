@@ -14,12 +14,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import make_dataset
+import synthdata
+from conftest import leaf_walk, make_dataset, xy_dataset
 from genoclass.artifact import ModelArtifact
-from genoclass.codec import NumberTexts, float_texts, write_json
+from genoclass.codec import NumberTexts, float_texts, json_digest, write_json
 from genoclass.config import ALGORITHM_NAMES, IMPUTATION_POLICIES, RunConfig
 from genoclass.dataset import TASK_ROLES, write_csv
-from genoclass.ensemble import LOSSES, VARIANTS, ForestConfig, ForestModel, GbdtConfig, GbdtModel, Tree
+from genoclass.ensemble import LOSSES, VARIANTS, ForestConfig, ForestModel, GbdtConfig, GbdtModel, Tree, TreeParams, apply, fit_gbdt, fit_random_forest, fit_tree
 from genoclass.errors import ArgumentError, ConfigError, PersistenceError
 from genoclass.features import EngineeredSpec, FeatureRanking
 from genoclass.linear import (
@@ -33,7 +34,7 @@ from genoclass.linear import (
     SvmModel,
     SvmSubmodel,
 )
-from genoclass.metrics import RocCurve, build_report, render_report
+from genoclass.metrics import ConfusionMatrix, RocCurve, build_report, render_report
 from genoclass.pipeline import FeaturePipeline
 from genoclass.registry import ALGORITHMS
 
@@ -105,17 +106,15 @@ encoders = st.lists(st.tuples(st.text(max_size=6), st.sampled_from([0, 2, 3, 7])
 
 @st.composite
 def trees(draw, leaf_values):
-    """Up to 8 leaves: each step splits a drawn leaf, appending its two children."""
-    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    """Up to 8 leaves: each step splits a drawn leaf, appending its two children. The tree
+    holds a feature and threshold per internal node and a value per leaf, in node-id order."""
+    left, split = [-1], {}
     for _ in range(draw(st.integers(0, 7))):
         node = draw(st.sampled_from([i for i, child in enumerate(left) if child == -1]))
-        feature[node], threshold[node] = draw(st.integers(0, 40)), draw(reals)
-        left[node], right[node] = len(left), len(left) + 1
-        for ids, fill in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
-            ids += [fill, fill]
-    value = draw(leaf_values(len(left)))
-    value[np.array(left) >= 0] = 0.0
-    return Tree(np.array(feature), np.array(threshold), np.array(left), np.array(right), value)
+        split[node], left[node] = (draw(st.integers(0, 40)), draw(reals)), len(left)
+        left += [-1, -1]
+    feature, threshold = zip(*(split[node] for node in sorted(split))) if split else ((), ())
+    return Tree(np.array(feature, dtype=np.int64), np.array(threshold), np.array(left), draw(leaf_values(len(left) - len(split))))
 
 
 @st.composite
@@ -272,6 +271,59 @@ class TestCodecProperties:
         del doc[data.draw(st.sampled_from(sorted(doc)))]
         with pytest.raises(ArgumentError, match="missing"):
             cls.from_json(doc)
+
+
+class TestTreeLayout:
+    """A tree is held as it is stored: apply returns leaf ranks, and a malformed layout is refused."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=trees(vectors), data=st.data())
+    def test_apply_matches_a_node_by_node_walk(self, tree, data):
+        # cells drawn from the thresholds too, so that ties, which go left, occur
+        cuts = tree.threshold.tolist()
+        X = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(0, 12)), 41), elements=st.sampled_from(cuts) | reals if cuts else reals))
+        np.testing.assert_array_equal(apply(tree, X), [leaf_walk(tree, x) for x in X])
+
+    @pytest.mark.parametrize("damage", ["extra_feature", "missing_threshold", "extra_value", "missing_value", "child_not_above_its_parent", "right_child_past_the_end"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_malformed_layout_rejected(self, damage, data):
+        tree = data.draw(trees(vectors).filter(lambda t: t.feature.size))
+        doc = json_trip(tree.to_json())
+        node = data.draw(st.sampled_from(np.flatnonzero(tree.left >= 0).tolist()))
+        shape = rf"a feature and threshold per internal node \({tree.feature.size}\) and a value per leaf \({tree.value.size}\)"
+        match = "between their parent's id" if "child" in damage else shape
+        if damage == "extra_feature":
+            doc["feature"].append(0)
+        elif damage == "missing_threshold":
+            doc["threshold"].pop()
+        elif damage == "extra_value":
+            doc["value"].append(0.0)
+        elif damage == "missing_value":
+            doc["value"].pop()
+        elif damage == "child_not_above_its_parent":
+            doc["left"][node] = data.draw(st.integers(0, node))
+        else:
+            # the last node as the left child puts the right one, left + 1, past the end
+            doc["left"][node] = len(doc["left"]) - 1
+        with pytest.raises(ArgumentError, match=match):
+            Tree.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RocCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0]), 0.75),
+        lambda: ConfusionMatrix(np.array([[1, 2], [0, 3]]), ("a", "b")),
+        lambda: Tree(np.array([0]), np.array([0.5]), np.array([1, -1, -1]), np.array([1.0, 2.0])),
+    ],
+    ids=["RocCurve", "ConfusionMatrix", "Tree"],
+)
+def test_array_holders_compare_and_hash_by_identity(build):
+    # generated __eq__ and __hash__ over array fields would raise ValueError and TypeError
+    a, b = build(), build()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and isinstance(hash(b), int)
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | reals | st.text(max_size=6)
@@ -675,27 +727,68 @@ def test_integer_arrays_decode_as_float64():
 
 
 def stump(value) -> Tree:
-    return Tree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1]), np.array([2, -1, -1]), np.asarray(value, dtype=np.float64))
+    return Tree(np.array([0]), np.array([0.5]), np.array([1, -1, -1]), np.asarray(value, dtype=np.float64))
 
 
 class TestModelsCheckTheirTreesWhenBuilt:
     """A model built in code with trees that do not fit its labels fails at once, as a revived one does."""
 
-    @pytest.mark.parametrize("value", [np.zeros(3), np.zeros((3, 2))], ids=["one_dimensional", "two_of_three_columns"])
+    @pytest.mark.parametrize("value", [np.zeros(2), np.zeros((2, 2))], ids=["one_dimensional", "two_of_three_columns"])
     def test_forest_tree_values_must_hold_a_column_per_label(self, value):
         with pytest.raises(ArgumentError, match="values must have shape"):
             ForestModel(("x",), ("a", "b", "c"), [stump(value)], (0,))
 
     def test_gbdt_tree_values_need_a_column_per_class(self):
         # one tree per round, its leaves scoring every class
-        for value in (np.zeros(3), np.zeros((3, 2))):
-            with pytest.raises(ArgumentError, match=r"values must have shape \(n_nodes, 3\)"):
+        for value in (np.zeros(2), np.zeros((2, 2))):
+            with pytest.raises(ArgumentError, match=r"values must have shape \(n_leaves, 3\)"):
                 GbdtModel(("x",), ("a", "b", "c"), np.zeros(3), [stump(value)], (0.0,))
 
     def test_gbdt_initial_scores_must_match_the_labels(self):
         with pytest.raises(ArgumentError, match="1 initial scores for 3 class labels"):
-            GbdtModel(("x",), ("a", "b", "c"), np.zeros(1), [stump(np.zeros((3, 3)))], (0.0,))
+            GbdtModel(("x",), ("a", "b", "c"), np.zeros(1), [stump(np.zeros((2, 3)))], (0.0,))
 
     def test_regression_gbdt_has_no_labels_to_match(self):
-        model = GbdtModel(("x",), (), np.zeros(1), [stump([[0.0], [-1.0], [1.0]])], (0.0,), GbdtConfig(loss="squared"))
+        model = GbdtModel(("x",), (), np.zeros(1), [stump([[-1.0], [1.0]])], (0.0,), GbdtConfig(loss="squared"))
         np.testing.assert_array_equal(model.predict_value(np.array([[0.0], [1.0]])), [-1.0, 1.0])
+
+
+#: SHA-256 of each pinned model's compact sorted JSON
+PINNED = {
+    "forest": "eb3d4d2aa80a49a1ed16bd8e8b62347630c54b824b0ec97c870806ac5e42c844",
+    "gini": "d5291813b22233ed92cd14789342cbe13de996b168ce0a43c27f345b86d8aca8",
+    "variance": "cd5ee679009d1f7f42abc3d8f92b3b4054a17ba5d1cfcfe06754568fdd6688ab",
+}
+
+
+class TestPinnedModelBytes:
+    """Fitted tree models encode to fixed bytes: the SHA-256 of their compact sorted JSON, as
+    an artifact stores them, is pinned. Forest and CART values are counts, sums of the
+    targets and midpoints, so every numpy build gives the same bits. GBDT leaves go through
+    exp, whose last bit may differ between builds, so GBDT only has to round-trip exactly."""
+
+    @staticmethod
+    def data():
+        X, y = synthdata.gendata_matrix(600, 5)
+        return X, y, xy_dataset(X, y, n_classes=9)
+
+    def test_forest(self):
+        _, _, ds = self.data()
+        forest = fit_random_forest(ds, "y", ForestConfig(trees=5, seed=11))
+        assert json_digest(forest.to_json()) == PINNED["forest"]
+
+    @pytest.mark.parametrize("criterion", ["gini", "variance"])
+    def test_cart(self, criterion):
+        X, y, _ = self.data()
+        target = y if criterion == "gini" else X[:, 0] * (1 + y)
+        tree = fit_tree(X[:, 1:], target, TreeParams(criterion=criterion, min_samples_leaf=2))
+        assert json_digest(tree.to_json()) == PINNED[criterion]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gbdt_round_trips_exactly(self, variant):
+        X, _, ds = self.data()
+        model = fit_gbdt(ds, "y", GbdtConfig(rounds=4, variant=variant, seed=3))
+        doc = json_trip(model.to_json())
+        clone = GbdtModel.from_json(doc)
+        assert clone.to_json() == doc
+        np.testing.assert_array_equal(clone.predict_proba(X), model.predict_proba(X))

@@ -17,7 +17,7 @@ from genoclass.errors import ArgumentError, DegenerateDataError
 
 def leaf_tree(counts) -> Tree:
     """One-node tree whose leaf holds the class-count vector counts."""
-    return Tree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([counts], dtype=np.float64))
+    return Tree(np.array([], dtype=np.int64), np.array([]), np.array([-1]), np.array([counts], dtype=np.float64))
 
 
 def chain_tree(thresholds: list[float], votes: list[int], k: int = 2) -> Tree:
@@ -26,10 +26,8 @@ def chain_tree(thresholds: list[float], votes: list[int], k: int = 2) -> Tree:
     Split i is node 2i; its left child 2i + 1 is leaf votes[i], its right
     child the next split; the last node, 2 * len(thresholds), is leaf votes[-1].
     """
-    n = 2 * len(thresholds) + 1
-    value = np.zeros((n, k))
-    value[[*range(1, n, 2), n - 1], votes] = 1.0  # one-hot vote of each leaf
-    return tree_from_splits(n, [(2 * i, 0, t, 2 * i + 1) for i, t in enumerate(thresholds)], value)
+    # one-hot vote of each leaf, in node order
+    return tree_from_splits([(2 * i, 0, t, 2 * i + 1) for i, t in enumerate(thresholds)], np.eye(k)[votes])
 
 
 def hand_forest() -> tuple[ForestModel, "Dataset"]:

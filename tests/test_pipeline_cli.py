@@ -821,11 +821,13 @@ class TestCli:
             "gbdt_unknown_key",
             "gbdt_without_config",
             "forest_child_out_of_range",
+            "forest_right_child_out_of_range",
             "forest_child_before_parent",
             "forest_arrays_of_unequal_length",
             "forest_leaf_without_a_value",
             "gbdt_leaf_with_an_extra_value",
             "gbdt_internal_node_without_a_feature",
+            "gbdt_leaf_with_a_feature",
         ],
     )
     def test_malformed_model_document_exits_2(self, flow, tmp_path, damage):
@@ -843,6 +845,9 @@ class TestCli:
             del tree["threshold"]
         elif damage == "forest_child_out_of_range":
             tree["left"][0] = len(tree["left"])
+        elif damage == "forest_right_child_out_of_range":
+            # the left child is the last node, so the right one, left + 1, is past the end
+            tree["left"][0] = len(tree["left"]) - 1
         elif damage == "forest_child_before_parent":
             # the root's left child points back at the root: a descent would never end
             assert tree["left"][0] > 0
@@ -853,6 +858,8 @@ class TestCli:
             tree["value"].append(tree["value"][-1])
         elif damage == "gbdt_internal_node_without_a_feature":
             tree["feature"].pop()
+        elif damage == "gbdt_leaf_with_a_feature":
+            tree["feature"].append(0)
         else:
             tree["threshold"].pop()
         broken = tmp_path / source.artifact_path.name
@@ -1019,7 +1026,7 @@ class TestStrictDocuments:
 
     @pytest.mark.parametrize("depth, code", [(16, 0), (17, 1), (40, 1)])
     def test_oblivious_depth_is_bounded(self, flow, tmp_path, depth, code):
-        # a complete oblivious tree of depth d has 2^(d + 1) - 1 nodes of k values each
+        # a complete oblivious tree of depth d has 2^d leaves of k values each
         doc = replace(flow.cfg, algorithm="gbdt_oblivious", output_dir=str(tmp_path / "out"), model_params={"rounds": 1, "max_depth": depth}).to_json()
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc), encoding="utf-8")

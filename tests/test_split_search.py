@@ -107,6 +107,7 @@ def best_candidate_gain(X: np.ndarray, y: np.ndarray, msl: int, criterion: str):
 def assert_greedy_tree(tree, X, y, criterion, msl, max_depth):
     """Every internal node holds a brute-force best split of its rows; no leaf could still split."""
     stack = [(0, np.arange(X.shape[0]), 0)]
+    split = np.cumsum(tree.left >= 0) - 1  # an internal node's rank, which indexes feature and threshold
     while stack:
         node, rows, depth = stack.pop()
         best = best_candidate_gain(X[rows], y[rows], msl, criterion)
@@ -114,7 +115,7 @@ def assert_greedy_tree(tree, X, y, criterion, msl, max_depth):
             if depth < max_depth:
                 assert best is None or best <= GAIN_EPS + TOL * max(1.0, abs(best))
             continue
-        f, t = tree.feature[node], tree.threshold[node]
+        f, t = tree.feature[split[node]], tree.threshold[split[node]]
         assert best is not None
         assert brute_gain(X[rows, f], y[rows], t, criterion) >= best - TOL * max(1.0, abs(best))
         assert t in set(midpoints(X[rows, f]))
@@ -124,7 +125,8 @@ def assert_greedy_tree(tree, X, y, criterion, msl, max_depth):
 
 
 def level_tests_of(tree) -> list[tuple[int, float]]:
-    """(feature, threshold) of each level of an oblivious tree, read down the left spine."""
+    """(feature, threshold) of each level of an oblivious tree, read down the left spine;
+    in heap order the internal nodes come first, so a node's id is its internal rank."""
     out, node = [], 0
     while tree.left[node] >= 0:
         out.append((tree.feature[node], tree.threshold[node]))
@@ -182,7 +184,7 @@ class TestGreedyTreeProperties:
         slope = data.draw(st.sampled_from([-3.0, -1.0, -0.5, 2.0]))
         X = np.column_stack([X, slope * X[:, j] + 1.0])
         tree = fit_tree(X, y, TreeParams(criterion=criterion, max_depth=3, min_samples_leaf=msl))
-        assert (tree.feature[tree.left >= 0] != X.shape[1] - 1).all()
+        assert (tree.feature != X.shape[1] - 1).all()
 
 
 class TestGossTreeProperties:
@@ -258,14 +260,14 @@ class TestMulticlassTreeProperties:
     @given(data=st.data())
     def test_every_plain_node_holds_the_best_summed_split(self, data):
         X, S, msl, depth, tree = self.first_round(data, "plain")
-        assert tree.value.shape == (tree.feature.size, S.shape[1])
+        assert tree.value.shape == (tree.left.size - tree.feature.size, S.shape[1])
         assert_greedy_tree(tree, X, S, "variance", msl, depth)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_every_oblivious_level_holds_the_best_summed_test(self, data):
         X, S, _, depth, tree = self.first_round(data, "oblivious")
-        assert tree.value.shape == (tree.feature.size, S.shape[1])
+        assert tree.value.shape == (tree.left.size - tree.feature.size, S.shape[1])
         levels, cells = level_tests_of(tree), [np.arange(X.shape[0])]
         for level in range(depth):
             pool = {(f, t) for f in range(X.shape[1]) for t in midpoints(X[:, f])}
